@@ -18,7 +18,6 @@ from .beamsplitter import (
     grid_from_mixture,
     husimi_phase_invariant,
     mix_through_beamsplitter,
-    wehrl_bridge_check,
 )
 from .entropy import (
     MIN_WIGNER_ENTROPY,
@@ -27,6 +26,7 @@ from .entropy import (
     fock_sum_identity_residual,
     mixture_marginal_entropy,
     passive_bound_check,
+    wehrl_bridge_check,
     wehrl_entropy,
     wigner_entropy_grid,
     wigner_entropy_radial,
@@ -66,7 +66,6 @@ from .mixtures import (
     sigma_coefficients,
     thermal_mixture,
 )
-from .polynomials import hermite, laguerre, log_factorial
 from .positivity import (
     PositivityReport,
     curved_boundary_residual,

@@ -12,6 +12,7 @@ so identical inputs and flags produce byte-identical files.
 from __future__ import annotations
 
 import json
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -46,8 +47,32 @@ def _fmt(value: float) -> str:
     return f"{value:.15g}"
 
 
-def _header(seed: int, tol: float) -> str:
-    return f"# seed={seed}, tol={_fmt(tol)}, version={__version__}"
+def _header(tol: float) -> str:
+    return f"# tol={_fmt(tol)}, version={__version__}"
+
+
+class _PositiveFloat(click.FloatRange):
+    """A float > 0; NaN, which passes every range comparison, is refused too."""
+
+    def convert(self, value, param, ctx):
+        result = super().convert(value, param, ctx)
+        if math.isnan(result):
+            self.fail(f"{value!r} is not a number.", param, ctx)
+        return result
+
+
+POSITIVE = _PositiveFloat(min=0, min_open=True)
+TOLERANCE = _PositiveFloat(min=0, max=math.inf, min_open=True, max_open=True)
+
+
+def _write_csv(lines: list[str], out_path) -> None:
+    """Write the lines to out_path, or to stdout when it is None."""
+    output = "\n".join(lines) + "\n"
+    if out_path is None:
+        click.echo(output, nl=False)
+    else:
+        with open(out_path, "w", encoding="utf-8") as fh:
+            fh.write(output)
 
 
 def load_state(path: str):
@@ -75,9 +100,9 @@ def main():
 
 @main.command("entropy")
 @click.argument("state_file", type=click.Path())
-@click.option("--renyi", "renyi_orders", type=float, multiple=True,
+@click.option("--renyi", "renyi_orders", type=POSITIVE, multiple=True,
               help="Also report the order-ALPHA entropy (repeatable).")
-@click.option("--quad-tol", type=float, default=1e-10, show_default=True,
+@click.option("--quad-tol", type=TOLERANCE, default=1e-10, show_default=True,
               help="Absolute quadrature tolerance.")
 @click.option("--out", "out_path", type=click.Path(), default=None,
               help="Also write the report as a key,value CSV.")
@@ -123,11 +148,8 @@ def cmd_entropy(state_file, renyi_orders, quad_tol, out_path):
     for key, value in rows:
         click.echo(f"{key} = {_fmt(value)}")
     if out_path is not None:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(_header(seed=42, tol=quad_tol) + "\n")
-            fh.write("quantity,value\n")
-            for key, value in rows:
-                fh.write(f"{key},{_fmt(value)}\n")
+        _write_csv([_header(quad_tol), "quantity,value",
+                    *(f"{key},{_fmt(value)}" for key, value in rows)], out_path)
 
 
 def _sigma_cell(args: tuple[int, int, float]) -> tuple[int, int, float]:
@@ -142,11 +164,10 @@ def _sigma_cell(args: tuple[int, int, float]) -> tuple[int, int, float]:
               help="Largest photon number per input arm (guard: 30).")
 @click.option("--jobs", type=int, default=None,
               help="Worker processes for the table cells (default: all cores).")
-@click.option("--quad-tol", type=float, default=1e-10, show_default=True)
-@click.option("--seed", type=int, default=42, show_default=True)
+@click.option("--quad-tol", type=TOLERANCE, default=1e-10, show_default=True)
 @click.option("--out", "out_path", type=click.Path(), default=None,
               help="CSV destination (default: stdout).")
-def cmd_sigma_table(max_photons, jobs, quad_tol, seed, out_path):
+def cmd_sigma_table(max_photons, jobs, quad_tol, out_path):
     """Wigner entropies of the beam-splitter states over a photon-number grid.
 
     Every entry must stay above ln(pi) + 1; a violation would be a
@@ -170,16 +191,11 @@ def cmd_sigma_table(max_photons, jobs, quad_tol, seed, out_path):
         table[(m, n)] = value
         table[(n, m)] = value
 
-    lines = [_header(seed, quad_tol), "m,n,entropy"]
+    lines = [_header(quad_tol), "m,n,entropy"]
     for m in range(max_photons + 1):
         for n in range(max_photons + 1):
             lines.append(f"{m},{n},{_fmt(table[(m, n)])}")
-    output = "\n".join(lines) + "\n"
-    if out_path is None:
-        click.echo(output, nl=False)
-    else:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(output)
+    _write_csv(lines, out_path)
 
     anchor_gap = abs(table[(0, 0)] - MIN_WIGNER_ENTROPY)
     if anchor_gap > 1e-9:
@@ -209,10 +225,9 @@ def cmd_sigma_table(max_photons, jobs, quad_tol, seed, out_path):
 @main.command("region2")
 @click.option("--samples", type=int, default=128, show_default=True,
               help="Points per family (minimum 16).")
-@click.option("--seed", type=int, default=42, show_default=True)
 @click.option("--out", "out_path", type=click.Path(), default=None,
               help="CSV destination (default: stdout).")
-def cmd_region2(samples, seed, out_path):
+def cmd_region2(samples, out_path):
     """Boundary data of the two-photon Wigner-positive region.
 
     Emits three row families: the extremal arc (with the tangency t of
@@ -223,7 +238,7 @@ def cmd_region2(samples, seed, out_path):
         raise click.BadParameter("--samples must be at least 16")
     from .positivity import extremal_arc_point
 
-    lines = [_header(seed, 0.0),
+    lines = [_header(0.0),
              "kind,param,p1,p2,tangency_t,line_p1_coef,line_p2_coef,line_const"]
     for a in np.linspace(0.0, 1.0, samples):
         p1, p2 = extremal_arc_point(float(a))
@@ -241,18 +256,13 @@ def cmd_region2(samples, seed, out_path):
         coef_p1 = 2.0 * r * r - 2.0
         coef_p2 = 2.0 * r**4 - 4.0 * r * r
         lines.append(f"tangent,{_fmt(r)},,,,{_fmt(coef_p1)},{_fmt(coef_p2)},{_fmt(1.0)}")
-    output = "\n".join(lines) + "\n"
-    if out_path is None:
-        click.echo(output, nl=False)
-    else:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(output)
+    _write_csv(lines, out_path)
 
 
 @main.command("verify")
 @click.option("--suite", type=click.Choice(available_suites()), required=True)
 @click.option("--seed", type=int, default=42, show_default=True)
-@click.option("--quad-tol", type=float, default=1e-10, show_default=True)
+@click.option("--quad-tol", type=TOLERANCE, default=1e-10, show_default=True)
 def cmd_verify(suite, seed, quad_tol):
     """Run one named verification suite (or all) and report pass/fail."""
     spec = QuadratureSpec(abs_tol=quad_tol, rel_tol=max(quad_tol, 1e-12))

@@ -15,7 +15,7 @@ import numpy as np
 
 from .beamsplitter import WignerGrid, husimi_phase_invariant, mix_through_beamsplitter
 from .exceptions import NegativeGridError, NotPassiveError, NotWignerPositiveError
-from .fock import marginal_entropy, wavefunction_table
+from .fock import density_entropy, marginal_entropy, wavefunction_table
 from .mixtures import PhotonMixture, is_passive
 from .polynomials import laguerre_scaled_all
 from .positivity import positivity_report, radial_wigner, radial_wigner_max
@@ -37,6 +37,7 @@ __all__ = [
     "entropy_power",
     "check_epi",
     "passive_bound_check",
+    "wehrl_bridge_check",
     "fock_sum_identity_residual",
 ]
 
@@ -44,10 +45,12 @@ __all__ = [
 MIN_WIGNER_ENTROPY = math.log(math.pi) + 1.0
 
 
-def _radial_cutoff(p: PhotonMixture, spec: QuadratureSpec) -> float:
+#: gridded values in [NEGATIVE_FLOOR, 0) are convolution and sampling roundoff
+NEGATIVE_FLOOR = -1e-9
+
+
+def _radial_cutoff(p: PhotonMixture) -> float:
     """Upper integration limit in u = r**2."""
-    if spec.radial_cutoff is not None:
-        return spec.radial_cutoff
     return (12.0 + math.sqrt(2.0 * len(p))) ** 2
 
 
@@ -69,26 +72,24 @@ def wigner_entropy_radial(p: PhotonMixture,
     -EPS_POS anywhere, since the integrand is then undefined.
     """
     _require_positive(p)
-    u_max = _radial_cutoff(p, spec)
+    u_max = _radial_cutoff(p)
     return entropy_integral(
         lambda u: radial_wigner(p, math.sqrt(u)), 0.0, u_max, spec, weight=math.pi
     )
 
 
-def wigner_entropy_grid(grid: WignerGrid,
-                        spec: QuadratureSpec = DEFAULT_QUADRATURE,
-                        negative_floor: float = -1e-9) -> float:
+def wigner_entropy_grid(grid: WignerGrid) -> float:
     """Riemann-sum entropy of a gridded Wigner function.
 
-    Values in [negative_floor, 0) are clipped to 0 (convolution and
+    Values in [NEGATIVE_FLOOR, 0) are clipped to 0 (convolution and
     sampling roundoff); anything below the floor is rejected because the
     grid does not describe a Wigner-positive state.
     """
     values = grid.values
     min_value = float(values.min())
-    if min_value < negative_floor:
+    if min_value < NEGATIVE_FLOOR:
         raise NegativeGridError(
-            f"grid minimum {min_value:.3e} is below the floor {negative_floor:.0e}"
+            f"grid minimum {min_value:.3e} is below the floor {NEGATIVE_FLOOR:.0e}"
         )
     cell = grid.step ** 2
     positive = values[values > ENTROPY_CLIP]
@@ -104,17 +105,15 @@ def wigner_renyi(p: PhotonMixture, alpha: float,
     unbounded support, making the order-0 entropy divergent.  Order 2
     satisfies h_2 = ln(2 pi / purity).
     """
-    if alpha < 0:
-        raise ValueError("Renyi order must be non-negative")
-    if alpha == 0:
-        raise ValueError("order-0 entropy diverges: Wigner support is unbounded")
+    if not alpha > 0:
+        raise ValueError("Renyi order must be positive (order 0 diverges)")
     if alpha == 1.0:
         return wigner_entropy_radial(p, spec)
     _require_positive(p)
     if math.isinf(alpha):
         peak, _ = radial_wigner_max(p)
         return -math.log(peak)
-    u_max = _radial_cutoff(p, spec) * max(1.0, 1.0 / alpha)
+    u_max = _radial_cutoff(p) * max(1.0, 1.0 / alpha)
 
     def integrand(u):
         w = radial_wigner(p, math.sqrt(u))
@@ -131,7 +130,7 @@ def wehrl_entropy(p: PhotonMixture,
     Defined for every physical state (the Husimi function is positive) and
     bounded below by ln(pi) + 1, with coherent states as minimizers.
     """
-    u_max = _radial_cutoff(p, spec)
+    u_max = _radial_cutoff(p)
     return entropy_integral(
         lambda u: husimi_phase_invariant(p, math.sqrt(u)), 0.0, u_max, spec,
         weight=math.pi,
@@ -141,14 +140,7 @@ def wehrl_entropy(p: PhotonMixture,
 def mixture_marginal_entropy(p: PhotonMixture,
                              spec: QuadratureSpec = DEFAULT_QUADRATURE) -> float:
     """Entropy of the position density sum_k p_k psi_k(x)**2 of the mixture."""
-    nmax = len(p) - 1
-    cut = math.sqrt(2.0 * nmax + 1.0) + 12.0
-
-    def density(x):
-        psi = wavefunction_table(nmax, x)
-        return float(p.probs @ (psi * psi))
-
-    return entropy_integral(density, -cut, cut, spec)
+    return density_entropy(p.probs, spec)
 
 
 def entropy_power(h: float) -> float:
@@ -193,27 +185,35 @@ def passive_bound_check(p: PhotonMixture,
     return lhs, rhs
 
 
-def fock_sum_identity_residual(n: int, xs=None, ps=None) -> float:
+def wehrl_bridge_check(p: PhotonMixture, spec: QuadratureSpec = DEFAULT_QUADRATURE
+                       ) -> tuple[float, float]:
+    """Wigner entropy of the balanced-splitter-with-vacuum output vs Wehrl entropy.
+
+    The two numbers are the same functional computed through two distinct
+    routes: the output mixture sum_a p_a sigma(a, 0) integrated as a radial
+    Wigner function, and the Husimi power series integrated directly.  They
+    must agree within quadrature tolerance.
+    """
+    vacuum_port = PhotonMixture([1.0])
+    output = mix_through_beamsplitter(p, vacuum_port, 0.5)
+    return wigner_entropy_radial(output, spec), wehrl_entropy(p, spec)
+
+
+def fock_sum_identity_residual(n: int) -> float:
     """Largest deviation between the two closed forms of the cumulative Wigner sum.
 
     For every (x, p), sum_{k<=n} W_k(x, p) equals
     sum_{k<=n} psi_k(x)**2 psi_{n-k}(p)**2; the identity is what makes the
     equiprobable low-energy mixtures manifestly Wigner positive.  Returns
-    max |LHS - RHS| over the sample grid (default 41 x 41 over [-5, 5]**2).
+    max |LHS - RHS| over a 41 x 41 grid on [-5, 5]**2.
     """
-    if xs is None:
-        xs = np.linspace(-5.0, 5.0, 41)
-    if ps is None:
-        ps = np.linspace(-5.0, 5.0, 41)
-    xs = np.asarray(xs, dtype=float)
-    ps = np.asarray(ps, dtype=float)
-    x, q = np.meshgrid(xs, ps, indexing="ij")
+    axis = np.linspace(-5.0, 5.0, 41)
+    x, q = np.meshgrid(axis, axis, indexing="ij")
     t = 2.0 * (x * x + q * q)
     scaled = laguerre_scaled_all(n, t)
     signs = (-1.0) ** np.arange(n + 1)
     lhs = np.tensordot(signs, scaled, axes=1) / math.pi
 
-    psi_x = wavefunction_table(n, xs) ** 2
-    psi_p = wavefunction_table(n, ps) ** 2
-    rhs = np.einsum("kx,kp->xp", psi_x, psi_p[::-1])
+    psi_sq = wavefunction_table(n, axis) ** 2
+    rhs = np.einsum("kx,kp->xp", psi_sq, psi_sq[::-1])
     return float(np.max(np.abs(lhs - rhs)))

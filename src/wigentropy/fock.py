@@ -31,6 +31,7 @@ __all__ = [
     "wigner_fock",
     "marginal_density",
     "marginal_entropy",
+    "density_entropy",
     "tail_cutoff",
 ]
 
@@ -95,18 +96,28 @@ def marginal_density(n: int, x):
     return psi * psi
 
 
+def density_entropy(probs, spec: QuadratureSpec = DEFAULT_QUADRATURE) -> float:
+    """Entropy of the position density sum_k probs[k] psi_k(x)**2.
+
+    Integrates over +-tail_cutoff of the highest photon number.  The
+    density vanishes or dips sharply at the nodes of the dominant
+    component's wave function, where the integrand has log singularities;
+    seeding the subdivision there keeps the error estimate honest.
+    """
+    probs = np.asarray(probs, dtype=float)
+    nmax = probs.size - 1
+    cut = tail_cutoff(nmax)
+    dominant = int(np.argmax(probs))
+    nodes = np.polynomial.hermite.hermgauss(dominant)[0] if dominant > 0 else None
+
+    def density(x):
+        psi = wavefunction_table(nmax, x)
+        return float(probs @ (psi * psi))
+
+    return entropy_integral(density, -cut, cut, spec, points=nodes)
+
+
 @lru_cache(maxsize=None)
-def _marginal_entropy_cached(n: int, spec: QuadratureSpec) -> float:
-    cut = tail_cutoff(n)
-    # the integrand has log singularities at the n nodes of the wave
-    # function; seeding the subdivision there keeps the error estimate
-    # honest at large n
-    nodes = np.polynomial.hermite.hermgauss(n)[0] if n > 0 else None
-    return entropy_integral(
-        lambda x: marginal_density(n, x), -cut, cut, spec, points=nodes
-    )
-
-
 def marginal_entropy(n: int, spec: QuadratureSpec = DEFAULT_QUADRATURE) -> float:
     """Shannon differential entropy of the n-th Fock state's position density.
 
@@ -114,4 +125,4 @@ def marginal_entropy(n: int, spec: QuadratureSpec = DEFAULT_QUADRATURE) -> float
     vacuum saturates it with h(rho_0) = ln(pi e) / 2.
     """
     _check_index(n)
-    return _marginal_entropy_cached(n, spec)
+    return density_entropy(np.eye(n + 1)[n], spec)

@@ -34,6 +34,9 @@ OMEGA = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 SYMPLECTIC_TOL = 1e-12
 HEISENBERG_TOL = 1e-10
+#: draw ranges of random_symplectic: |squeeze| and each displacement component
+MAX_SQUEEZE = 2.0
+MAX_DISPLACEMENT = 2.0
 
 
 def _frozen_array(values, shape) -> np.ndarray:
@@ -52,6 +55,8 @@ class GaussianState:
     def __init__(self, mean, cov):
         object.__setattr__(self, "mean", _frozen_array(mean, (2,)))
         object.__setattr__(self, "cov", _frozen_array(cov, (2, 2)))
+        if not (np.all(np.isfinite(self.mean)) and np.all(np.isfinite(self.cov))):
+            raise ValueError("mean and covariance must be finite")
         g = self.cov
         if abs(g[0, 1] - g[1, 0]) > 1e-12:
             raise ValueError("covariance matrix must be symmetric")
@@ -115,16 +120,15 @@ def squeezed_vacuum(s: float) -> GaussianState:
     return apply_symplectic(vacuum(), squeeze_map(s))
 
 
-def random_symplectic(rng: np.random.Generator, max_squeeze: float = 2.0,
-                      max_displacement: float = 2.0) -> SymplecticMap:
+def random_symplectic(rng: np.random.Generator) -> SymplecticMap:
     """Random map from the Euler decomposition rotation * squeeze * rotation.
 
     Exactly symplectic by construction for any draw.
     """
     t1, t2 = rng.uniform(0.0, 2.0 * math.pi, size=2)
-    s = rng.uniform(-max_squeeze, max_squeeze)
+    s = rng.uniform(-MAX_SQUEEZE, MAX_SQUEEZE)
     m = rotation_map(t1).matrix @ squeeze_map(s).matrix @ rotation_map(t2).matrix
-    d = rng.uniform(-max_displacement, max_displacement, size=2)
+    d = rng.uniform(-MAX_DISPLACEMENT, MAX_DISPLACEMENT, size=2)
     return SymplecticMap(m, d)
 
 
@@ -158,7 +162,7 @@ def gaussian_wigner_entropy(state: GaussianState) -> float:
 
 def gaussian_renyi_entropy(state: GaussianState, alpha: float) -> float:
     """Order-alpha entropy of the Gaussian Wigner function, closed form."""
-    if alpha <= 0:
+    if not alpha > 0:
         raise ValueError("Renyi order must be positive")
     base = math.log(2.0 * math.pi * math.sqrt(state.det_cov))
     if alpha == 1.0:

@@ -39,6 +39,12 @@ NORMALIZATION_TOL = 1e-12
 #: validated range for the beam-splitter coefficient build (total photons)
 SIGMA_MAX = 128
 
+#: slack on each step p_k >= p_{k+1} of a passive (non-increasing) vector
+PASSIVE_TOL = 1e-14
+
+#: tail mass a truncated thermal distribution may leave out
+THERMAL_TAIL_TOL = 1e-13
+
 
 @dataclass(frozen=True)
 class PhotonMixture:
@@ -50,6 +56,8 @@ class PhotonMixture:
         arr = np.array(probs, dtype=float).reshape(-1)
         if arr.size == 0:
             raise ValueError("probability vector must not be empty")
+        if not np.all(np.isfinite(arr)):
+            raise ValueError("photon-number probabilities must be finite")
         if np.any(arr < 0.0):
             raise ValueError("photon-number probabilities must be non-negative")
         total = math.fsum(arr.tolist())
@@ -110,10 +118,10 @@ class SigmaState:
     coeffs: PhotonMixture
 
 
-def is_passive(p: PhotonMixture, tol: float = 1e-14) -> bool:
-    """True when the probabilities are non-increasing (within tol)."""
+def is_passive(p: PhotonMixture) -> bool:
+    """True when the probabilities are non-increasing (within PASSIVE_TOL)."""
     probs = p.probs
-    return bool(np.all(probs[:-1] >= probs[1:] - tol))
+    return bool(np.all(probs[:-1] >= probs[1:] - PASSIVE_TOL))
 
 
 def extremal_passive(n: int) -> PhotonMixture:
@@ -123,13 +131,13 @@ def extremal_passive(n: int) -> PhotonMixture:
     return PhotonMixture(np.full(n + 1, 1.0 / (n + 1)))
 
 
-def passive_decompose(p: PhotonMixture, tol: float = 1e-14) -> PassiveDecomposition:
+def passive_decompose(p: PhotonMixture) -> PassiveDecomposition:
     """Weights e_k = (k+1)(p_k - p_{k+1}) over the equiprobable mixtures.
 
     Exact inverse of :func:`compose_passive`; raises NotPassiveError when
-    any probability increases beyond ``tol``.
+    any probability increases beyond PASSIVE_TOL.
     """
-    if not is_passive(p, tol):
+    if not is_passive(p):
         raise NotPassiveError("probabilities increase somewhere; state is not passive")
     probs = np.append(p.probs, 0.0)
     ks = np.arange(len(p), dtype=float)
@@ -198,10 +206,10 @@ def extremal_passive_from_sigmas(n: int) -> PhotonMixture:
     return PhotonMixture(acc / (n + 1))
 
 
-def thermal_mixture(mean_photons: float, tail_tol: float = 1e-13) -> PhotonMixture:
+def thermal_mixture(mean_photons: float) -> PhotonMixture:
     """Truncated geometric photon distribution of a thermal state.
 
-    The cutoff is chosen so the discarded tail mass is below ``tail_tol``,
+    The cutoff is chosen so the discarded tail mass is below THERMAL_TAIL_TOL,
     which keeps the truncated vector an acceptable probability vector
     without renormalization.
     """
@@ -210,6 +218,6 @@ def thermal_mixture(mean_photons: float, tail_tol: float = 1e-13) -> PhotonMixtu
     if mean_photons == 0:
         return PhotonMixture([1.0])
     q = mean_photons / (mean_photons + 1.0)
-    length = max(2, int(math.ceil(math.log(tail_tol) / math.log(q))) + 1)
+    length = max(2, int(math.ceil(math.log(THERMAL_TAIL_TOL) / math.log(q))) + 1)
     ks = np.arange(length)
     return PhotonMixture((1.0 - q) * q**ks)

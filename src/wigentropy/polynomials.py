@@ -1,48 +1,23 @@
 """Stable evaluation of the polynomial kernels used by every other module.
 
-Laguerre and (physicists') Hermite polynomials are evaluated by upward
-three-term recurrences in double precision.  Unscaled values are accurate
-for degrees up to ~60 before the Gaussian envelope of the phase-space
-distributions damps them; :func:`laguerre_scaled_all` folds that envelope
-into the recurrence so radial Wigner sums stay bounded for any degree.
+Laguerre polynomials are evaluated by upward three-term recurrences in
+double precision.  Unscaled values are accurate for degrees up to ~60
+before the Gaussian envelope of the phase-space distributions damps them;
+:func:`laguerre_scaled_all` folds that envelope into the recurrence so
+radial Wigner sums stay bounded for any degree.
 
-All functions are pure.  The log-factorial table grows on demand; entries
-are written once and never mutated, so concurrent readers are safe.
+All functions are pure.
 """
 
 from __future__ import annotations
 
-import math
-import threading
-
 import numpy as np
 
 __all__ = [
-    "laguerre",
     "laguerre_all",
     "laguerre_scaled_all",
     "laguerre_derivative_all",
-    "hermite",
-    "hermite_all",
-    "log_factorial",
-    "log_binomial",
 ]
-
-
-def laguerre(n: int, t: float) -> float:
-    """Laguerre polynomial L_n(t).
-
-    Uses the recurrence (k+1) L_{k+1} = (2k+1-t) L_k - k L_{k-1} starting
-    from L_0 = 1, L_1 = 1 - t.
-    """
-    if n < 0:
-        raise ValueError("polynomial degree must be non-negative")
-    if n == 0:
-        return 1.0
-    prev, cur = 1.0, 1.0 - t
-    for k in range(1, n):
-        prev, cur = cur, ((2 * k + 1 - t) * cur - k * prev) / (k + 1)
-    return cur
 
 
 def laguerre_all(nmax: int, t) -> np.ndarray:
@@ -93,59 +68,3 @@ def laguerre_derivative_all(nmax: int, t) -> np.ndarray:
     limit = np.broadcast_to(-ks, ratio.shape)
     out[1:] = np.where(t == 0.0, limit, ratio)
     return out
-
-
-def hermite(n: int, x: float) -> float:
-    """Physicists' Hermite polynomial H_n(x).
-
-    Uses the recurrence H_{k+1} = 2x H_k - 2k H_{k-1} starting from
-    H_0 = 1, H_1 = 2x.
-    """
-    if n < 0:
-        raise ValueError("polynomial degree must be non-negative")
-    if n == 0:
-        return 1.0
-    prev, cur = 1.0, 2.0 * x
-    for k in range(1, n):
-        prev, cur = cur, 2.0 * x * cur - 2.0 * k * prev
-    return cur
-
-
-def hermite_all(nmax: int, x) -> np.ndarray:
-    """All Hermite values H_0(x) ... H_nmax(x), stacked along axis 0."""
-    x = np.asarray(x, dtype=float)
-    out = np.empty((nmax + 1,) + x.shape)
-    out[0] = 1.0
-    if nmax >= 1:
-        out[1] = 2.0 * x
-    for k in range(1, nmax):
-        out[k + 1] = 2.0 * x * out[k] - 2.0 * k * out[k - 1]
-    return out
-
-
-_LOG_FACTORIAL = [0.0, 0.0]
-_LOG_FACTORIAL_LOCK = threading.Lock()
-
-
-def log_factorial(n: int) -> float:
-    """ln(n!) from a cached cumulative-sum table.
-
-    The table is append-only: each entry is written exactly once under a
-    lock and can be read concurrently afterwards.
-    """
-    if n < 0:
-        raise ValueError("factorial argument must be non-negative")
-    table = _LOG_FACTORIAL
-    if n < len(table):
-        return table[n]
-    with _LOG_FACTORIAL_LOCK:
-        for k in range(len(table), n + 1):
-            table.append(table[k - 1] + math.log(k))
-    return table[n]
-
-
-def log_binomial(n: int, k: int) -> float:
-    """ln C(n, k); -inf when k is outside 0..n."""
-    if k < 0 or k > n:
-        return -math.inf
-    return log_factorial(n) - log_factorial(k) - log_factorial(n - k)

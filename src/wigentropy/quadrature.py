@@ -24,25 +24,20 @@ __all__ = ["QuadratureSpec", "DEFAULT_QUADRATURE", "integrate", "entropy_integra
 #: enough that the discarded tail mass biases entropies by < 1e-11
 ENTROPY_CLIP = 1e-14
 
+#: subdivision budget of one adaptive integral
+MAX_SUBDIVISIONS = 2000
+
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Tolerance and truncation controls for the improper integrals.
-
-    radial_cutoff, when set, overrides the automatic upper limit of radial
-    integrals (in units of r**2).
-    """
+    """Tolerance controls for the improper integrals."""
 
     abs_tol: float = 1e-10
     rel_tol: float = 1e-9
-    max_subdivisions: int = 2000
-    radial_cutoff: float | None = None
 
     def __post_init__(self):
-        if self.abs_tol <= 0 or self.rel_tol <= 0:
-            raise ValueError("quadrature tolerances must be positive")
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be at least 1")
+        if not (0 < self.abs_tol < math.inf and 0 < self.rel_tol < math.inf):
+            raise ValueError("quadrature tolerances must be positive and finite")
 
 
 DEFAULT_QUADRATURE = QuadratureSpec()
@@ -62,7 +57,7 @@ def integrate(func, a: float, b: float, spec: QuadratureSpec = DEFAULT_QUADRATUR
         b,
         epsabs=spec.abs_tol,
         epsrel=spec.rel_tol,
-        limit=spec.max_subdivisions,
+        limit=MAX_SUBDIVISIONS,
         full_output=1,
         points=points if points is not None and len(points) else None,
     )
@@ -82,19 +77,18 @@ def entropy_integral(
     b: float,
     spec: QuadratureSpec = DEFAULT_QUADRATURE,
     weight: float = 1.0,
-    clip: float = ENTROPY_CLIP,
     points=None,
 ) -> float:
     """-weight * integral of rho ln rho over [a, b].
 
-    ``density`` is evaluated pointwise; values at or below ``clip`` are
+    ``density`` is evaluated pointwise; values at or below ENTROPY_CLIP are
     treated as exact zeros (x ln x -> 0).  ``points`` may list zeros of the
     density, where the integrand has integrable log singularities.
     """
 
     def integrand(x):
         rho = density(x)
-        if rho <= clip:
+        if rho <= ENTROPY_CLIP:
             return 0.0
         return rho * math.log(rho)
 

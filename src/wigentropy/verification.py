@@ -119,7 +119,7 @@ def suite_wehrl_bridge(rng, spec) -> SuiteResult:
     for n in range(7):
         probs = np.zeros(n + 1)
         probs[n] = 1.0
-        left, right = beamsplitter.wehrl_bridge_check(PhotonMixture(probs), spec)
+        left, right = entropy.wehrl_bridge_check(PhotonMixture(probs), spec)
         worst = max(worst, abs(left - right))
         lowest = min(lowest, left, right)
     passed = worst <= 1e-8 and lowest >= entropy.MIN_WIGNER_ENTROPY - 1e-9

@@ -16,7 +16,6 @@ from conftest import exact_sigma_probs, fock_mixture, random_passive_mixture
 from wigentropy.beamsplitter import (
     fock_oracle_sigma,
     grid_from_gaussian,
-    wehrl_bridge_check,
 )
 from wigentropy.cli import main
 from wigentropy.entropy import (
@@ -24,6 +23,7 @@ from wigentropy.entropy import (
     check_epi,
     fock_sum_identity_residual,
     passive_bound_check,
+    wehrl_bridge_check,
     wigner_entropy_grid,
     wigner_renyi,
 )

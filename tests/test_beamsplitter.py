@@ -12,8 +12,8 @@ from wigentropy.beamsplitter import (
     grid_from_mixture,
     husimi_phase_invariant,
     mix_through_beamsplitter,
-    wehrl_bridge_check,
 )
+from wigentropy.entropy import wehrl_bridge_check
 from wigentropy.exceptions import GridMismatchError, TruncationError
 from wigentropy.mixtures import PhotonMixture, sigma_coefficients
 from wigentropy.positivity import radial_wigner

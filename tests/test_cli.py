@@ -89,8 +89,20 @@ class TestEntropyCommand:
         result = runner.invoke(main, ["entropy", path, "--out", str(out)])
         assert result.exit_code == 0
         lines = out.read_text().splitlines()
-        assert lines[0].startswith("# seed=")
+        assert lines[0].startswith("# tol=1e-10, version=")
         assert lines[1] == "quantity,value"
+
+    @pytest.mark.parametrize("doc", [
+        {"fock_probs": [float("nan"), 1.0]},
+        {"gaussian": {"mean": [float("nan"), 0.0], "cov": [[0.5, 0.0], [0.0, 0.5]]}},
+    ])
+    def test_non_finite_state_exits_2(self, runner, tmp_path, doc):
+        # json writes and reads bare NaN tokens
+        path = write_state(tmp_path, "nan.json", doc)
+        result = runner.invoke(main, ["entropy", path])
+        assert result.exit_code == 2
+        assert "cannot parse state file" in result.output
+        assert result.exception is None or isinstance(result.exception, SystemExit)
 
 
 class TestSigmaTableCommand:
@@ -147,7 +159,7 @@ class TestRegion2Command:
         result = runner.invoke(main, ["region2", "--samples", "16"])
         assert result.exit_code == 0
         lines = result.output.splitlines()
-        assert lines[0].startswith("# seed=")
+        assert lines[0].startswith("# tol=0, version=")
         header = lines[1].split(",")
         assert header[0] == "kind"
         rows = [l.split(",") for l in lines[2:]]
@@ -174,6 +186,24 @@ class TestRegion2Command:
     def test_minimum_samples(self, runner):
         result = runner.invoke(main, ["region2", "--samples", "8"])
         assert result.exit_code != 0
+
+
+@pytest.mark.parametrize("command", [
+    ["entropy", "STATE", "--quad-tol", "0"],
+    ["entropy", "STATE", "--quad-tol", "nan"],
+    ["entropy", "STATE", "--quad-tol", "inf"],
+    ["entropy", "STATE", "--renyi", "0"],
+    ["entropy", "STATE", "--renyi", "-1"],
+    ["entropy", "STATE", "--renyi", "nan"],
+    ["sigma-table", "--max", "1", "--quad-tol", "0"],
+    ["verify", "--suite", "passive-mix", "--quad-tol", "0"],
+])
+def test_out_of_range_option_is_a_usage_error(runner, tmp_path, command):
+    path = write_state(tmp_path, "vac.json", {"fock_probs": [1.0]})
+    result = runner.invoke(main, [path if arg == "STATE" else arg for arg in command])
+    assert result.exit_code == 2
+    assert "Invalid value" in result.output
+    assert isinstance(result.exception, SystemExit)
 
 
 class TestVerifyCommand:

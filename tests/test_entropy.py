@@ -111,21 +111,14 @@ class TestGridEntropy:
 
 
 class TestQuadratureControls:
-    def test_radial_cutoff_override(self):
-        from wigentropy.quadrature import QuadratureSpec
-
-        spec = QuadratureSpec(radial_cutoff=40.0)
-        assert wigner_entropy_radial(VACUUM, spec) == pytest.approx(
-            MIN_WIGNER_ENTROPY, abs=1e-9
-        )
-
     def test_invalid_spec_rejected(self):
         from wigentropy.quadrature import QuadratureSpec
 
         with pytest.raises(ValueError):
             QuadratureSpec(abs_tol=0.0)
-        with pytest.raises(ValueError):
-            QuadratureSpec(max_subdivisions=0)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                QuadratureSpec(rel_tol=bad)
 
 
 class TestRenyi:
@@ -165,8 +158,10 @@ class TestRenyi:
         assert abs(below - h) <= 1e-3 and abs(above - h) <= 1e-3
 
     def test_order_zero_diverges(self):
-        with pytest.raises(ValueError):
-            wigner_renyi(VACUUM, 0.0)
+        # negative and NaN orders are refused with order 0
+        for alpha in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError):
+                wigner_renyi(VACUUM, alpha)
 
 
 class TestWehrl:
@@ -289,6 +284,9 @@ class TestStructuralInequalities:
             h_joint = wigner_entropy_radial(p)
             h_marginal = mixture_marginal_entropy(p)
             assert h_joint <= 2.0 * h_marginal + 1e-7
+        # a one-hot mixture is the Fock state itself: same integral, same bits
+        one_hot = PhotonMixture(np.eye(7)[6])
+        assert mixture_marginal_entropy(one_hot) == marginal_entropy(6)
 
     @pytest.mark.parametrize("n", range(11))
     def test_extremal_chain(self, n):

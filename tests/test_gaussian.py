@@ -32,6 +32,15 @@ class TestStateValidation:
         with pytest.raises(ValueError):
             GaussianState((0, 0), [[0.3, 0.0], [0.0, 0.3]])
 
+    @pytest.mark.parametrize("mean, cov", [
+        ((math.nan, 0.0), [[0.5, 0.0], [0.0, 0.5]]),
+        ((0.0, 0.0), [[math.nan, 0.0], [0.0, 0.5]]),
+        ((0.0, 0.0), [[math.inf, 0.0], [0.0, 0.5]]),
+    ])
+    def test_rejects_non_finite(self, mean, cov):
+        with pytest.raises(ValueError, match="finite"):
+            GaussianState(mean, cov)
+
     def test_purity(self):
         assert vacuum().purity == pytest.approx(1.0, rel=1e-14)
         assert thermal(1.0).purity == pytest.approx(1.0 / 3.0, rel=1e-14)
@@ -147,6 +156,9 @@ class TestOtherEntropies:
         assert gaussian_renyi_entropy(vacuum(), math.inf) == pytest.approx(
             math.log(math.pi), rel=1e-13
         )
+        for alpha in (0.0, math.nan):
+            with pytest.raises(ValueError):
+                gaussian_renyi_entropy(vacuum(), alpha)
 
     def test_wehrl_vacuum_is_the_coherent_minimum(self):
         assert gaussian_wehrl_entropy(vacuum()) == pytest.approx(

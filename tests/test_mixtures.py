@@ -32,6 +32,12 @@ class TestPhotonMixture:
         with pytest.raises(ValueError):
             PhotonMixture([])
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_rejects_non_finite(self, bad):
+        # NaN slips past both the sign and the normalization check
+        with pytest.raises(ValueError, match="finite"):
+            PhotonMixture([bad, 1.0])
+
     def test_no_silent_renormalization(self):
         with pytest.raises(ValueError):
             PhotonMixture([0.5, 0.5 + 1e-9])
