@@ -75,6 +75,8 @@ class WignerGrid:
         if extent <= 0 or resolution < 2:
             raise ValueError("extent must be positive and resolution at least 2")
         mass = float(np.sum(arr)) * (2.0 * extent / (resolution - 1)) ** 2
+        if not math.isfinite(mass):
+            raise ValueError("grid values must be finite")
         if abs(mass - 1.0) > mass_tol:
             raise ValueError(f"grid mass {mass!r} deviates from 1 beyond {mass_tol}")
         arr.flags.writeable = False

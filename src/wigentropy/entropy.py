@@ -12,13 +12,14 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from numpy.polynomial.laguerre import lagroots
 
 from .beamsplitter import WignerGrid, husimi_phase_invariant, mix_through_beamsplitter
 from .exceptions import NegativeGridError, NotPassiveError, NotWignerPositiveError
 from .fock import density_entropy, marginal_entropy, wavefunction_table
 from .mixtures import PhotonMixture, is_passive
 from .polynomials import laguerre_scaled_all
-from .positivity import positivity_report, radial_wigner, radial_wigner_max
+from .positivity import _signed_coeffs, positivity_report, radial_wigner, radial_wigner_max
 from .quadrature import (
     DEFAULT_QUADRATURE,
     ENTROPY_CLIP,
@@ -54,6 +55,16 @@ def _radial_cutoff(p: PhotonMixture) -> float:
     return (12.0 + math.sqrt(2.0 * len(p))) ** 2
 
 
+def _zero_breakpoints(p: PhotonMixture) -> np.ndarray:
+    """u = t/2 at the real parts of the roots of sum_k (-1)**k p_k L_k(t).
+
+    Real roots are where W can vanish.  Inexact roots of long series and the
+    near-real complex pairs that roundoff makes of touching (double) roots
+    are harmless: breakpoints only seed the panel bisection.
+    """
+    return 0.5 * lagroots(_signed_coeffs(p)).real
+
+
 def _require_positive(p: PhotonMixture) -> None:
     report = positivity_report(p)
     if not report.is_positive:
@@ -74,7 +85,8 @@ def wigner_entropy_radial(p: PhotonMixture,
     _require_positive(p)
     u_max = _radial_cutoff(p)
     return entropy_integral(
-        lambda u: radial_wigner(p, math.sqrt(u)), 0.0, u_max, spec, weight=math.pi
+        lambda u: radial_wigner(p, np.sqrt(u)), 0.0, u_max, spec, weight=math.pi,
+        points=_zero_breakpoints(p),
     )
 
 
@@ -116,10 +128,9 @@ def wigner_renyi(p: PhotonMixture, alpha: float,
     u_max = _radial_cutoff(p) * max(1.0, 1.0 / alpha)
 
     def integrand(u):
-        w = radial_wigner(p, math.sqrt(u))
-        return w**alpha if w > 0.0 else 0.0
+        return np.maximum(radial_wigner(p, np.sqrt(u)), 0.0) ** alpha
 
-    norm = math.pi * integrate(integrand, 0.0, u_max, spec)
+    norm = math.pi * integrate(integrand, 0.0, u_max, spec, points=_zero_breakpoints(p))
     return math.log(norm) / (1.0 - alpha)
 
 
@@ -132,7 +143,7 @@ def wehrl_entropy(p: PhotonMixture,
     """
     u_max = _radial_cutoff(p)
     return entropy_integral(
-        lambda u: husimi_phase_invariant(p, math.sqrt(u)), 0.0, u_max, spec,
+        lambda u: husimi_phase_invariant(p, np.sqrt(u)), 0.0, u_max, spec,
         weight=math.pi,
     )
 

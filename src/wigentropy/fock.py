@@ -112,7 +112,7 @@ def density_entropy(probs, spec: QuadratureSpec = DEFAULT_QUADRATURE) -> float:
 
     def density(x):
         psi = wavefunction_table(nmax, x)
-        return float(probs @ (psi * psi))
+        return probs @ (psi * psi)
 
     return entropy_integral(density, -cut, cut, spec, points=nodes)
 

@@ -97,6 +97,8 @@ class PassiveDecomposition:
 
     def __init__(self, weights):
         arr = np.array(weights, dtype=float).reshape(-1)
+        if not np.all(np.isfinite(arr)):
+            raise ValueError("decomposition weights must be finite")
         if np.any(arr < 0.0):
             raise ValueError("decomposition weights must be non-negative")
         total = math.fsum(arr.tolist())

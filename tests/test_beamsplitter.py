@@ -37,6 +37,24 @@ class TestWignerGrid:
         with pytest.raises(GridMismatchError):
             WignerGrid(np.zeros((4, 5)), extent=8.0, resolution=4)
 
+    def test_rejects_nan_cell(self):
+        # a NaN mass fails no |mass - 1| comparison, so it needs its own check
+        values = grid_from_mixture(VACUUM, 8.0, 64).values.copy()
+        values[10, 20] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            WignerGrid(values, 8.0, 64)
+
+    def test_csv_with_nan_cell_rejected(self, tmp_path):
+        path = tmp_path / "grid.csv"
+        grid_from_mixture(VACUUM, 8.0, 64).to_csv(path)
+        lines = path.read_text().splitlines()
+        cells = lines[5].split(",")
+        cells[7] = "nan"
+        lines[5] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="finite"):
+            WignerGrid.from_csv(path)
+
     def test_axis_is_symmetric(self):
         grid = grid_from_mixture(VACUUM, 6.0, 128)
         axis = grid.axis()

@@ -29,7 +29,11 @@ from wigentropy.mixtures import (
     sigma_coefficients,
     thermal_mixture,
 )
-from wigentropy.positivity import positivity_report
+from wigentropy.positivity import (
+    extremal_arc_point,
+    positivity_report,
+    two_photon_mixture,
+)
 
 VACUUM = PhotonMixture([1.0])
 SIGMA_B = PhotonMixture([0.5, 0.5])
@@ -61,6 +65,17 @@ class TestRadialEntropy:
         assert wigner_entropy_radial(thermal_mixture(1.0)) == pytest.approx(
             gaussian_wigner_entropy(thermal(1.0)), abs=1e-6
         )
+
+    # mpmath references from perfbench/reference.json (tanh-sinh at 50 digits,
+    # split at the extrema of the Laguerre polynomial; perfbench/make_reference.py)
+    @pytest.mark.parametrize("make, expected", [
+        (lambda: sigma_coefficients(5, 7).coeffs, 4.218010980051875228),
+        (lambda: sigma_coefficients(8, 10).coeffs, 4.547845494700890101),
+        (lambda: sigma_coefficients(10, 10).coeffs, 4.609669570171480553),
+        (lambda: two_photon_mixture(*extremal_arc_point(0.5)), 3.024158919460700906),
+    ], ids=["sigma(5,7)", "sigma(8,10)", "sigma(10,10)", "arc(a=0.5)"])
+    def test_matches_mpmath_reference(self, make, expected):
+        assert wigner_entropy_radial(make()) == pytest.approx(expected, abs=1e-11)
 
     def test_rejects_negative_states(self):
         with pytest.raises(NotWignerPositiveError) as err:

@@ -172,3 +172,9 @@ class TestPassiveDecompositionType:
     def test_rejects_negative_weights(self):
         with pytest.raises(ValueError):
             PassiveDecomposition([-0.1, 1.1])
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_rejects_non_finite_weights(self, bad):
+        # NaN slips past both the sign and the normalization check
+        with pytest.raises(ValueError, match="finite"):
+            PassiveDecomposition([bad, 1.0])

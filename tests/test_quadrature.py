@@ -1,0 +1,83 @@
+import logging
+import math
+
+import numpy as np
+import pytest
+
+from wigentropy import quadrature
+from wigentropy.entropy import wigner_entropy_radial
+from wigentropy.exceptions import QuadratureConvergenceError
+from wigentropy.mixtures import sigma_coefficients
+from wigentropy.quadrature import QuadratureSpec, entropy_integral, integrate
+
+# entropy of the Gamma(3) density u**2 exp(-u) / 2:
+# k + ln Gamma(k) + (1 - k) digamma(k) at k = 3
+GAMMA3_ENTROPY = math.log(2.0) + 2.0 * np.euler_gamma  # 1.847578510363011
+
+
+def gamma3_density(u):
+    return 0.5 * u * u * np.exp(-u)
+
+
+class TestEngine:
+    @pytest.mark.parametrize("degree", [0, 1, 7, 31])
+    def test_polynomials_exact(self, degree):
+        coeffs = np.random.default_rng(degree).normal(size=degree + 1)
+        poly = np.polynomial.Polynomial(coeffs)
+        anti = poly.integ()
+        value = integrate(poly, -1.5, 2.5, points=[0.25])
+        assert value == pytest.approx(anti(2.5) - anti(-1.5), rel=1e-13, abs=1e-13)
+
+    def test_log_singular_closed_form(self):
+        # double zero at the left end: the integrand behaves like u**2 ln u
+        assert entropy_integral(gamma3_density, 0.0, 80.0) == pytest.approx(
+            GAMMA3_ENTROPY, abs=1e-12
+        )
+
+    def test_points_outside_the_range_are_ignored(self):
+        inside = integrate(np.exp, 0.0, 1.0)
+        assert integrate(np.exp, 0.0, 1.0, points=[-3.0, 0.0, 1.0, 7.0]) == inside
+        assert inside == pytest.approx(math.e - 1.0, rel=1e-15)
+
+    def test_unreachable_spec_raises(self):
+        spec = QuadratureSpec(abs_tol=1e-300, rel_tol=1e-300)
+        with pytest.raises(QuadratureConvergenceError):
+            entropy_integral(gamma3_density, 0.0, 80.0, spec)
+
+    @pytest.mark.parametrize("a, b", [(1.0, 0.0), (0.0, 0.0), (0.0, math.inf),
+                                      (math.nan, 1.0)])
+    def test_rejects_bad_limits(self, a, b):
+        with pytest.raises(ValueError):
+            integrate(np.exp, a, b)
+
+
+class TestBatching:
+    def test_radial_entropy_makes_few_batched_calls(self, monkeypatch):
+        # one scalar callback per node would make thousands of calls
+        calls = []
+        engine = quadrature.integrate
+
+        def counting_integrate(func, *args, **kwargs):
+            def counted(x):
+                calls.append(np.size(x))
+                return func(x)
+            return engine(counted, *args, **kwargs)
+
+        monkeypatch.setattr(quadrature, "integrate", counting_integrate)
+        wigner_entropy_radial(sigma_coefficients(10, 10).coeffs)
+        assert 0 < len(calls) <= 64
+        assert max(calls) <= quadrature.EVAL_CHUNK
+
+    def test_debug_record_per_integral(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="wigentropy.quadrature"):
+            integrate(np.exp, 0.0, 1.0)
+        (record,) = caplog.records
+        assert record.levelno == logging.DEBUG
+        message = record.getMessage()
+        for word in ("panels", "evaluations", "error estimate"):
+            assert word in message
+
+    def test_quiet_by_default(self, caplog):
+        with caplog.at_level(logging.INFO, logger="wigentropy.quadrature"):
+            integrate(np.exp, 0.0, 1.0)
+        assert caplog.records == []
