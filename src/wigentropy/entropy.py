@@ -19,7 +19,7 @@ from .exceptions import NegativeGridError, NotPassiveError, NotWignerPositiveErr
 from .fock import density_entropy, marginal_entropy, wavefunction_table
 from .mixtures import PhotonMixture, is_passive
 from .polynomials import laguerre_scaled_all
-from .positivity import _signed_coeffs, positivity_report, radial_wigner, radial_wigner_max
+from .positivity import PositivityReport, _signed_coeffs, positivity_report, radial_wigner
 from .quadrature import (
     DEFAULT_QUADRATURE,
     ENTROPY_CLIP,
@@ -65,7 +65,7 @@ def _zero_breakpoints(p: PhotonMixture) -> np.ndarray:
     return 0.5 * lagroots(_signed_coeffs(p)).real
 
 
-def _require_positive(p: PhotonMixture) -> None:
+def _require_positive(p: PhotonMixture) -> PositivityReport:
     report = positivity_report(p)
     if not report.is_positive:
         raise NotWignerPositiveError(
@@ -73,6 +73,7 @@ def _require_positive(p: PhotonMixture) -> None:
             min_value=report.min_value,
             argmin_r=report.argmin_r,
         )
+    return report
 
 
 def wigner_entropy_radial(p: PhotonMixture,
@@ -121,10 +122,9 @@ def wigner_renyi(p: PhotonMixture, alpha: float,
         raise ValueError("Renyi order must be positive (order 0 diverges)")
     if alpha == 1.0:
         return wigner_entropy_radial(p, spec)
-    _require_positive(p)
+    report = _require_positive(p)
     if math.isinf(alpha):
-        peak, _ = radial_wigner_max(p)
-        return -math.log(peak)
+        return -math.log(report.max_value)
     u_max = _radial_cutoff(p) * max(1.0, 1.0 / alpha)
 
     def integrand(u):

@@ -4,19 +4,25 @@ The Wigner function of a Fock mixture p is radial,
 
     W(r) = (1/pi) exp(-r**2) sum_k p_k (-1)**k L_k(2 r**2),
 
-so positivity is a one-dimensional question.  This module evaluates the
-radial profile, locates its global minimum, detects tangency with zero
-(the signature of extremal states), and carries the exact closed-form
-description of the positive region for mixtures of up to two photons.
+so positivity is a one-dimensional question.  With t = 2 r**2,
+pi W = exp(-t/2) P(t) for the alternating Laguerre series P, and W is
+stationary exactly at r = 0 and at the real roots of Q = P' - P/2.  The
+extrema are therefore the values of W at those roots (companion-matrix
+eigenvalues, ``lagroots``) and at both ends of the search range, evaluated
+in one call; there is no grid for a narrow dip to slip through.  The
+module also detects tangency with zero (the signature of extremal states)
+and carries the exact closed-form description of the positive region for
+mixtures of up to two photons.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
+from numpy.polynomial.laguerre import lagder, lagroots, lagsub, lagtrim
 
 from .mixtures import PhotonMixture
 from .polynomials import laguerre_all, laguerre_derivative_all, laguerre_scaled_all
@@ -25,7 +31,6 @@ __all__ = [
     "EPS_POS",
     "PositivityReport",
     "radial_wigner",
-    "radial_wigner_max",
     "scan_radius",
     "positivity_report",
     "curved_boundary_residual",
@@ -39,15 +44,19 @@ __all__ = [
 #: from roundoff noise
 EPS_POS = 1e-12
 
+_log = logging.getLogger(__name__)
+
 
 @dataclass(frozen=True)
 class PositivityReport:
-    """Outcome of the global minimum search over the radial Wigner function."""
+    """Global extrema of the radial Wigner function over [0, scan_radius]."""
 
     is_positive: bool
     min_value: float
     argmin_r: float
     touches_zero: bool
+    max_value: float
+    argmax_r: float
 
 
 def _signed_coeffs(p: PhotonMixture) -> np.ndarray:
@@ -74,65 +83,38 @@ def scan_radius(p: PhotonMixture) -> float:
     return math.sqrt(n + 6.0 * math.sqrt(n) + 20.0)
 
 
-def _refine_minimum(func, lo: float, hi: float) -> tuple[float, float]:
-    res = minimize_scalar(func, bounds=(lo, hi), method="bounded",
-                          options={"xatol": 1e-10})
-    return float(res.x), float(res.fun)
+def positivity_report(p: PhotonMixture) -> PositivityReport:
+    """Global minimum and maximum of W(r) over [0, scan_radius].
 
-
-def positivity_report(p: PhotonMixture, eps: float = EPS_POS,
-                      samples: int = 4096) -> PositivityReport:
-    """Global minimum of W(r) over [0, scan_radius] by dense scan + refinement.
-
-    The scan grid is fixed, so the report is deterministic.  A mixture of
-    length N has at most N local minima in r**2, far fewer than the sample
-    count.  ``touches_zero`` is set only for minima attained strictly
-    inside the range: the vacuum's infimum 0 at r -> infinity is a tail,
-    not a touch.
+    The candidates are r = 0, the radii of the real parts of the roots of
+    Q = P' - P/2 inside the range, and r = scan_radius; W is evaluated
+    once on all of them.  Ties go to the smaller radius.  Real parts of
+    complex roots only add candidates, so a double root that roundoff
+    splits into a near-real pair is still found.  ``touches_zero`` is set
+    only for minima attained strictly inside the range: the vacuum's
+    infimum 0 at r -> infinity is a tail, not a touch.
     """
     r_max = scan_radius(p)
-    rs = np.linspace(0.0, r_max, samples)
+    signed = _signed_coeffs(p)
+    # the companion matrix divides by the leading coefficient, so a
+    # subnormal one overflows; terms below 1e-300 cannot move W measurably
+    ts = lagroots(lagtrim(lagsub(lagder(signed), 0.5 * signed), 1e-300)).real
+    ts = np.unique(ts[(ts > 0.0) & (ts < 2.0 * r_max * r_max)])
+    rs = np.concatenate(([0.0], np.sqrt(0.5 * ts), [r_max]))
     ws = radial_wigner(p, rs)
-
-    def func(r):
-        return radial_wigner(p, float(r))
-
-    # (value, radius, interior): the right endpoint is a candidate for the
-    # minimum but a zero there is a decaying tail, not a touch
-    candidates = [(float(ws[0]), 0.0, True), (float(ws[-1]), float(rs[-1]), False)]
-    r0, w0 = _refine_minimum(func, 0.0, float(rs[1]))
-    candidates.append((w0, r0, True))
-    is_local_min = (ws[1:-1] <= ws[:-2]) & (ws[1:-1] <= ws[2:])
-    for idx in np.nonzero(is_local_min)[0] + 1:
-        candidates.append((float(ws[idx]), float(rs[idx]), True))
-        rr, ww = _refine_minimum(func, float(rs[idx - 1]), float(rs[idx + 1]))
-        candidates.append((ww, rr, True))
-
-    best_w, best_r, interior = min(candidates, key=lambda c: (c[0], c[1]))
-    positive = best_w >= -eps
-    touches = bool(positive and abs(best_w) <= eps and interior)
-    return PositivityReport(positive, best_w, best_r, touches)
-
-
-def radial_wigner_max(p: PhotonMixture, samples: int = 4096) -> tuple[float, float]:
-    """Global maximum of W(r) and its radius (same scan strategy as the minimum)."""
-    r_max = scan_radius(p)
-    rs = np.linspace(0.0, r_max, samples)
-    ws = radial_wigner(p, rs)
-
-    def neg(r):
-        return -radial_wigner(p, float(r))
-
-    best_r, best_w = float(rs[0]), float(ws[0])
-    r0, w0 = _refine_minimum(neg, 0.0, float(rs[1]))
-    if -w0 > best_w:
-        best_r, best_w = r0, -w0
-    is_local_max = (ws[1:-1] >= ws[:-2]) & (ws[1:-1] >= ws[2:])
-    for idx in np.nonzero(is_local_max)[0] + 1:
-        rr, ww = _refine_minimum(neg, float(rs[idx - 1]), float(rs[idx + 1]))
-        if -ww > best_w:
-            best_r, best_w = rr, -ww
-    return best_w, best_r
+    i_min, i_max = int(np.argmin(ws)), int(np.argmax(ws))
+    best_w = float(ws[i_min])
+    positive = best_w >= -EPS_POS
+    # the right endpoint is a candidate for the minimum, but a zero there
+    # is a decaying tail, not a touch
+    touches = bool(positive and abs(best_w) <= EPS_POS and i_min < len(rs) - 1)
+    report = PositivityReport(positive, best_w, float(rs[i_min]), touches,
+                              float(ws[i_max]), float(rs[i_max]))
+    if _log.isEnabledFor(logging.DEBUG):
+        _log.debug("%d stationary points in (0, %.6g): min W %.6e at r = %.6g, "
+                   "max W %.6e at r = %.6g", len(ts), r_max, report.min_value,
+                   report.argmin_r, report.max_value, report.argmax_r)
+    return report
 
 
 def curved_boundary_residual(p: PhotonMixture, t: float) -> tuple[float, float]:

@@ -21,6 +21,7 @@ from wigentropy.exceptions import (
     NegativeGridError,
     NotPassiveError,
     NotWignerPositiveError,
+    QuadratureConvergenceError,
 )
 from wigentropy.fock import marginal_entropy
 from wigentropy.mixtures import (
@@ -177,6 +178,16 @@ class TestRenyi:
         for alpha in (0.0, -1.0, math.nan):
             with pytest.raises(ValueError):
                 wigner_renyi(VACUUM, alpha)
+
+    # Known defect: near the double zeros of lopsided touching states the
+    # alternating Laguerre sum is known only to its roundoff, and a low
+    # order w**alpha lifts that noise above every panel's error share.
+    # Remove the mark once these orders converge.
+    @pytest.mark.xfail(raises=QuadratureConvergenceError, strict=True)
+    @pytest.mark.parametrize("m, n, alpha", [(3, 17, 0.3), (0, 40, 0.05)])
+    def test_low_order_on_lopsided_touching_state(self, m, n, alpha):
+        h = wigner_renyi(sigma_coefficients(m, n).coeffs, alpha)
+        assert h >= MIN_WIGNER_ENTROPY
 
 
 class TestWehrl:

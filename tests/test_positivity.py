@@ -1,9 +1,12 @@
+import logging
 import math
 
 import numpy as np
 import pytest
+from numpy.polynomial.laguerre import lagval
 
 from conftest import random_passive_mixture
+from wigentropy import entropy, positivity
 from wigentropy.mixtures import PhotonMixture, sigma_coefficients
 from wigentropy.positivity import (
     curved_boundary_residual,
@@ -11,7 +14,6 @@ from wigentropy.positivity import (
     extremal_arc_wigner,
     positivity_report,
     radial_wigner,
-    radial_wigner_max,
     scan_radius,
     two_photon_mixture,
     two_photon_region_contains,
@@ -21,6 +23,63 @@ VACUUM = PhotonMixture([1.0])
 SIGMA_B = PhotonMixture([0.5, 0.5])          # one photon through the splitter
 SIGMA_C = PhotonMixture([0.5, 0.0, 0.5])     # both arms fed with one photon
 FOCK_1 = PhotonMixture([0.0, 1.0])
+
+
+def dense_extrema(p: PhotonMixture, points: int) -> tuple[float, float]:
+    """(min W, max W) over [0, scan_radius] by a dense scan with bounded refinement.
+
+    Independent of the package: W comes from numpy's Laguerre series.  The
+    four lowest (highest) local minima (maxima) of the scan are refined,
+    since a touching zero between grid points can sit above a decaying
+    tail on the grid.  Each refinement pass rescans every bracket on 201
+    points and narrows it to two steps around the best one.
+    """
+    signed = p.probs * (-1.0) ** np.arange(len(p))
+
+    def wigner(r):
+        t = 2.0 * np.square(r)
+        return np.exp(-0.5 * t) * lagval(t, signed) / math.pi
+
+    rs = np.linspace(0.0, scan_radius(p), points)
+    ws = wigner(rs)
+
+    def extremum(sign: float) -> float:
+        vs = sign * ws
+        padded = np.concatenate(([np.inf], vs, [np.inf]))
+        local = np.nonzero((vs <= padded[:-2]) & (vs <= padded[2:]))[0]
+        picks = local[np.argsort(vs[local], kind="stable")[:4]]
+        lo, hi = rs[np.maximum(picks - 1, 0)], rs[np.minimum(picks + 1, points - 1)]
+        best = vs.min()
+        for _ in range(5):
+            grid = np.linspace(lo, hi, 201)
+            values = sign * wigner(grid)
+            best = min(best, values.min())
+            centre = grid[np.argmin(values, axis=0), np.arange(len(picks))]
+            step = (hi - lo) / 200.0
+            lo, hi = np.clip(centre - step, 0.0, rs[-1]), np.clip(centre + step, 0.0, rs[-1])
+        return sign * best
+
+    return extremum(1.0), extremum(-1.0)
+
+
+def two_photon_extrema(p1: float, p2: float, r_max: float) -> tuple[float, float]:
+    """Closed-form (min W, max W) over [0, r_max] for the mixture (1-p1-p2, p1, p2).
+
+    With t = 2 r**2, pi W = exp(-t/2) P(t) for P = c0 + c1 t + c2 t**2, so
+    the interior stationary points are the roots of the quadratic P' - P/2.
+    """
+    c0, c1, c2 = 1.0 - 2.0 * p1, p1 - 2.0 * p2, 0.5 * p2
+    a, b, c = -0.5 * c2, 2.0 * c2 - 0.5 * c1, c1 - 0.5 * c0
+    t_max = 2.0 * r_max * r_max
+    ts = [0.0, t_max]
+    if a == 0.0:
+        ts += [-c / b] if b != 0.0 else []
+    elif b * b - 4.0 * a * c >= 0.0:
+        q = -0.5 * (b + math.copysign(math.sqrt(b * b - 4.0 * a * c), b))
+        ts += [q / a] + ([c / q] if q != 0.0 else [])
+    values = [math.exp(-0.5 * t) * (c0 + c1 * t + c2 * t * t) / math.pi
+              for t in ts if 0.0 <= t <= t_max]
+    return min(values), max(values)
 
 
 class TestRadialWigner:
@@ -111,9 +170,110 @@ class TestPositivityReport:
             assert report.touches_zero
 
     def test_maximum_of_vacuum(self):
-        peak, radius = radial_wigner_max(VACUUM)
+        report = positivity_report(VACUUM)
+        peak, radius = report.max_value, report.argmax_r
         assert peak == pytest.approx(1.0 / math.pi, rel=1e-12)
         assert radius == pytest.approx(0.0, abs=1e-8)
+
+
+class TestExtremaAgainstReferences:
+    """Extrema of the stationary-point search against independent evaluations."""
+
+    def check(self, p: PhotonMixture, points: int = 4001) -> None:
+        report = positivity_report(p)
+        w_min, w_max = dense_extrema(p, points)
+        assert report.min_value == pytest.approx(w_min, abs=1e-12)
+        assert -math.log(report.max_value) == pytest.approx(-math.log(w_max), abs=1e-12)
+
+    def test_sigma_states(self):
+        # sigma(m, n) and sigma(n, m) are the same mixture
+        for total in range(1, 41):
+            for m in range(total // 2 + 1):
+                self.check(sigma_coefficients(m, total - m).coeffs)
+
+    def test_random_mixtures(self):
+        rng = np.random.default_rng(20210526)
+        for _ in range(200):
+            self.check(PhotonMixture(rng.dirichlet(np.ones(int(rng.integers(4, 61))))))
+
+    def test_two_photon_closed_form(self):
+        rng = np.random.default_rng(7)
+        for p1, p2 in rng.uniform(0.0, 1.0, (2000, 2)):
+            if p1 + p2 > 1.0:
+                p1, p2 = 1.0 - p1, 1.0 - p2
+            state = two_photon_mixture(p1, p2)
+            w_min, w_max = two_photon_extrema(p1, p2, scan_radius(state))
+            report = positivity_report(state)
+            assert report.min_value == pytest.approx(w_min, abs=1e-12)
+            assert -math.log(report.max_value) == pytest.approx(-math.log(w_max), abs=1e-12)
+
+    @pytest.mark.parametrize("make", [
+        lambda: sigma_coefficients(0, 128).coeffs,
+        lambda: random_passive_mixture(np.random.default_rng(256), 256),
+        lambda: PhotonMixture(np.random.default_rng(256).dirichlet(np.ones(256))),
+    ], ids=["sigma(0,128)", "passive", "dirichlet-256"])
+    def test_long_mixtures(self, make):
+        # companion-matrix roots stay trustworthy at the longest supported series
+        self.check(make(), points=40001)
+
+    @pytest.mark.parametrize("m, n", [(0, 40), (3, 17), (5, 7)])
+    def test_perturbed_touching_states_are_negative_at_origin(self, m, n):
+        # sigma(m, n) touches zero at r = 0, which is always stationary, so a
+        # 1e-11 admixture of |1> is found exactly there
+        eps = 1e-11
+        sigma = sigma_coefficients(m, n).coeffs.probs
+        probs = (1.0 - eps) * sigma
+        probs[1] += eps
+        report = positivity_report(PhotonMixture(probs))
+        assert not report.is_positive
+        assert report.argmin_r == 0.0
+
+    def test_subnormal_tail_probability(self):
+        report = positivity_report(PhotonMixture([0.5, 0.5 - 1e-320, 1e-320]))
+        assert report.is_positive and report.touches_zero
+        assert report.argmax_r == pytest.approx(1.0, abs=1e-12)
+
+
+class TestOnePass:
+    """Guards against a return to per-point evaluation."""
+
+    def test_report_evaluates_wigner_once(self, monkeypatch):
+        calls = []
+
+        def counting(p, r):
+            calls.append(r)
+            return radial_wigner(p, r)
+
+        monkeypatch.setattr(positivity, "radial_wigner", counting)
+        positivity_report(sigma_coefficients(0, 40).coeffs)
+        assert len(calls) == 1
+
+    def test_infinite_order_renyi_makes_one_report(self, monkeypatch):
+        calls = []
+
+        def counting(p):
+            calls.append(p)
+            return positivity_report(p)
+
+        monkeypatch.setattr(entropy, "positivity_report", counting)
+        entropy.wigner_renyi(sigma_coefficients(0, 40).coeffs, math.inf)
+        assert len(calls) == 1
+
+
+class TestLogging:
+    def test_debug_record_per_report(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="wigentropy.positivity"):
+            positivity_report(SIGMA_C)
+        (record,) = caplog.records
+        assert record.levelno == logging.DEBUG
+        message = record.getMessage()
+        for word in ("stationary points", "min W", "max W"):
+            assert word in message
+
+    def test_quiet_by_default(self, caplog):
+        with caplog.at_level(logging.INFO, logger="wigentropy.positivity"):
+            positivity_report(SIGMA_C)
+        assert caplog.records == []
 
 
 class TestCurvedBoundary:
