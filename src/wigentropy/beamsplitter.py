@@ -12,12 +12,13 @@ At eta = 1/2 with vacuum in port B the output Wigner function equals the
 Husimi function of the input, which ties Wigner entropies of such outputs
 to Wehrl entropies of the inputs.
 
-The gridded convolution is carried out spectrally: chirp-z transforms
-evaluate each input's characteristic function on a common rescaled
-frequency lattice, the product is transformed back, and no real-space
-interpolation ever happens.  For the smooth, Gaussian-damped fields a
-Wigner grid holds, the discretization error is far below the grid
-normalization tolerance.
+The gridded convolution is carried out spectrally: lattice DFTs evaluate
+each input's characteristic function on a common rescaled frequency
+lattice, the product is transformed back, and no real-space interpolation
+ever happens.  Each 1-D lattice DFT is a chirp-z transform done with
+Bluestein's algorithm on numpy.fft, so the module needs no scipy.  For the
+smooth, Gaussian-damped fields a Wigner grid holds, the discretization
+error is far below the grid normalization tolerance.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import czt
 
 from .exceptions import GridMismatchError, TruncationError
 from .gaussian import GaussianState, gaussian_wigner
@@ -130,30 +130,52 @@ def grid_from_gaussian(state: GaussianState, extent: float = 8.0,
     return WignerGrid(gaussian_wigner(state, x, q), extent, resolution)
 
 
-def _spectral_transform(values: np.ndarray, scale: float, extent: float,
-                        step: float, freqs_count: int, k_nyquist: float,
-                        freq_step: float) -> np.ndarray:
-    """chi(scale * k) on the frequency lattice k_j = -k_nyquist + j * freq_step.
+def _fast_len(n: int) -> int:
+    """Smallest 2**i * 3**j * 5**k that is at least n."""
+    best = 1 << max(0, n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            best = min(best, p35 << max(0, -(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
 
-    Computes h**2 * sum over grid points of values * exp(-i scale k . xi)
-    as a separable chirp-z transform, i.e. the trapezoidal approximation
-    of the continuous Fourier transform at the rescaled frequencies.
+
+def _lattice_dft(x: np.ndarray, x0: float, h: float, k0: float, dk: float,
+                 m: int, sign: int) -> np.ndarray:
+    """out[..., j] = sum_g x[..., g] exp(sign i (x0 + g h)(k0 + j dk)), j < m.
+
+    Bluestein's algorithm along the last axis: g j = (g**2 + j**2 - (j-g)**2) / 2
+    turns the sum into a linear convolution with the chirp
+    exp(-sign i h dk t**2 / 2), done by FFT at a 5-smooth length; every
+    other phase is folded into the chirps applied before and after.
     """
-    n = values.shape[0]
+    n = x.shape[-1]
+    size = _fast_len(n + m - 1)
+    half = 0.5 * h * dk
     g = np.arange(n)
-    j = np.arange(freqs_count)
-    pre = np.exp(1j * scale * k_nyquist * g * step)
-    post = np.exp(1j * scale * freq_step * extent * j) * np.exp(
-        -1j * scale * k_nyquist * extent
-    )
-    w = np.exp(-1j * scale * freq_step * step)
+    j = np.arange(m)
+    pre = np.exp(sign * 1j * g * (h * k0 + half * g))
+    post = np.exp(sign * 1j * (x0 * k0 + j * (x0 * dk + half * j)))
+    # chirp at lags 0..m-1, then at lags -(n-1)..-1 wrapped to the end
+    lags = np.concatenate([j, np.zeros(size - m - n + 1), np.arange(n - 1, 0, -1)])
+    kernel = np.fft.fft(np.exp(-sign * 1j * half * lags * lags))
+    spectrum = np.fft.fft(x * pre, size)
+    spectrum *= kernel
+    return np.fft.ifft(spectrum, out=spectrum)[..., :m] * post
 
-    def along_axis0(mat):
-        out = czt(mat * pre[:, None], m=freqs_count, w=w, a=1.0 + 0.0j, axis=0)
-        return out * post[:, None]
 
-    spectrum = along_axis0(along_axis0(values.astype(complex).T).T)
-    return spectrum * step * step
+def _lattice_dft_2d(x: np.ndarray, x0: float, h: float, k0: float, dk: float,
+                    m: int, sign: int) -> np.ndarray:
+    """_lattice_dft over both axes of a square array, out[j1, j0] (transposed).
+
+    Each pass runs along a C-contiguous last axis, which the FFTs need to
+    be fast; the transpose between the passes is what makes it so.
+    """
+    t = _lattice_dft(x, x0, h, k0, dk, m, sign)
+    return _lattice_dft(np.ascontiguousarray(t.T), x0, h, k0, dk, m, sign)
 
 
 def convolve_beamsplitter(wa: WignerGrid, wb: WignerGrid, eta: float) -> WignerGrid:
@@ -176,25 +198,16 @@ def convolve_beamsplitter(wa: WignerGrid, wb: WignerGrid, eta: float) -> WignerG
     m = 2 * n
     k_nyquist = math.pi / h
     dk = 2.0 * k_nyquist / m
+    sa, sb = math.sqrt(eta), math.sqrt(1.0 - eta)
 
-    chi_a = _spectral_transform(wa.values, math.sqrt(eta), wa.extent, h, m,
-                                k_nyquist, dk)
-    chi_b = _spectral_transform(wb.values, math.sqrt(1.0 - eta), wb.extent, h, m,
-                                k_nyquist, dk)
-    product = chi_a * chi_b
-
-    # back to the spatial grid: sum over the frequency lattice of
-    # product * exp(+i k . x) * (dk / 2 pi)**2, again separable
-    x = np.linspace(-wa.extent, wa.extent, n)
-    a_coef = np.exp(1j * dk * wa.extent)
-    w_coef = np.exp(1j * dk * h)
-    phase = np.exp(-1j * k_nyquist * x)
-
-    def back_axis0(mat):
-        out = czt(mat, m=n, w=w_coef, a=a_coef, axis=0)
-        return out * phase[:, None]
-
-    values = back_axis0(back_axis0(product.T).T).real * (dk / (2.0 * math.pi)) ** 2
+    # sum over the grid of values * exp(-i scale k . xi) on the lattice
+    # k_j = -k_nyquist + j dk, laid out [k_p, k_x] for both inputs
+    product = _lattice_dft_2d(wa.values, -wa.extent, h, -sa * k_nyquist, sa * dk, m, -1)
+    product *= _lattice_dft_2d(wb.values, -wa.extent, h, -sb * k_nyquist, sb * dk, m, -1)
+    # back to [x, p]: sum over the lattice of product * exp(+i k . x); the
+    # h**2 of each forward sum and the (dk / 2 pi)**2 of this one go last
+    values = _lattice_dft_2d(product, -k_nyquist, dk, -wa.extent, h, n, 1).real
+    values *= (h * h * dk / (2.0 * math.pi)) ** 2
     return WignerGrid(values, wa.extent, n, mass_tol=1e-5)
 
 

@@ -16,6 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from .exceptions import NotPassiveError, TruncationError
+from .fock import N_MAX
 
 __all__ = [
     "PhotonMixture",
@@ -56,6 +57,10 @@ class PhotonMixture:
         arr = np.array(probs, dtype=float).reshape(-1)
         if arr.size == 0:
             raise ValueError("probability vector must not be empty")
+        if arr.size - 1 > N_MAX:
+            raise ValueError(
+                f"largest photon number {arr.size - 1} exceeds N_MAX = {N_MAX}"
+            )
         if not np.all(np.isfinite(arr)):
             raise ValueError("photon-number probabilities must be finite")
         if np.any(arr < 0.0):

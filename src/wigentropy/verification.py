@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import qmc
 
 from . import beamsplitter, entropy, mixtures, positivity
 from .mixtures import PhotonMixture
@@ -53,6 +52,9 @@ def _random_wigner_positive(rng: np.random.Generator, max_len: int,
 
 def _triangle_samples(count: int) -> np.ndarray:
     """Deterministic low-discrepancy points in the triangle p1 + p2 <= 1."""
+    # scipy.stats takes most of a second to import; only two suites need it
+    from scipy.stats import qmc
+
     power = max(4, math.ceil(math.log2(max(count, 1))))
     points = qmc.Sobol(d=2, scramble=False).random_base2(power)[:count]
     flip = points.sum(axis=1) > 1.0

@@ -7,6 +7,8 @@ from scipy.signal import fftconvolve
 from conftest import fock_mixture
 from wigentropy.beamsplitter import (
     WignerGrid,
+    _fast_len,
+    _lattice_dft,
     convolve_beamsplitter,
     fock_oracle_sigma,
     grid_from_mixture,
@@ -68,6 +70,28 @@ class TestWignerGrid:
         assert back.extent == grid.extent
         assert back.resolution == grid.resolution
         assert np.max(np.abs(back.values - grid.values)) <= 1e-16
+
+
+class TestLatticeDFT:
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("n, m", [(7, 12), (12, 7), (64, 33), (33, 64), (100, 200), (1, 5)])
+    def test_matches_direct_sum(self, rng, n, m, sign):
+        x0, h, k0, dk = -1.3, 0.21, 0.7, 0.037
+        x = rng.normal(size=(3, n)) + 1j * rng.normal(size=(3, n))
+        g, j = np.arange(n), np.arange(m)
+        direct = x @ np.exp(sign * 1j * np.outer(x0 + g * h, k0 + j * dk))
+        out = _lattice_dft(x, x0, h, k0, dk, m, sign)
+        assert out.shape == (3, m)
+        assert np.max(np.abs(out - direct)) <= 1e-12 * np.max(np.abs(direct))
+
+    def test_fast_len_is_smallest_5_smooth(self):
+        smooth = sorted(
+            2**i * 3**j * 5**k
+            for i in range(14) for j in range(9) for k in range(7)
+            if 2**i * 3**j * 5**k <= 2**13
+        )
+        expected = [next(s for s in smooth if s >= n) for n in range(1, 5001)]
+        assert [_fast_len(n) for n in range(1, 5001)] == expected
 
 
 class TestConvolution:

@@ -1,10 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import wigentropy
 from wigentropy.cli import main
 
 LN_PI_PLUS_1 = math.log(math.pi) + 1.0
@@ -220,3 +224,26 @@ class TestVerifyCommand:
         result = runner.invoke(main, ["verify", "--suite", "sigma-oracle"])
         assert result.exit_code == 0
         assert "[PASS] sigma-oracle" in result.output
+
+
+def _run_python(*args):
+    # a fresh interpreter that finds this checkout's package first
+    src = os.path.dirname(os.path.dirname(os.path.abspath(wigentropy.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, timeout=120)
+
+
+def test_import_does_not_load_scipy():
+    # scipy costs over a second of start-up; only the Sobol suites may load it
+    probe = _run_python("-c", "import sys, wigentropy, wigentropy.cli; "
+                        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert probe.returncode == 0, probe.stderr
+    assert probe.stdout.strip() == "[]"
+
+
+def test_module_help_exits_0():
+    probe = _run_python("-m", "wigentropy.cli", "--help")
+    assert probe.returncode == 0, probe.stderr
+    assert "Usage" in probe.stdout

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import exact_sigma_probs, random_passive_mixture
 from wigentropy.exceptions import NotPassiveError, TruncationError
+from wigentropy.fock import N_MAX
 from wigentropy.mixtures import (
     PassiveDecomposition,
     PhotonMixture,
@@ -37,6 +38,12 @@ class TestPhotonMixture:
         # NaN slips past both the sign and the normalization check
         with pytest.raises(ValueError, match="finite"):
             PhotonMixture([bad, 1.0])
+
+    def test_photon_number_limit(self):
+        # N_MAX is the largest photon number, so the longest vector has N_MAX + 1 entries
+        assert len(PhotonMixture(np.full(N_MAX + 1, 1.0 / (N_MAX + 1)))) == N_MAX + 1
+        with pytest.raises(ValueError, match="N_MAX"):
+            PhotonMixture(np.full(N_MAX + 2, 1.0 / (N_MAX + 2)))
 
     def test_no_silent_renormalization(self):
         with pytest.raises(ValueError):
