@@ -45,6 +45,8 @@ PASSIVE_TOL = 1e-14
 
 #: tail mass a truncated thermal distribution may leave out
 THERMAL_TAIL_TOL = 1e-13
+#: largest thermal mean whose THERMAL_TAIL_TOL cut ends within N_MAX photons
+THERMAL_MAX_MEAN = THERMAL_TAIL_TOL ** (1.0 / N_MAX) / (1.0 - THERMAL_TAIL_TOL ** (1.0 / N_MAX))
 
 
 @dataclass(frozen=True)
@@ -222,6 +224,9 @@ def thermal_mixture(mean_photons: float) -> PhotonMixture:
     """
     if mean_photons < 0:
         raise ValueError("mean photon number must be non-negative")
+    if mean_photons > THERMAL_MAX_MEAN:
+        raise ValueError(f"mean photon number {mean_photons!r} exceeds the largest "
+                         f"supported {THERMAL_MAX_MEAN!r} (N_MAX = {N_MAX})")
     if mean_photons == 0:
         return PhotonMixture([1.0])
     q = mean_photons / (mean_photons + 1.0)

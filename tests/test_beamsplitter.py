@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -8,15 +9,18 @@ from conftest import fock_mixture
 from wigentropy.beamsplitter import (
     WignerGrid,
     _fast_len,
+    _half_lattice_dft,
     _lattice_dft,
     convolve_beamsplitter,
     fock_oracle_sigma,
+    grid_from_gaussian,
     grid_from_mixture,
     husimi_phase_invariant,
     mix_through_beamsplitter,
 )
 from wigentropy.entropy import wehrl_bridge_check
 from wigentropy.exceptions import GridMismatchError, TruncationError
+from wigentropy.gaussian import GaussianState
 from wigentropy.mixtures import PhotonMixture, sigma_coefficients
 from wigentropy.positivity import radial_wigner
 
@@ -28,6 +32,14 @@ def radial_values(p, extent, resolution):
     axis = np.linspace(-extent, extent, resolution)
     x, q = np.meshgrid(axis, axis, indexing="ij")
     return radial_wigner(p, np.sqrt(x * x + q * q))
+
+
+def displaced_squeezed_gaussian(rng):
+    """Gaussian with mean (+, -) and a squeezed covariance rotated off the diagonals."""
+    theta, s = rng.uniform(0.1, 0.6), rng.uniform(0.2, 0.4)
+    rot = np.array([[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]])
+    cov = 0.5 * rot @ np.diag([math.exp(2 * s), math.exp(-2 * s)]) @ rot.T
+    return GaussianState([rng.uniform(0.4, 1.2), -rng.uniform(0.4, 1.2)], cov)
 
 
 class TestWignerGrid:
@@ -82,6 +94,22 @@ class TestLatticeDFT:
         direct = x @ np.exp(sign * 1j * np.outer(x0 + g * h, k0 + j * dk))
         out = _lattice_dft(x, x0, h, k0, dk, m, sign)
         assert out.shape == (3, m)
+        assert np.max(np.abs(out - direct)) <= 1e-12 * np.max(np.abs(direct))
+
+    @pytest.mark.parametrize("n", [7, 12])
+    def test_half_lattice_matches_direct_sum(self, rng, n):
+        x0, h = -1.3, 0.21
+        dk = math.pi / (n * h)
+        k0 = -n * dk
+        x = rng.normal(size=(n, n))
+        xi = x0 + np.arange(n) * h
+        k = k0 + np.arange(2 * n) * dk
+        # direct[j1, j0] = sum_{g0, g1} x[g0, g1] exp(-i (xi_g0 k_j0 + xi_g1 k_j1))
+        phase = np.exp(-1j * (xi[:, None, None, None] * k[None, None, None, :]
+                              + xi[None, :, None, None] * k[None, None, : n + 1, None]))
+        direct = np.einsum("ab,abjk->jk", x, phase)
+        out = _half_lattice_dft(x, x0, h, k0, dk)
+        assert out.shape == (n + 1, 2 * n)
         assert np.max(np.abs(out - direct)) <= 1e-12 * np.max(np.abs(direct))
 
     def test_fast_len_is_smallest_5_smooth(self):
@@ -157,6 +185,19 @@ class TestConvolution:
             out = convolve_beamsplitter(ga, gb, 0.5)
             assert out.values.min() >= -1e-9
 
+    @pytest.mark.parametrize("eta", [0.2, 0.5, 0.9])
+    @pytest.mark.parametrize("n", [127, 128, 256])
+    def test_orientation_on_displaced_squeezed_gaussians(self, rng, n, eta):
+        # radial inputs cannot tell x from p or k from -k; these can
+        a, b = displaced_squeezed_gaussian(rng), displaced_squeezed_gaussian(rng)
+        out = convolve_beamsplitter(grid_from_gaussian(a, 8.0, n),
+                                    grid_from_gaussian(b, 8.0, n), eta)
+        mixed = GaussianState(math.sqrt(eta) * a.mean + math.sqrt(1.0 - eta) * b.mean,
+                              eta * a.cov + (1.0 - eta) * b.cov)
+        expected = grid_from_gaussian(mixed, 8.0, n).values
+        assert np.max(np.abs(out.values - expected)) <= 1e-7
+        assert np.max(np.abs(out.values.T - expected)) > 1e-3
+
     def test_rejects_mismatched_grids(self):
         ga = grid_from_mixture(VACUUM, 8.0, 128)
         gb = grid_from_mixture(VACUUM, 8.0, 64)
@@ -169,6 +210,26 @@ class TestConvolution:
             convolve_beamsplitter(ga, ga, 0.0)
         with pytest.raises(ValueError):
             convolve_beamsplitter(ga, ga, 1.0)
+
+
+class TestLogging:
+    def test_debug_record_per_call(self, caplog):
+        grid = grid_from_mixture(VACUUM, 8.0, 64)
+        with caplog.at_level(logging.DEBUG, logger="wigentropy.beamsplitter"):
+            convolve_beamsplitter(grid, grid, 0.3)
+            convolve_beamsplitter(grid, grid, 0.5)
+        assert len(caplog.records) == 2
+        record = caplog.records[0]
+        assert record.levelno == logging.DEBUG
+        message = record.getMessage()
+        for word in ("64x64", "eta 0.3", "FFT lengths 128 and 192", "mass", "min W"):
+            assert word in message
+
+    def test_quiet_by_default(self, caplog):
+        grid = grid_from_mixture(VACUUM, 8.0, 64)
+        with caplog.at_level(logging.INFO, logger="wigentropy.beamsplitter"):
+            convolve_beamsplitter(grid, grid, 0.5)
+        assert caplog.records == []
 
 
 class TestHusimi:

@@ -8,6 +8,7 @@ from conftest import exact_sigma_probs, random_passive_mixture
 from wigentropy.exceptions import NotPassiveError, TruncationError
 from wigentropy.fock import N_MAX
 from wigentropy.mixtures import (
+    THERMAL_MAX_MEAN,
     PassiveDecomposition,
     PhotonMixture,
     compose_passive,
@@ -173,6 +174,19 @@ class TestThermalMixture:
     def test_purity_matches_gaussian(self):
         # Tr rho^2 of a thermal state is 1/(2 nbar + 1)
         assert thermal_mixture(1.0).purity == pytest.approx(1.0 / 3.0, abs=1e-12)
+
+    def test_largest_supported_mean(self):
+        # the tail cut of the largest mean ends exactly at N_MAX photons
+        assert THERMAL_MAX_MEAN == pytest.approx(8.062, abs=1e-3)
+        assert len(thermal_mixture(THERMAL_MAX_MEAN)) == N_MAX + 1
+
+    @pytest.mark.parametrize("mean", [THERMAL_MAX_MEAN * (1.0 + 1e-9), 10.0])
+    def test_mean_beyond_n_max_raises(self, mean):
+        with pytest.raises(ValueError) as info:
+            thermal_mixture(mean)
+        message = str(info.value)
+        for part in (repr(mean), repr(THERMAL_MAX_MEAN), f"N_MAX = {N_MAX}"):
+            assert part in message
 
 
 class TestPassiveDecompositionType:
