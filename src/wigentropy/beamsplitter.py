@@ -19,6 +19,11 @@ function on a rescaled 2x-oversampled frequency lattice, and one exact
 real inverse FFT brings the product back.  For the smooth, Gaussian-damped
 fields a Wigner grid holds, the discretization error is far below the grid
 normalization tolerance.
+
+Fock-diagonal inputs cross the splitter exactly in the Fock basis: on the
+N-photon subspace it is a spin-N/2 rotation, so each output photon
+distribution is a column of the squared Wigner d-matrix |d^{N/2}|**2, from
+the eigenvectors of J_y.  Totals above fock.N_MAX raise TruncationError.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import GridMismatchError, TruncationError
+from .fock import N_MAX
 from .gaussian import GaussianState, gaussian_wigner
 from .mixtures import PhotonMixture
 from .positivity import radial_wigner
@@ -42,16 +48,9 @@ __all__ = [
     "husimi_phase_invariant",
     "fock_oracle_sigma",
     "mix_through_beamsplitter",
-    "FOCK_ORACLE_CUTOFF",
 ]
 
-#: default bound on m+n for the two-mode construction
-FOCK_ORACLE_CUTOFF = 24
-
 GRID_MASS_TOL = 1e-6
-
-#: input pairs of mix_through_beamsplitter lighter than this are skipped
-PAIR_TOL = 1e-15
 
 _log = logging.getLogger(__name__)
 
@@ -252,41 +251,38 @@ def husimi_phase_invariant(p: PhotonMixture, r):
     return float(values[0]) if scalar else values.reshape(r.shape)
 
 
-def fock_oracle_sigma(m: int, n: int, eta: float,
-                      n_cut: int = FOCK_ORACLE_CUTOFF) -> PhotonMixture:
-    """Photon distribution of one beam-splitter output, by two-mode brute force.
+def _split_probabilities(total: int, eta: float) -> np.ndarray:
+    """P[k, a] = |d^{total/2}_{ka}(beta)|**2 with cos(beta/2)**2 = eta.
 
-    Expands ((sqrt(eta) a+ - sqrt(1-eta) b+)**m (sqrt(1-eta) a+ + sqrt(eta) b+)**n)
-    / sqrt(m! n!) on the vacuum, collects the two-mode amplitudes (which
-    live on the anti-diagonal k_A + k_B = m + n) and traces out mode B.
-    The sign convention is pinned by eta -> 1 sending the first input to
-    the surviving mode.
+    On the total-photon subspace, basis |a, total - a>, the splitter is the
+    spin-total/2 rotation exp(-i beta J_y), so column a is the mode-A photon
+    distribution of the input |a, total - a> (Campos, Saleh & Teich, PRA 40,
+    1371 (1989)).  d = V exp(-i beta Lambda) V^H from eigh of the tridiagonal
+    J_y stays accurate at any total (Feng, Wang, Yang & Jin, PRE 92, 043307
+    (2015)).
+    """
+    if not 0.0 <= eta <= 1.0:
+        raise ValueError("transmittance must lie in [0, 1]")
+    a = np.arange(1, total + 1)
+    ladder = 0.5j * np.sqrt(a * (total + 1.0 - a))  # <a-1| J_y |a>
+    lam, v = np.linalg.eigh(np.diag(ladder, 1) + np.diag(ladder.conj(), -1))
+    d = (v * np.exp(-2j * math.acos(math.sqrt(eta)) * lam)) @ v.conj().T
+    return d.real ** 2 + d.imag ** 2
+
+
+def fock_oracle_sigma(m: int, n: int, eta: float) -> PhotonMixture:
+    """Photon distribution of one beam-splitter output for the input |m, n>.
+
+    The modes evolve as a+ -> sqrt(eta) a+ - sqrt(1-eta) b+ and
+    b+ -> sqrt(1-eta) a+ + sqrt(eta) b+, and mode B is traced out: column m
+    of the split probabilities for m + n photons.  The sign convention is
+    pinned by eta -> 1 sending the first input to the surviving mode.
     """
     if m < 0 or n < 0:
         raise ValueError("photon numbers must be non-negative")
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError("transmittance must lie in [0, 1]")
-    if m + n > n_cut:
-        raise TruncationError(f"total photon number {m + n} exceeds cutoff {n_cut}")
-    total = m + n
-    i = np.arange(m + 1)
-    j = np.arange(n + 1)
-    # amplitude factors of a+**i b+**(m-i) and a+**j b+**(n-j)
-    u = (
-        np.array([math.comb(m, int(k)) for k in i])
-        * math.sqrt(eta) ** i
-        * (-math.sqrt(1.0 - eta)) ** (m - i)
-    )
-    v = (
-        np.array([math.comb(n, int(k)) for k in j])
-        * math.sqrt(1.0 - eta) ** j
-        * math.sqrt(eta) ** (n - j)
-    )
-    conv = np.convolve(u, v)  # index k = photons in mode A
-    log_fact = np.array([math.lgamma(k + 1) for k in range(total + 1)])
-    log_norm = 0.5 * (log_fact + log_fact[::-1] - log_fact[m] - log_fact[n])
-    amplitudes = conv * np.exp(log_norm)
-    probs = amplitudes * amplitudes
+    if m + n > N_MAX:
+        raise TruncationError(f"total photon number {m + n} exceeds fock.N_MAX = {N_MAX}")
+    probs = _split_probabilities(m + n, eta)[:, m]
     mass = math.fsum(probs.tolist())
     if abs(mass - 1.0) > 1e-9:
         raise ValueError(f"two-mode amplitudes are not normalized: mass {mass!r}")
@@ -297,23 +293,22 @@ def mix_through_beamsplitter(pa: PhotonMixture, pb: PhotonMixture,
                              eta: float) -> PhotonMixture:
     """Output mixture for Fock-diagonal inputs at arbitrary transmittance.
 
-    The channel is linear, so the output is the convex combination of the
-    pure-pair results; this is exact for phase-invariant inputs at any
-    eta, not just 1/2.  Input pairs with joint weight below PAIR_TOL
-    are skipped: they cannot move the result and only drag in high photon
-    numbers where the two-mode amplitudes lose precision.  The discarded
-    mass is restored by the final roundoff renormalization, which refuses
-    deviations beyond 1e-9.
+    The channel is linear and conserves the photon total, so the output is
+    sum over totals N of the split probabilities for N photons applied to
+    the anti-diagonal weights pa[a] pb[N - a]; this is exact for
+    phase-invariant inputs at any eta, not just 1/2.  Totals whose weights
+    are all zero are skipped, so a pure Fock pair costs one eigh.  The
+    final roundoff renormalization refuses deviations beyond 1e-9.
     """
-    total = len(pa) + len(pb) - 1
-    acc = np.zeros(total)
-    for a, wa in enumerate(pa.probs):
-        for b, wb in enumerate(pb.probs):
-            weight = wa * wb
-            if weight < PAIR_TOL:
-                continue
-            out = fock_oracle_sigma(a, b, eta, n_cut=len(pa) + len(pb))
-            acc[: len(out)] += weight * out.probs
+    total = len(pa) + len(pb) - 2
+    if total > N_MAX:
+        raise TruncationError(f"total photon number {total} exceeds fock.N_MAX = {N_MAX}")
+    acc = np.zeros(total + 1)
+    for n in range(total + 1):
+        a = np.arange(max(0, n + 1 - len(pb)), min(n, len(pa) - 1) + 1)
+        weights = pa.probs[a] * pb.probs[n - a]
+        if weights.any():
+            acc[: n + 1] += _split_probabilities(n, eta)[:, a] @ weights
     mass = math.fsum(acc.tolist())
     if abs(mass - 1.0) > 1e-9:
         raise ValueError(f"channel output mass {mass!r} is too far from 1")

@@ -161,7 +161,8 @@ def _sigma_cell(args: tuple[int, int, float]) -> tuple[int, int, float]:
 
 @main.command("sigma-table")
 @click.option("--max", "max_photons", type=int, default=10, show_default=True,
-              help="Largest photon number per input arm (guard: 30).")
+              help="Largest photon number per input arm (guard: 30, which bounds "
+                   "run time, not accuracy).")
 @click.option("--jobs", type=int, default=None,
               help="Worker processes for the table cells (default: all cores).")
 @click.option("--quad-tol", type=TOLERANCE, default=1e-10, show_default=True)

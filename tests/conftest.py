@@ -32,6 +32,31 @@ def exact_sigma_probs(m: int, n: int) -> list[Fraction]:
     return out
 
 
+def exact_split_probs(m: int, n: int, eta: Fraction) -> list[Fraction]:
+    """Mode-A photon distribution of a beam splitter fed |m, n>, as exact rationals.
+
+    Expands (sqrt(eta) a+ - sqrt(1-eta) b+)**m (sqrt(1-eta) a+ + sqrt(eta) b+)**n
+    in integers: with eta = p/q the amplitude of |k, m+n-k> is an integer
+    sum s_k times a common power of sqrt(eta) and sqrt(1-eta), so its square
+    p**e (q-p)**f s_k**2 k! (m+n-k)! / (q**(m+n) m! n!) is rational.
+    """
+    p, q = eta.numerator, eta.denominator
+    total = m + n
+    scale = q ** total * math.factorial(m) * math.factorial(n)
+    out = []
+    for k in range(total + 1):
+        lo, hi = max(0, k - n), min(k, m)
+        s = sum(
+            (-1) ** (m - i) * math.comb(m, i) * math.comb(n, k - i)
+            * p ** (i - lo) * (q - p) ** (hi - i)
+            for i in range(lo, hi + 1)
+        )
+        num = (p ** (n - k + 2 * lo) * (q - p) ** (m + k - 2 * hi) * s * s
+               * math.factorial(k) * math.factorial(total - k))
+        out.append(Fraction(num, scale))
+    return out
+
+
 def random_passive_mixture(rng: np.random.Generator, max_len: int) -> PhotonMixture:
     length = int(rng.integers(1, max_len + 1))
     return PhotonMixture(np.sort(rng.dirichlet(np.ones(length)))[::-1].copy())

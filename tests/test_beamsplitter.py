@@ -1,11 +1,13 @@
 import logging
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from scipy.signal import fftconvolve
 
-from conftest import fock_mixture
+from conftest import exact_split_probs, fock_mixture
+from wigentropy import beamsplitter
 from wigentropy.beamsplitter import (
     WignerGrid,
     _fast_len,
@@ -20,6 +22,7 @@ from wigentropy.beamsplitter import (
 )
 from wigentropy.entropy import wehrl_bridge_check
 from wigentropy.exceptions import GridMismatchError, TruncationError
+from wigentropy.fock import N_MAX
 from wigentropy.gaussian import GaussianState
 from wigentropy.mixtures import PhotonMixture, sigma_coefficients
 from wigentropy.positivity import radial_wigner
@@ -299,8 +302,17 @@ class TestFockOracle:
                 assert np.max(np.abs(brute - closed)) <= 1e-12
 
     def test_truncation_guard(self):
-        with pytest.raises(TruncationError):
-            fock_oracle_sigma(20, 10, 0.5)
+        assert len(fock_oracle_sigma(128, 128, 0.5)) == N_MAX + 1
+        with pytest.raises(TruncationError, match="N_MAX"):
+            fock_oracle_sigma(128, 129, 0.5)
+
+    @pytest.mark.parametrize("eta", [Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)])
+    def test_matches_exact_rationals_up_to_n_max(self, eta):
+        for total in [24, 48, 128, N_MAX]:
+            for m in sorted({0, 1, total // 3, total // 2, total}):
+                exact = np.array([float(f) for f in exact_split_probs(m, total - m, eta)])
+                out = fock_oracle_sigma(m, total - m, float(eta)).probs
+                assert np.max(np.abs(out - exact)) <= 1e-14
 
 
 class TestOriginValue:
@@ -318,6 +330,30 @@ class TestChannelMixing:
         out = mix_through_beamsplitter(fock_mixture(2), fock_mixture(1), 0.5)
         expected = sigma_coefficients(2, 1).coeffs.probs
         assert np.max(np.abs(out.probs - expected)) <= 1e-13
+
+    def test_pure_inputs_at_high_photon_number(self, monkeypatch):
+        calls = []
+        split = beamsplitter._split_probabilities
+
+        def counted(total, eta):
+            calls.append(total)
+            return split(total, eta)
+
+        monkeypatch.setattr(beamsplitter, "_split_probabilities", counted)
+        for total in [48, 60, 96, 128]:
+            for m in sorted({0, total // 3, total // 2}):
+                calls.clear()
+                out = mix_through_beamsplitter(fock_mixture(m), fock_mixture(total - m), 0.5)
+                expected = sigma_coefficients(m, total - m).coeffs.probs
+                assert np.max(np.abs(out.probs - expected)) <= 1e-14
+                assert calls == [total]
+
+    def test_truncation_guard(self, monkeypatch):
+        out = mix_through_beamsplitter(fock_mixture(128), fock_mixture(128), 0.5)
+        assert len(out) == N_MAX + 1
+        monkeypatch.delattr(beamsplitter, "_split_probabilities")
+        with pytest.raises(TruncationError, match="N_MAX"):
+            mix_through_beamsplitter(fock_mixture(128), fock_mixture(129), 0.5)
 
     def test_thermal_stays_thermal(self):
         from wigentropy.mixtures import thermal_mixture
