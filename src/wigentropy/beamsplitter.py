@@ -16,20 +16,27 @@ The gridded convolution is spectral, with no real-space interpolation.
 Four chirp-z transforms (Bluestein's algorithm on numpy.fft, no scipy)
 evaluate the Hermitian half k_p <= 0 of each input's characteristic
 function on a rescaled 2x-oversampled frequency lattice, and one exact
-real inverse FFT brings the product back.  For the smooth, Gaussian-damped
-fields a Wigner grid holds, the discretization error is far below the grid
+real inverse FFT brings the product back, done as its two steps with only
+the columns the output keeps.  Every pass runs in blocks of _BLOCK_ROWS
+rows, on a thread pool sized by the usable cores and made on first use;
+each row meets the same numpy call in any block, so the output bits do not
+depend on the worker count.  For the smooth, Gaussian-damped fields a
+Wigner grid holds, the discretization error is far below the grid
 normalization tolerance.
 
 Fock-diagonal inputs cross the splitter exactly in the Fock basis: on the
 N-photon subspace it is a spin-N/2 rotation, so each output photon
 distribution is a column of the squared Wigner d-matrix |d^{N/2}|**2, from
-the eigenvectors of J_y.  Totals above fock.N_MAX raise TruncationError.
+the eigenvectors of the real tridiagonal J_x.  Totals above fock.N_MAX
+raise TruncationError.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,6 +60,23 @@ __all__ = [
 GRID_MASS_TOL = 1e-6
 
 _log = logging.getLogger(__name__)
+
+#: rows per block of the convolution's FFT passes
+_BLOCK_ROWS = 64
+_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+_pool = None  # ThreadPoolExecutor of _WORKERS threads, made by the first pooled call
+_pool_lock = threading.Lock()
+
+
+def _drop_pool() -> None:
+    # a forked child inherits the pool object but none of its threads
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_drop_pool)
 
 
 @dataclass(frozen=True)
@@ -145,6 +169,29 @@ def _fast_len(n: int) -> int:
     return best
 
 
+def _for_blocks(fn, rows: int) -> None:
+    """Call fn(start) for start = 0, _BLOCK_ROWS, 2 _BLOCK_ROWS, ... below rows.
+
+    With two or more blocks and two or more usable cores the calls run on the
+    pool; numpy's FFTs and ufuncs release the GIL, so they run at once.  Each
+    call writes only its own rows.  fn must not call _for_blocks: a block
+    waiting for the pool could hold every worker.
+    """
+    global _pool
+    starts = range(0, rows, _BLOCK_ROWS)
+    if _WORKERS < 2 or len(starts) < 2:
+        for start in starts:
+            fn(start)
+        return
+    with _pool_lock:
+        if _pool is None:
+            from concurrent.futures import ThreadPoolExecutor
+            _pool = ThreadPoolExecutor(_WORKERS, thread_name_prefix="wigentropy-fft")
+        futures = [_pool.submit(fn, start) for start in starts]
+    for future in futures:
+        future.result()
+
+
 def _lattice_dft(x: np.ndarray, x0: float, h: float, k0: float, dk: float,
                  m: int, sign: int) -> np.ndarray:
     """out[..., j] = sum_g x[..., g] exp(sign i (x0 + g h)(k0 + j dk)), j < m.
@@ -164,9 +211,17 @@ def _lattice_dft(x: np.ndarray, x0: float, h: float, k0: float, dk: float,
     # chirp at lags 0..m-1, then at lags -(n-1)..-1 wrapped to the end
     lags = np.concatenate([j, np.zeros(size - m - n + 1), np.arange(n - 1, 0, -1)])
     kernel = np.fft.fft(np.exp(-sign * 1j * half * lags * lags))
-    spectrum = np.fft.fft(x * pre, size)
-    spectrum *= kernel
-    return np.fft.ifft(spectrum, out=spectrum)[..., :m] * post
+    rows = x.reshape(-1, n)
+    out = np.empty((rows.shape[0], m), dtype=complex)
+
+    def block(s):
+        spectrum = np.fft.fft(rows[s:s + _BLOCK_ROWS] * pre, size)
+        spectrum *= kernel
+        np.multiply(np.fft.ifft(spectrum, out=spectrum)[:, :m], post,
+                    out=out[s:s + _BLOCK_ROWS])
+
+    _for_blocks(block, rows.shape[0])
+    return out.reshape(x.shape[:-1] + (m,))
 
 
 def _half_lattice_dft(x: np.ndarray, x0: float, h: float, k0: float,
@@ -188,7 +243,7 @@ def convolve_beamsplitter(wa: WignerGrid, wb: WignerGrid, eta: float) -> WignerG
     The product of the rescaled characteristic functions
     chi_A(sqrt(eta) k) chi_B(sqrt(1-eta) k) is formed on half of a
     2x-oversampled frequency lattice and transformed back to the input grid
-    by one real inverse FFT.  Output mass is validated within 1e-5.
+    by one real inverse 2-D FFT.  Output mass is validated within 1e-5.
     """
     if not 0.0 < eta < 1.0:
         raise ValueError("beam-splitter transmittance must lie strictly between 0 and 1")
@@ -211,13 +266,27 @@ def convolve_beamsplitter(wa: WignerGrid, wb: WignerGrid, eta: float) -> WignerG
     # (-1)**a exp(2 pi i j a / m), a length-m inverse DFT of a Hermitian array
     phase = np.exp(-1j * wa.extent * (-k_nyquist + dk * np.arange(m)))
     product *= phase[: n + 1, None] * phase
-    values = np.fft.irfft2(product, s=(m, m), axes=(1, 0))[:n, :n].T
-    # h**2 per forward sum, (dk / 2 pi)**2 back, and the m**2 irfft2 divides by
+    # irfft2(product, s=(m, m), axes=(1, 0))[:n, :n] as its two steps: ifft
+    # along j_x, then irfft along j_p of only the n columns the crop keeps
+    values = np.empty((n, n))
+    kept = product[:, :n]
+
+    def inverse_rows(s):
+        np.fft.ifft(product[s:s + _BLOCK_ROWS], axis=1, out=product[s:s + _BLOCK_ROWS])
+
+    def inverse_columns(s):
+        values[:, s:s + _BLOCK_ROWS] = np.fft.irfft(kept[:, s:s + _BLOCK_ROWS], m, axis=0)[:n]
+
+    _for_blocks(inverse_rows, n + 1)
+    _for_blocks(inverse_columns, n)
+    values = values.T
+    # h**2 per forward sum, (dk / 2 pi)**2 back, and the m**2 the inverse divides by
     sign = (m * h * h * dk / (2.0 * math.pi)) * (-1.0) ** np.arange(n)
     values *= sign[:, None] * sign
     if _log.isEnabledFor(logging.DEBUG):
-        _log.debug("convolved %dx%d grid at eta %.6g: FFT lengths %d and %d, mass %.15g, "
-                   "min W %.6e", n, n, eta, _fast_len(m), _fast_len(n + m - 1),
+        _log.debug("convolved %dx%d grid at eta %.6g: FFT lengths %d and %d, %d workers, "
+                   "blocks of %d rows, mass %.15g, min W %.6e", n, n, eta, _fast_len(m),
+                   _fast_len(n + m - 1), _WORKERS, _BLOCK_ROWS,
                    float(values.sum()) * h * h, float(values.min()))
     return WignerGrid(values, wa.extent, n, mass_tol=1e-5)
 
@@ -259,14 +328,15 @@ def _split_probabilities(total: int, eta: float) -> np.ndarray:
     distribution of the input |a, total - a> (Campos, Saleh & Teich, PRA 40,
     1371 (1989)).  d = V exp(-i beta Lambda) V^H from eigh of the tridiagonal
     J_y stays accurate at any total (Feng, Wang, Yang & Jin, PRE 92, 043307
-    (2015)).
+    (2015)).  J_y = D J_x D^H with D = diag((-i)**a) leaves |d| unchanged, so
+    the real symmetric J_x is diagonalized instead.
     """
     if not 0.0 <= eta <= 1.0:
         raise ValueError("transmittance must lie in [0, 1]")
     a = np.arange(1, total + 1)
-    ladder = 0.5j * np.sqrt(a * (total + 1.0 - a))  # <a-1| J_y |a>
-    lam, v = np.linalg.eigh(np.diag(ladder, 1) + np.diag(ladder.conj(), -1))
-    d = (v * np.exp(-2j * math.acos(math.sqrt(eta)) * lam)) @ v.conj().T
+    ladder = 0.5 * np.sqrt(a * (total + 1.0 - a))  # <a-1| J_x |a>
+    lam, v = np.linalg.eigh(np.diag(ladder, 1) + np.diag(ladder, -1))
+    d = (v * np.exp(-2j * math.acos(math.sqrt(eta)) * lam)) @ v.T
     return d.real ** 2 + d.imag ** 2
 
 

@@ -38,7 +38,8 @@ MAX_SUBDIVISIONS = 2000
 ROUNDOFF = np.finfo(float).eps
 
 #: most abscissae passed to the integrand in one call; bounds the memory of
-#: an evaluation at the size of the positivity scan (4096 points)
+#: one evaluation: a radial Wigner call holds a Laguerre table of up to
+#: fock.N_MAX + 1 rows of this many doubles (8.4 MB)
 EVAL_CHUNK = 4096
 
 _COARSE_NODES, _COARSE_WEIGHTS = np.polynomial.legendre.leggauss(16)

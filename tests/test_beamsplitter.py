@@ -1,5 +1,8 @@
 import logging
 import math
+import multiprocessing
+import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -215,6 +218,69 @@ class TestConvolution:
             convolve_beamsplitter(ga, ga, 1.0)
 
 
+def _convolve_in_child(queue, grid):
+    queue.put(convolve_beamsplitter(grid, grid, 0.5).values)
+
+
+class TestBlockedPasses:
+    @pytest.mark.parametrize("n", [2, 3, 63, 64, 65, 127, 129, 256])
+    def test_bits_independent_of_blocks_and_workers(self, rng, monkeypatch, n):
+        h = 2.0 * 8.0 / (n - 1)
+        a, b = (WignerGrid(r / (r.sum() * h * h), 8.0, n) for r in rng.random((2, n, n)))
+        # compare the bare output values: random grids miss the output mass check
+        monkeypatch.setattr(beamsplitter, "WignerGrid", lambda values, *args, **kwargs: values)
+        etas = (0.25, 0.5, 0.75)
+        pooled = [convolve_beamsplitter(a, b, eta) for eta in etas]
+        monkeypatch.setattr(beamsplitter, "_WORKERS", 1)
+        for rows in (1, 7, 2 * n):
+            monkeypatch.setattr(beamsplitter, "_BLOCK_ROWS", rows)
+            for eta, expected in zip(etas, pooled):
+                assert np.array_equal(convolve_beamsplitter(a, b, eta), expected)
+
+    def test_concurrent_callers_share_the_pool(self):
+        grids = [grid_from_mixture(fock_mixture(k), 8.0, 128) for k in range(4)]
+        expected = [convolve_beamsplitter(g, grids[0], 0.3).values for g in grids]
+        results = [None] * len(grids)
+
+        def call(k):
+            for _ in range(5):
+                results[k] = convolve_beamsplitter(grids[k], grids[0], 0.3).values
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            callers = [threading.Thread(target=call, args=(k,)) for k in range(len(grids))]
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(caller.is_alive() for caller in callers)
+        for got, want in zip(results, expected):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                        reason="needs the fork start method")
+    def test_forked_child_convolves(self):
+        # the parent's call leaves a pool whose threads a forked child lacks
+        grid = grid_from_mixture(fock_mixture(1), 8.0, 256)
+        expected = convolve_beamsplitter(grid, grid, 0.5).values
+        ctx = multiprocessing.get_context("fork")
+        queue = ctx.Queue()
+        child = ctx.Process(target=_convolve_in_child, args=(queue, grid))
+        child.start()
+        try:
+            values = queue.get(timeout=60)
+            child.join(timeout=60)
+        finally:
+            if child.is_alive():
+                child.kill()
+                child.join()
+        assert child.exitcode == 0
+        assert np.array_equal(values, expected)
+
+
 class TestLogging:
     def test_debug_record_per_call(self, caplog):
         grid = grid_from_mixture(VACUUM, 8.0, 64)
@@ -225,7 +291,8 @@ class TestLogging:
         record = caplog.records[0]
         assert record.levelno == logging.DEBUG
         message = record.getMessage()
-        for word in ("64x64", "eta 0.3", "FFT lengths 128 and 192", "mass", "min W"):
+        for word in ("64x64", "eta 0.3", "FFT lengths 128 and 192", "mass", "min W",
+                     f"{beamsplitter._WORKERS} workers", "blocks of 64 rows"):
             assert word in message
 
     def test_quiet_by_default(self, caplog):

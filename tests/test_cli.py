@@ -243,6 +243,14 @@ def test_import_does_not_load_scipy():
     assert probe.stdout.strip() == "[]"
 
 
+def test_import_does_not_start_thread_pool():
+    # the convolution's thread pool, and its module, come with the first pooled call
+    probe = _run_python("-c", "import sys, wigentropy, wigentropy.cli; "
+                        "print('concurrent.futures.thread' in sys.modules)")
+    assert probe.returncode == 0, probe.stderr
+    assert probe.stdout.strip() == "False"
+
+
 def test_module_help_exits_0():
     probe = _run_python("-m", "wigentropy.cli", "--help")
     assert probe.returncode == 0, probe.stderr
