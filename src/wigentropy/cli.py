@@ -15,7 +15,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import click
 import numpy as np
@@ -41,6 +40,16 @@ from .verification import available_suites, run_suite
 EXIT_PARSE_ERROR = 2
 EXIT_NOT_POSITIVE = 3
 EXIT_BOUND_VIOLATION = 4
+
+
+def __getattr__(name):
+    # ProcessPoolExecutor stays a module attribute that callers may replace,
+    # but its module loads multiprocessing, which only sigma-table needs
+    if name == "ProcessPoolExecutor":
+        from concurrent.futures import ProcessPoolExecutor
+
+        return ProcessPoolExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _fmt(value: float) -> str:
@@ -182,7 +191,7 @@ def cmd_sigma_table(max_photons, jobs, quad_tol, out_path):
     if jobs is None:
         jobs = os.cpu_count() or 1
     if jobs > 1 and len(cells) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with sys.modules[__name__].ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_sigma_cell, cells, chunksize=4))
     else:
         results = [_sigma_cell(cell) for cell in cells]

@@ -12,14 +12,19 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from numpy.polynomial.laguerre import lagroots
 
 from .beamsplitter import WignerGrid, husimi_phase_invariant, mix_through_beamsplitter
 from .exceptions import NegativeGridError, NotPassiveError, NotWignerPositiveError
 from .fock import density_entropy, marginal_entropy, wavefunction_table
 from .mixtures import PhotonMixture, is_passive
 from .polynomials import laguerre_scaled_all
-from .positivity import PositivityReport, _signed_coeffs, positivity_report, radial_wigner
+from .positivity import (
+    PositivityReport,
+    _laguerre_roots,
+    _signed_coeffs,
+    positivity_report,
+    radial_wigner,
+)
 from .quadrature import (
     DEFAULT_QUADRATURE,
     ENTROPY_CLIP,
@@ -58,11 +63,13 @@ def _radial_cutoff(p: PhotonMixture) -> float:
 def _zero_breakpoints(p: PhotonMixture) -> np.ndarray:
     """u = t/2 at the real parts of the roots of sum_k (-1)**k p_k L_k(t).
 
-    Real roots are where W can vanish.  Inexact roots of long series and the
-    near-real complex pairs that roundoff makes of touching (double) roots
-    are harmless: breakpoints only seed the panel bisection.
+    Real roots are where W can vanish.  Coefficients below 1e-300 are
+    trimmed from the top, as in the positivity search.  Inexact roots of
+    long series and the near-real complex pairs that roundoff makes of
+    touching (double) roots are harmless: breakpoints only seed the panel
+    bisection.
     """
-    return 0.5 * lagroots(_signed_coeffs(p)).real
+    return 0.5 * _laguerre_roots(_signed_coeffs(p))
 
 
 def _require_positive(p: PhotonMixture) -> PositivityReport:

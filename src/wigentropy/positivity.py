@@ -6,9 +6,11 @@ The Wigner function of a Fock mixture p is radial,
 
 so positivity is a one-dimensional question.  With t = 2 r**2,
 pi W = exp(-t/2) P(t) for the alternating Laguerre series P, and W is
-stationary exactly at r = 0 and at the real roots of Q = P' - P/2.  The
-extrema are therefore the values of W at those roots (companion-matrix
-eigenvalues, ``lagroots``) and at both ends of the search range, evaluated
+stationary exactly at r = 0 and at the real roots of Q = P' - P/2.  In the
+Laguerre basis dL_k/dt = -(L_0 + ... + L_{k-1}), so Q's coefficients are
+-s_k/2 minus the suffix sum s_{k+1} + ... + s_n of P's coefficients s.  The
+extrema are therefore the values of W at Q's roots (eigenvalues of the
+Laguerre comrade matrix) and at both ends of the search range, evaluated
 in one call; there is no grid for a narrow dip to slip through.  The
 module also detects tangency with zero (the signature of extremal states)
 and carries the exact closed-form description of the positive region for
@@ -22,8 +24,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.laguerre import lagder, lagroots, lagsub, lagtrim
 
+from .fock import N_MAX
 from .mixtures import PhotonMixture
 from .polynomials import laguerre_all, laguerre_derivative_all, laguerre_scaled_all
 
@@ -46,6 +48,14 @@ EPS_POS = 1e-12
 
 _log = logging.getLogger(__name__)
 
+#: (-1)**k for every photon number k a mixture may hold
+_SIGNS = (-1.0) ** np.arange(N_MAX + 1)
+_SIGNS.flags.writeable = False
+
+#: top coefficients this small are dropped before root finding: the comrade
+#: matrix divides by the leading one, and they cannot move W measurably
+_TRIM_TOL = 1e-300
+
 
 @dataclass(frozen=True)
 class PositivityReport:
@@ -60,7 +70,27 @@ class PositivityReport:
 
 
 def _signed_coeffs(p: PhotonMixture) -> np.ndarray:
-    return p.probs * ((-1.0) ** np.arange(len(p)))
+    return p.probs * _SIGNS[:len(p)]
+
+
+def _laguerre_roots(c: np.ndarray) -> np.ndarray:
+    """Sorted real parts of the roots of the Laguerre series sum_k c_k L_k.
+
+    The roots are the eigenvalues of numpy's Laguerre comrade matrix, built
+    and rotated as ``numpy.polynomial.laguerre.lagroots`` does, so they are
+    bit for bit ``lagroots(lagtrim(c, 1e-300)).real``.
+    """
+    (kept,) = np.nonzero(np.abs(c) > _TRIM_TOL)
+    deg = int(kept[-1]) if len(kept) else 0
+    if deg == 0:
+        return np.empty(0)
+    if deg == 1:
+        return np.array([1.0 + c[0] / c[1]])
+    mat = np.diag(2.0 * np.arange(deg) + 1.0)
+    flat = mat.reshape(-1)
+    flat[1::deg + 1] = flat[deg::deg + 1] = -np.arange(1.0, deg)
+    mat[:, -1] += (c[:deg] / c[deg]) * deg
+    return np.sort(np.linalg.eigvals(mat[::-1, ::-1]).real)
 
 
 def radial_wigner(p: PhotonMixture, r):
@@ -70,10 +100,12 @@ def radial_wigner(p: PhotonMixture, r):
     any mixture length and radius.
     """
     r = np.asarray(r, dtype=float)
-    if np.any(r < 0):
+    if (r < 0).any():
         raise ValueError("radius must be non-negative")
-    scaled = laguerre_scaled_all(len(p) - 1, 2.0 * r * r)
-    values = np.tensordot(_signed_coeffs(p), scaled, axes=1) / math.pi
+    n = len(p)
+    scaled = laguerre_scaled_all(n - 1, 2.0 * r * r)
+    values = np.dot(_signed_coeffs(p)[None, :], scaled.reshape(n, r.size))
+    values = values.reshape(r.shape) / math.pi
     return float(values) if values.ndim == 0 else values
 
 
@@ -96,13 +128,18 @@ def positivity_report(p: PhotonMixture) -> PositivityReport:
     """
     r_max = scan_radius(p)
     signed = _signed_coeffs(p)
-    # the companion matrix divides by the leading coefficient, so a
-    # subnormal one overflows; terms below 1e-300 cannot move W measurably
-    ts = lagroots(lagtrim(lagsub(lagder(signed), 0.5 * signed), 1e-300)).real
-    ts = np.unique(ts[(ts > 0.0) & (ts < 2.0 * r_max * r_max)])
+    # Q_k = -s_k/2 - (s_{k+1} + ... + s_n), the suffix sums accumulated
+    # from the top as lagder does
+    q = -0.5 * signed
+    q[:-1] -= np.cumsum(signed[:0:-1])[::-1]
+    ts = _laguerre_roots(q)
+    ts = ts[(ts > 0.0) & (ts < 2.0 * r_max * r_max)]
+    # drop repeated roots: besides the wasted work, the column count of
+    # radial_wigner's dot product can change its last bit
+    ts = np.concatenate((ts[:1], ts[1:][ts[1:] != ts[:-1]]))
     rs = np.concatenate(([0.0], np.sqrt(0.5 * ts), [r_max]))
     ws = radial_wigner(p, rs)
-    i_min, i_max = int(np.argmin(ws)), int(np.argmax(ws))
+    i_min, i_max = int(ws.argmin()), int(ws.argmax())
     best_w = float(ws[i_min])
     positive = best_w >= -EPS_POS
     # the right endpoint is a candidate for the minimum, but a zero there

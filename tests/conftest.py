@@ -2,7 +2,9 @@
 
 The oracles here deliberately avoid the code paths they check: exact
 rational combinatorics for the beam-splitter coefficients, scipy special
-functions for polynomials, and brute-force summation for integrals.
+functions for polynomials, and brute-force summation for integrals.  The
+positivity references are the exception: they pin the package's numbers
+bit for bit to a formulation through numpy.polynomial's Laguerre routines.
 """
 
 import math
@@ -10,8 +12,23 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from numpy.polynomial.laguerre import lagder, lagroots, lagsub, lagtrim
 
-from wigentropy.mixtures import PhotonMixture
+from wigentropy.fock import N_MAX
+from wigentropy.mixtures import (
+    PhotonMixture,
+    extremal_passive,
+    sigma_coefficients,
+    thermal_mixture,
+)
+from wigentropy.polynomials import laguerre_scaled_all
+from wigentropy.positivity import (
+    EPS_POS,
+    PositivityReport,
+    extremal_arc_point,
+    scan_radius,
+    two_photon_mixture,
+)
 
 
 def exact_sigma_probs(m: int, n: int) -> list[Fraction]:
@@ -66,6 +83,80 @@ def fock_mixture(n: int) -> PhotonMixture:
     probs = np.zeros(n + 1)
     probs[n] = 1.0
     return PhotonMixture(probs)
+
+
+def reference_signed_coeffs(p: PhotonMixture) -> np.ndarray:
+    return p.probs * ((-1.0) ** np.arange(len(p)))
+
+
+def reference_radial_wigner(p: PhotonMixture, r):
+    """radial_wigner as a tensordot of the signed coefficients with the damped table."""
+    r = np.asarray(r, dtype=float)
+    scaled = laguerre_scaled_all(len(p) - 1, 2.0 * r * r)
+    values = np.tensordot(reference_signed_coeffs(p), scaled, axes=1) / math.pi
+    return float(values) if values.ndim == 0 else values
+
+
+def reference_positivity_report(p: PhotonMixture) -> PositivityReport:
+    """positivity_report with Q = P' - P/2 and its roots from numpy.polynomial.
+
+    ``lagder``, ``lagsub``, ``lagtrim``, ``lagroots`` and ``np.unique`` do
+    the floating-point operations of the package's direct formulation in
+    the same order, so the two reports must be equal, not just close.
+    """
+    r_max = scan_radius(p)
+    signed = reference_signed_coeffs(p)
+    ts = lagroots(lagtrim(lagsub(lagder(signed), 0.5 * signed), 1e-300)).real
+    ts = np.unique(ts[(ts > 0.0) & (ts < 2.0 * r_max * r_max)])
+    rs = np.concatenate(([0.0], np.sqrt(0.5 * ts), [r_max]))
+    ws = reference_radial_wigner(p, rs)
+    i_min, i_max = int(np.argmin(ws)), int(np.argmax(ws))
+    best_w = float(ws[i_min])
+    positive = best_w >= -EPS_POS
+    touches = bool(positive and abs(best_w) <= EPS_POS and i_min < len(rs) - 1)
+    return PositivityReport(positive, best_w, float(rs[i_min]), touches,
+                            float(ws[i_max]), float(rs[i_max]))
+
+
+def reference_zero_breakpoints(p: PhotonMixture) -> np.ndarray:
+    """u = t/2 at the real parts of ``lagroots`` of the alternating series."""
+    return 0.5 * lagroots(reference_signed_coeffs(p)).real
+
+
+#: mixtures with a subnormal or near-underflow top probability
+TINY_TOP_MIXTURES = (
+    PhotonMixture([0.5, 0.5 - 1e-320, 1e-320]),
+    PhotonMixture([0.6, 0.4 - 1e-310, 1e-310]),
+)
+
+
+def bitwise_corpus() -> list[PhotonMixture]:
+    """States on which the positivity references must match the package exactly.
+
+    Two-photon and arc states, Dirichlet mixtures of every length class up
+    to N_MAX + 1, sigma states, thermal and extremal passive states, and
+    mixtures with trailing zeros or a vanishing top probability.
+    """
+    rng = np.random.default_rng(201)
+    states = [PhotonMixture([1.0]), PhotonMixture([0.0, 1.0]),
+              PhotonMixture([0.5, 0.0, 0.5]), PhotonMixture([0.5, 0.5, 0.0, 0.0]),
+              *TINY_TOP_MIXTURES]
+    states += [two_photon_mixture(p1, p2) for p1, p2 in (
+        (0.1, 0.1), (0.3, 0.2), (0.2, 0.6), (0.6, 0.1), (0.0, 0.5), (0.25, 0.25),
+        (0.45, 0.3), (0.0, 0.0), (0.5, 0.0), (0.0, 1.0), (1.0, 0.0))]
+    for p1, p2 in rng.uniform(0.0, 1.0, (200, 2)):
+        if p1 + p2 > 1.0:
+            p1, p2 = 1.0 - p1, 1.0 - p2
+        states.append(two_photon_mixture(p1, p2))
+    states += [two_photon_mixture(*extremal_arc_point(a)) for a in np.linspace(0.0, 1.0, 21)]
+    lengths = np.concatenate((np.arange(1, 41), rng.integers(41, 129, 40),
+                              rng.integers(129, N_MAX + 1, 10), [N_MAX + 1]))
+    states += [PhotonMixture(rng.dirichlet(np.ones(n))) for n in lengths]
+    states += [sigma_coefficients(m, n).coeffs for n in range(64)
+               for m in range(n + 1) if (m + n) % 7 == 0]
+    states += [thermal_mixture(mean) for mean in (0.05, 0.5, 1.0, 2.0, 4.0, 8.0)]
+    states += [extremal_passive(n) for n in (1, 2, 3, 10, 40, 100, 255, 256)]
+    return states
 
 
 @pytest.fixture

@@ -251,6 +251,14 @@ def test_import_does_not_start_thread_pool():
     assert probe.stdout.strip() == "False"
 
 
+def test_import_does_not_load_process_pool():
+    # concurrent.futures.process loads multiprocessing; only sigma-table's pool needs it
+    probe = _run_python("-c", "import sys, wigentropy, wigentropy.cli; "
+                        "print('concurrent.futures.process' in sys.modules)")
+    assert probe.returncode == 0, probe.stderr
+    assert probe.stdout.strip() == "False"
+
+
 def test_module_help_exits_0():
     probe = _run_python("-m", "wigentropy.cli", "--help")
     assert probe.returncode == 0, probe.stderr

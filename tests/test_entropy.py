@@ -3,7 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from conftest import fock_mixture, random_passive_mixture
+from conftest import (
+    TINY_TOP_MIXTURES,
+    bitwise_corpus,
+    fock_mixture,
+    random_passive_mixture,
+    reference_zero_breakpoints,
+)
+from wigentropy import entropy
 from wigentropy.beamsplitter import grid_from_mixture
 from wigentropy.entropy import (
     MIN_WIGNER_ENTROPY,
@@ -83,6 +90,24 @@ class TestRadialEntropy:
             wigner_entropy_radial(fock_mixture(1))
         assert err.value.min_value == pytest.approx(-1.0 / math.pi, rel=1e-9)
         assert err.value.argmin_r == pytest.approx(0.0, abs=1e-9)
+
+
+class TestZeroBreakpoints:
+    def test_equal_to_lagroots(self):
+        # a coefficient at or below 1e-300 is trimmed here but not by lagroots
+        for p in bitwise_corpus():
+            if np.all((p.probs == 0.0) | (p.probs > 1e-300)):
+                assert np.array_equal(entropy._zero_breakpoints(p),
+                                      reference_zero_breakpoints(p)), p.probs
+
+    @pytest.mark.parametrize("p, clean", zip(TINY_TOP_MIXTURES, ([0.5, 0.5], [0.6, 0.4])),
+                             ids=["1e-320", "1e-310"])
+    def test_tiny_top_probability(self, p, clean):
+        # the companion matrix of the untrimmed series overflows
+        clean = PhotonMixture(clean)
+        assert wigner_entropy_radial(p) == pytest.approx(wigner_entropy_radial(clean), abs=1e-10)
+        for alpha in (2.0, 0.5):
+            assert wigner_renyi(p, alpha) == pytest.approx(wigner_renyi(clean, alpha), abs=1e-10)
 
 
 class TestGridEntropy:

@@ -5,7 +5,12 @@ import numpy as np
 import pytest
 from numpy.polynomial.laguerre import lagval
 
-from conftest import random_passive_mixture
+from conftest import (
+    bitwise_corpus,
+    random_passive_mixture,
+    reference_positivity_report,
+    reference_radial_wigner,
+)
 from wigentropy import entropy, positivity
 from wigentropy.mixtures import PhotonMixture, sigma_coefficients
 from wigentropy.positivity import (
@@ -258,6 +263,27 @@ class TestOnePass:
         monkeypatch.setattr(entropy, "positivity_report", counting)
         entropy.wigner_renyi(sigma_coefficients(0, 40).coeffs, math.inf)
         assert len(calls) == 1
+
+
+class TestBitwiseReference:
+    """Same numbers as the numpy.polynomial formulation, to the last bit."""
+
+    def test_reports_equal_reference(self):
+        mismatched = [p.probs for p in bitwise_corpus()
+                      if positivity_report(p) != reference_positivity_report(p)]
+        assert mismatched == []
+
+    @pytest.mark.parametrize("length", [1, 2, 3, 17, 64, 257])
+    @pytest.mark.parametrize("radii", [
+        0.0, 1.3, np.empty(0), np.array([0.7]), np.linspace(0.0, 6.0, 7),
+        np.linspace(0.0, 30.0, 257), np.linspace(0.0, 5.0, 15).reshape(3, 5),
+        np.linspace(0.0, 8.0, 256).reshape(16, 16),
+    ], ids=["zero", "scalar", "empty", "one", "seven", "257", "3x5", "16x16"])
+    def test_radial_wigner_equals_reference(self, length, radii):
+        p = PhotonMixture(np.random.default_rng(length).dirichlet(np.ones(length)))
+        values, expected = radial_wigner(p, radii), reference_radial_wigner(p, radii)
+        assert type(values) is type(expected)
+        assert np.array_equal(values, expected)
 
 
 class TestLogging:
