@@ -25,13 +25,7 @@ from .positivity import (
     positivity_report,
     radial_wigner,
 )
-from .quadrature import (
-    DEFAULT_QUADRATURE,
-    ENTROPY_CLIP,
-    QuadratureSpec,
-    entropy_integral,
-    integrate,
-)
+from .quadrature import DEFAULT_QUADRATURE, QuadratureSpec, entropy_integral, integrate
 
 __all__ = [
     "MIN_WIGNER_ENTROPY",
@@ -53,6 +47,11 @@ MIN_WIGNER_ENTROPY = math.log(math.pi) + 1.0
 
 #: gridded values in [NEGATIVE_FLOOR, 0) are convolution and sampling roundoff
 NEGATIVE_FLOOR = -1e-9
+
+#: gridded values at or below this contribute 0 to the grid entropy: well
+#: above the ~1e-16 roundoff of a convolved grid, whose noise would
+#: otherwise enter through x ln x
+ENTROPY_CLIP = 1e-14
 
 
 def _radial_cutoff(p: PhotonMixture) -> float:

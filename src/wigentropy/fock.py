@@ -99,22 +99,23 @@ def marginal_density(n: int, x):
 def density_entropy(probs, spec: QuadratureSpec = DEFAULT_QUADRATURE) -> float:
     """Entropy of the position density sum_k probs[k] psi_k(x)**2.
 
-    Integrates over +-tail_cutoff of the highest photon number.  The
-    density vanishes or dips sharply at the nodes of the dominant
-    component's wave function, where the integrand has log singularities;
-    seeding the subdivision there keeps the error estimate honest.
+    The density is even, so this is twice the integral over [0, tail_cutoff]
+    of the highest photon number.  The density vanishes or dips sharply at
+    the nodes of the dominant component's wave function, where the
+    integrand has log singularities; seeding the subdivision at the
+    non-negative nodes keeps the error estimate honest.
     """
     probs = np.asarray(probs, dtype=float)
     nmax = probs.size - 1
     cut = tail_cutoff(nmax)
     dominant = int(np.argmax(probs))
-    nodes = np.polynomial.hermite.hermgauss(dominant)[0] if dominant > 0 else None
+    nodes = np.polynomial.hermite.hermgauss(dominant)[0] if dominant > 0 else np.empty(0)
 
     def density(x):
         psi = wavefunction_table(nmax, x)
         return probs @ (psi * psi)
 
-    return entropy_integral(density, -cut, cut, spec, points=nodes)
+    return entropy_integral(density, 0.0, cut, spec, weight=2.0, points=nodes[nodes >= 0.0])
 
 
 @lru_cache(maxsize=None)

@@ -1,15 +1,18 @@
 """Batched adaptive panel quadrature for the improper entropy integrals.
 
-Integrands decay under a Gaussian envelope, so improper integrals are
-truncated where the remainder is far below tolerance.  [a, b] is split into
-panels at the caller's breakpoints; each round evaluates every open
-panel's nodes in one vectorized call and keeps its 32-node Gauss-Legendre
-value, with the 16-node difference as error estimate.  A panel is accepted
-when the estimate fits half the budget max(abs_tol, rel_tol * |I|) times
-the larger of its length share and 1/MAX_SUBDIVISIONS, so the estimates sum
-to at most the budget; the rest are bisected.  The length share refines
-log singularities at zeros of a density; the count share stops panels
-whose estimate is negligible, such as those ruled by integrand roundoff.
+Integrands carry their mass under a unit-scale Gaussian envelope that
+starts at the left limit, so improper integrals are truncated where the
+remainder is far below tolerance, and [a, b] starts out split on a dyadic
+mesh graded toward a, down to about unit width, and at the caller's
+breakpoints: the panels that bisection of [a, b] would always reach.  Each
+round evaluates every open panel's nodes in one vectorized call and keeps
+its 32-node Gauss-Legendre value, with the 16-node difference as error
+estimate.  A panel is accepted when the estimate fits half the budget
+max(abs_tol, rel_tol * |I|) times the larger of its length share and
+1/MAX_SUBDIVISIONS, so the estimates sum to at most the budget; the rest
+are bisected.  The length share refines log singularities at zeros of a
+density; the count share stops panels whose estimate is negligible, such
+as those ruled by integrand roundoff.
 """
 
 from __future__ import annotations
@@ -24,11 +27,8 @@ from .exceptions import QuadratureConvergenceError
 
 __all__ = ["QuadratureSpec", "DEFAULT_QUADRATURE", "integrate", "entropy_integral"]
 
-#: densities below this value contribute 0 to entropy integrands (continuity
-#: of x ln x at 0, and robustness against roundoff noise near touching
-#: zeros); kept well above the ~1e-16 evaluation noise floor but small
-#: enough that the discarded tail mass biases entropies by < 1e-11
-ENTROPY_CLIP = 1e-14
+#: smallest normal double; the log of a positive density is taken at least here
+TINY = np.finfo(float).tiny
 
 #: most panels one integral may split into
 MAX_SUBDIVISIONS = 2000
@@ -82,14 +82,19 @@ def integrate(func, a: float, b: float, spec: QuadratureSpec = DEFAULT_QUADRATUR
     """Adaptive panel quadrature of ``func`` over [a, b] at the spec's tolerances.
 
     ``func`` maps a 1-D array of abscissae to an array of values; each round
-    calls it once per EVAL_CHUNK abscissae.  The initial panels are
-    split at ``points`` (awkward abscissae) inside (a, b).  Raises
+    calls it once per EVAL_CHUNK abscissae.  The initial panels end at
+    a + (b - a) 2**-k for k = 1 ... max(1, ceil(log2(b - a))) and at
+    ``points`` (awkward abscissae) inside (a, b).  The mesh assumes that
+    ``func`` carries its mass under a unit-scale envelope starting at a;
+    other integrands stay correct but may take extra rounds.  Raises
     QuadratureConvergenceError when more than MAX_SUBDIVISIONS are needed.
     """
     if not (math.isfinite(a) and math.isfinite(b) and a < b):
         raise ValueError(f"integration needs finite limits a < b, got [{a}, {b}]")
     inner = np.ravel(points) if points is not None else []
-    edges = np.unique(np.clip(np.concatenate([[a], inner, [b]]), a, b))
+    levels = max(1, math.ceil(math.log2(b - a)))
+    dyadic = a + (b - a) * np.exp2(-np.arange(1, levels + 1))
+    edges = np.unique(np.clip(np.concatenate([[a], dyadic, inner, [b]]), a, b))
     lo, hi = edges[:-1], edges[1:]
     panels = lo.size
     evaluations = 0
@@ -128,13 +133,14 @@ def entropy_integral(
     """-weight * integral of rho ln rho over [a, b].
 
     ``density`` maps an array of abscissae to an array of values; values at
-    or below ENTROPY_CLIP are treated as exact zeros (x ln x -> 0).
+    or below 0 (roundoff near a zero) are exact zeros (x ln x -> 0), and the
+    log of a positive value is taken at least at TINY, so no tail is cut.
     ``points`` may list zeros of the density, where the integrand has
     integrable log singularities.
     """
 
     def integrand(x):
         rho = density(x)
-        return np.where(rho <= ENTROPY_CLIP, 0.0, rho * np.log(np.maximum(rho, ENTROPY_CLIP)))
+        return np.where(rho <= 0.0, 0.0, rho * np.log(np.maximum(rho, TINY)))
 
     return -weight * integrate(integrand, a, b, spec, points=points)

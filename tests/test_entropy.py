@@ -1,7 +1,10 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.special import digamma
 
 from conftest import (
     TINY_TOP_MIXTURES,
@@ -42,10 +45,12 @@ from wigentropy.positivity import (
     positivity_report,
     two_photon_mixture,
 )
+from wigentropy.quadrature import DEFAULT_QUADRATURE, QuadratureSpec
 
 VACUUM = PhotonMixture([1.0])
 SIGMA_B = PhotonMixture([0.5, 0.5])
 WEHRL_FOCK_1 = math.log(math.pi) + 1.0 + np.euler_gamma
+REFERENCE_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
 
 
 def random_wigner_positive(rng, max_len, count):
@@ -84,6 +89,22 @@ class TestRadialEntropy:
     ], ids=["sigma(5,7)", "sigma(8,10)", "sigma(10,10)", "arc(a=0.5)"])
     def test_matches_mpmath_reference(self, make, expected):
         assert wigner_entropy_radial(make()) == pytest.approx(expected, abs=1e-11)
+
+    # measured worst errors: 1.7e-13 at the default tolerances, 1.6e-14 at
+    # the CLI's 1e-10
+    @pytest.mark.parametrize("spec, bound", [
+        (DEFAULT_QUADRATURE, 3e-13),
+        (QuadratureSpec(abs_tol=1e-10, rel_tol=1e-10), 5e-14),
+    ], ids=["default", "cli"])
+    def test_every_mpmath_reference_state(self, spec, bound):
+        entries = json.loads(REFERENCE_PATH.read_text())["entries"]
+        assert len(entries) == 70
+        for entry in entries:
+            value = wigner_entropy_radial(PhotonMixture(entry["probs"]), spec)
+            assert abs(value - float(entry["h_wigner"])) <= bound, entry["name"]
+
+    def test_vacuum_not_below_the_bound(self):
+        assert wigner_entropy_radial(VACUUM) >= MIN_WIGNER_ENTROPY - 1e-15
 
     def test_rejects_negative_states(self):
         with pytest.raises(NotWignerPositiveError) as err:
@@ -229,6 +250,13 @@ class TestWehrl:
             p = PhotonMixture(rng.dirichlet(np.ones(6)))
             assert wehrl_entropy(p) >= MIN_WIGNER_ENTROPY - 1e-9
 
+    def test_fock_closed_form(self):
+        # h_Q(|n>) = n + ln n! - n digamma(n + 1) + 1 + ln pi; measured worst
+        # error 9.6e-14
+        for n in range(41):
+            closed = n + math.lgamma(n + 1) - n * digamma(n + 1) + MIN_WIGNER_ENTROPY
+            assert wehrl_entropy(fock_mixture(n)) == pytest.approx(closed, abs=2e-13), n
+
     def test_monotone_in_fock_index_observed(self):
         values = [wehrl_entropy(fock_mixture(n)) for n in range(5)]
         assert all(b > a for a, b in zip(values, values[1:]))
@@ -280,6 +308,10 @@ class TestPassiveBound:
         lhs, rhs = passive_bound_check(VACUUM)
         assert lhs == pytest.approx(rhs, abs=1e-8)
         assert lhs == pytest.approx(MIN_WIGNER_ENTROPY, abs=1e-9)
+
+    def test_vacuum_gap_not_negative(self):
+        lhs, rhs = passive_bound_check(VACUUM)
+        assert lhs - rhs >= -1e-15
 
     def test_first_extremal_state(self):
         lhs, rhs = passive_bound_check(extremal_passive(1))

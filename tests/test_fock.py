@@ -7,6 +7,7 @@ from scipy.special import eval_hermite
 
 from wigentropy.fock import (
     N_MAX,
+    density_entropy,
     marginal_density,
     marginal_entropy,
     tail_cutoff,
@@ -14,7 +15,7 @@ from wigentropy.fock import (
     wavefunction_table,
     wigner_fock,
 )
-from wigentropy.quadrature import QuadratureSpec
+from wigentropy.quadrature import QuadratureSpec, integrate
 
 # independent values, frozen from analytic formulas cross-checked by
 # high-resolution quadrature (see the derivations in the test bodies)
@@ -137,6 +138,37 @@ class TestWignerFock:
 class TestMarginalEntropy:
     def test_vacuum_value(self):
         assert marginal_entropy(0, TIGHT) == pytest.approx(H_RHO_0, abs=1e-10)
+
+    def test_vacuum_value_at_default_tolerance(self):
+        assert marginal_entropy(0) == pytest.approx(H_RHO_0, abs=1e-15)
+
+    # smooth densities at 1e-14; densities with nodes at their measured
+    # default-tolerance error (9.1e-14) with headroom
+    @pytest.mark.parametrize("probs, bound", [
+        ([1.0], 1e-14),
+        ([0.5, 0.3, 0.2], 1e-14),
+        ([0.1, 0.2, 0.3, 0.4], 1e-14),
+        ([0.25, 0.25, 0.25, 0.25, 0.0, 0.0, 0.0], 1e-14),
+        (np.eye(2)[1], 1e-14),
+        (np.eye(8)[7], 1.5e-13),
+        (np.eye(21)[20], 1.5e-13),
+    ], ids=["vacuum", "mix3", "mix4", "padded", "fock1", "fock7", "fock20"])
+    def test_half_line_matches_full_line(self, probs, bound):
+        # -integral of rho ln rho over the whole line at tight tolerances,
+        # with no density cut to zero but exact zeros
+        probs = np.asarray(probs, dtype=float)
+        nmax = probs.size - 1
+        cut = tail_cutoff(nmax)
+        dominant = int(np.argmax(probs))
+        nodes = np.polynomial.hermite.hermgauss(dominant)[0] if dominant > 0 else None
+
+        def integrand(x):
+            rho = probs @ (wavefunction_table(nmax, x) ** 2)
+            positive = rho > 0.0
+            return np.where(positive, -rho * np.log(np.where(positive, rho, 1.0)), 0.0)
+
+        full_line = integrate(integrand, -cut, cut, QuadratureSpec(1e-15, 1e-15), points=nodes)
+        assert density_entropy(probs) == pytest.approx(full_line, abs=bound)
 
     def test_one_photon_frozen_oracle(self):
         # analytic: ln 2 + gamma + ln(pi)/2 - 1/2, cross-checked by quadrature

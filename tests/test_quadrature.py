@@ -4,10 +4,15 @@ import math
 import numpy as np
 import pytest
 
-from wigentropy import quadrature
-from wigentropy.entropy import wigner_entropy_radial
+from wigentropy import entropy, quadrature
+from wigentropy.entropy import (
+    mixture_marginal_entropy,
+    wehrl_entropy,
+    wigner_entropy_radial,
+    wigner_renyi,
+)
 from wigentropy.exceptions import QuadratureConvergenceError
-from wigentropy.mixtures import sigma_coefficients
+from wigentropy.mixtures import PhotonMixture, sigma_coefficients
 from wigentropy.quadrature import QuadratureSpec, entropy_integral, integrate
 
 # entropy of the Gamma(3) density u**2 exp(-u) / 2:
@@ -51,22 +56,41 @@ class TestEngine:
             integrate(np.exp, a, b)
 
 
+@pytest.fixture
+def integrand_calls(monkeypatch):
+    """Sizes of every integrand call the entropy functionals pass to integrate."""
+    calls = []
+    engine = quadrature.integrate
+
+    def counting_integrate(func, *args, **kwargs):
+        def counted(x):
+            calls.append(np.size(x))
+            return func(x)
+        return engine(counted, *args, **kwargs)
+
+    monkeypatch.setattr(quadrature, "integrate", counting_integrate)
+    monkeypatch.setattr(entropy, "integrate", counting_integrate)
+    return calls
+
+
 class TestBatching:
-    def test_radial_entropy_makes_few_batched_calls(self, monkeypatch):
+    def test_radial_entropy_makes_few_batched_calls(self, integrand_calls):
         # one scalar callback per node would make thousands of calls
-        calls = []
-        engine = quadrature.integrate
-
-        def counting_integrate(func, *args, **kwargs):
-            def counted(x):
-                calls.append(np.size(x))
-                return func(x)
-            return engine(counted, *args, **kwargs)
-
-        monkeypatch.setattr(quadrature, "integrate", counting_integrate)
         wigner_entropy_radial(sigma_coefficients(10, 10).coeffs)
-        assert 0 < len(calls) <= 64
-        assert max(calls) <= quadrature.EVAL_CHUNK
+        assert 0 < len(integrand_calls) <= 64
+        assert max(integrand_calls) <= quadrature.EVAL_CHUNK
+
+    # the initial dyadic mesh already holds the panels bisection would reach
+    @pytest.mark.parametrize("functional", [
+        wigner_entropy_radial,
+        lambda p: wigner_renyi(p, 2.0),
+        wehrl_entropy,
+        mixture_marginal_entropy,
+    ], ids=["wigner", "renyi-2", "wehrl", "marginal"])
+    @pytest.mark.parametrize("probs", [[0.5, 0.3, 0.2], [1.0]], ids=["mixture", "vacuum"])
+    def test_smooth_states_take_at_most_two_rounds(self, integrand_calls, functional, probs):
+        functional(PhotonMixture(probs))
+        assert 0 < len(integrand_calls) <= 2
 
     def test_debug_record_per_integral(self, caplog):
         with caplog.at_level(logging.DEBUG, logger="wigentropy.quadrature"):
