@@ -298,7 +298,7 @@ def husimi_phase_invariant(p: PhotonMixture, r):
     photon-count statistics applied to the diagonal mixture.
     """
     r = np.asarray(r, dtype=float)
-    if np.any(r < 0):
+    if not (r >= 0).all():
         raise ValueError("radius must be non-negative")
     scalar = r.ndim == 0
     u = np.atleast_1d(r * r).ravel()

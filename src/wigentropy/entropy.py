@@ -16,8 +16,7 @@ import numpy as np
 from .beamsplitter import WignerGrid, husimi_phase_invariant, mix_through_beamsplitter
 from .exceptions import NegativeGridError, NotPassiveError, NotWignerPositiveError
 from .fock import density_entropy, marginal_entropy, wavefunction_table
-from .mixtures import PhotonMixture, is_passive
-from .polynomials import laguerre_scaled_all
+from .mixtures import PhotonMixture, extremal_passive, is_passive
 from .positivity import (
     PositivityReport,
     _laguerre_roots,
@@ -221,15 +220,13 @@ def fock_sum_identity_residual(n: int) -> float:
 
     For every (x, p), sum_{k<=n} W_k(x, p) equals
     sum_{k<=n} psi_k(x)**2 psi_{n-k}(p)**2; the identity is what makes the
-    equiprobable low-energy mixtures manifestly Wigner positive.  Returns
-    max |LHS - RHS| over a 41 x 41 grid on [-5, 5]**2.
+    equiprobable low-energy mixtures manifestly Wigner positive.  The left
+    side is (n + 1) times the production radial_wigner of that mixture.
+    Returns max |LHS - RHS| over a 41 x 41 grid on [-5, 5]**2.
     """
     axis = np.linspace(-5.0, 5.0, 41)
     x, q = np.meshgrid(axis, axis, indexing="ij")
-    t = 2.0 * (x * x + q * q)
-    scaled = laguerre_scaled_all(n, t)
-    signs = (-1.0) ** np.arange(n + 1)
-    lhs = np.tensordot(signs, scaled, axes=1) / math.pi
+    lhs = (n + 1) * radial_wigner(extremal_passive(n), np.hypot(x, q))
 
     psi_sq = wavefunction_table(n, axis) ** 2
     rhs = np.einsum("kx,kp->xp", psi_sq, psi_sq[::-1])

@@ -11,7 +11,10 @@ and its Wigner function is
 Wave functions are evaluated through the normalized Hermite-function
 recurrence psi_k = x sqrt(2/k) psi_{k-1} - sqrt((k-1)/k) psi_{k-2}, which
 is algebraically identical to the formula above but never leaves the
-bounded range of the functions themselves.
+bounded range of the functions themselves.  Wigner functions, of single
+Fock states and (in :mod:`positivity`) of their mixtures, come from the
+damped Laguerre table L_k(t) exp(-t/2), built by the Laguerre recurrence
+with the envelope folded into its first two rows.
 """
 
 from __future__ import annotations
@@ -21,11 +24,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .polynomials import laguerre_scaled_all
 from .quadrature import DEFAULT_QUADRATURE, QuadratureSpec, entropy_integral
 
 __all__ = [
     "N_MAX",
+    "laguerre_scaled_all",
     "wavefunction",
     "wavefunction_table",
     "wigner_fock",
@@ -54,6 +57,24 @@ def tail_cutoff(n: int) -> float:
     Gaussian; 12 extra units push the remainder below 1e-14 for n <= 100.
     """
     return math.sqrt(2 * n + 1) + 12.0
+
+
+def laguerre_scaled_all(nmax: int, t) -> np.ndarray:
+    """Gaussian-damped Laguerre values  L_k(t) exp(-t/2)  for k = 0..nmax.
+
+    These satisfy the same recurrence as L_k and are bounded by 1 for
+    t >= 0, which keeps radial Wigner evaluations overflow-free at photon
+    numbers where the raw polynomials would exceed double range.
+    """
+    t = np.asarray(t, dtype=float)
+    envelope = np.exp(-0.5 * t)
+    out = np.empty((nmax + 1,) + t.shape)
+    out[0] = envelope
+    if nmax >= 1:
+        out[1] = (1.0 - t) * envelope
+    for k in range(1, nmax):
+        out[k + 1] = ((2 * k + 1 - t) * out[k] - k * out[k - 1]) / (k + 1)
+    return out
 
 
 def wavefunction_table(nmax: int, x) -> np.ndarray:

@@ -23,7 +23,6 @@ __all__ = [
     "PassiveDecomposition",
     "SigmaState",
     "NORMALIZATION_TOL",
-    "SIGMA_MAX",
     "is_passive",
     "extremal_passive",
     "passive_decompose",
@@ -36,9 +35,6 @@ __all__ = [
 #: rejection tolerance on sum(p) - 1; inputs beyond it are refused rather
 #: than silently renormalized
 NORMALIZATION_TOL = 1e-12
-
-#: validated range for the beam-splitter coefficient build (total photons)
-SIGMA_MAX = 128
 
 #: slack on each step p_k >= p_{k+1} of a passive (non-increasing) vector
 PASSIVE_TOL = 1e-14
@@ -185,15 +181,13 @@ def sigma_coefficients(m: int, n: int) -> SigmaState:
 
     The combinatorics are carried out in exact integer arithmetic and each
     coefficient is rounded once to double precision, so the vector is
-    correctly rounded at any m+n up to SIGMA_MAX.  Symmetric in (m, n) by
+    correctly rounded at any m+n up to fock.N_MAX.  Symmetric in (m, n) by
     construction.
     """
     if m < 0 or n < 0:
         raise ValueError("photon numbers must be non-negative")
-    if m + n > SIGMA_MAX:
-        raise TruncationError(
-            f"total photon number {m + n} exceeds the validated range {SIGMA_MAX}"
-        )
+    if m + n > N_MAX:
+        raise TruncationError(f"total photon number {m + n} exceeds fock.N_MAX = {N_MAX}")
     lo, hi = (m, n) if m <= n else (n, m)
     coeffs = np.array(
         [float(_sigma_fraction(lo, hi, z)) for z in range(m + n + 1)]

@@ -24,10 +24,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.laguerre import lagval
 
-from .fock import N_MAX
+from .fock import N_MAX, laguerre_scaled_all
 from .mixtures import PhotonMixture
-from .polynomials import laguerre_all, laguerre_derivative_all, laguerre_scaled_all
 
 __all__ = [
     "EPS_POS",
@@ -100,7 +100,7 @@ def radial_wigner(p: PhotonMixture, r):
     any mixture length and radius.
     """
     r = np.asarray(r, dtype=float)
-    if (r < 0).any():
+    if not (r >= 0).all():
         raise ValueError("radius must be non-negative")
     n = len(p)
     scaled = laguerre_scaled_all(n - 1, 2.0 * r * r)
@@ -159,17 +159,18 @@ def curved_boundary_residual(p: PhotonMixture, t: float) -> tuple[float, float]:
 
     A mixture sits on the curved part of the positivity boundary when both
     components vanish for some t >= 0 (the radial Wigner function and its
-    derivative share a root there).  At t = 0 the derivative uses the
-    analytic limit dL_k/dt(0) = -k; a double root found there belongs to
-    the flat facet of the region instead of the curved boundary.
+    derivative share a root there).  The derivative's Laguerre coefficients
+    are the suffix sums -(s_{k+1} + ... + s_n) that positivity_report
+    builds Q from, so at t = 0 the slope is -sum_k k s_k; a double root
+    found there belongs to the flat facet of the region instead of the
+    curved boundary.
     """
-    if t < 0:
+    if not t >= 0:
         raise ValueError("t must be non-negative")
-    nmax = len(p) - 1
     signed = _signed_coeffs(p)
-    value = float(signed @ laguerre_all(nmax, t))
-    slope = float(signed @ laguerre_derivative_all(nmax, t))
-    return value, slope
+    # the zero top coefficient keeps the vacuum's slope series non-empty
+    slope = np.append(-np.cumsum(signed[:0:-1])[::-1], 0.0)
+    return float(lagval(t, signed)), float(lagval(t, slope))
 
 
 def two_photon_mixture(p1: float, p2: float) -> PhotonMixture:
@@ -211,7 +212,7 @@ def extremal_arc_wigner(a: float, r: float) -> float:
     """
     if not 0.0 <= a <= 1.0:
         raise ValueError("arc parameter must lie in [0, 1]")
-    if r < 0:
+    if not r >= 0:
         raise ValueError("radius must be non-negative")
     shift = math.sqrt((1.0 - a) / (1.0 + a))
     return (

@@ -14,14 +14,13 @@ import numpy as np
 import pytest
 from numpy.polynomial.laguerre import lagder, lagroots, lagsub, lagtrim
 
-from wigentropy.fock import N_MAX
+from wigentropy.fock import N_MAX, laguerre_scaled_all
 from wigentropy.mixtures import (
     PhotonMixture,
     extremal_passive,
     sigma_coefficients,
     thermal_mixture,
 )
-from wigentropy.polynomials import laguerre_scaled_all
 from wigentropy.positivity import (
     EPS_POS,
     PositivityReport,

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import exact_sigma_probs, random_passive_mixture
+from wigentropy.beamsplitter import fock_oracle_sigma
 from wigentropy.exceptions import NotPassiveError, TruncationError
 from wigentropy.fock import N_MAX
 from wigentropy.mixtures import (
@@ -138,8 +139,16 @@ class TestSigmaCoefficients:
         assert state.m == 3 and state.n == 4
 
     def test_rejects_overflowing_range(self):
-        with pytest.raises(TruncationError):
-            sigma_coefficients(100, 29)
+        with pytest.raises(TruncationError, match="N_MAX"):
+            sigma_coefficients(128, 129)
+
+    @pytest.mark.parametrize("m, n", [(128, 128), (0, N_MAX)])
+    def test_normalized_at_the_photon_number_limit(self, m, n):
+        # measured: fsum error 0 for both, 4.1e-16 and 3.0e-16 from the oracle
+        probs = sigma_coefficients(m, n).coeffs.probs
+        assert len(probs) == N_MAX + 1
+        assert abs(math.fsum(probs.tolist()) - 1.0) <= 1e-15
+        assert np.max(np.abs(probs - fock_oracle_sigma(m, n, 0.5).probs)) <= 2e-15
 
     def test_origin_value_vanishes_iff_asymmetric(self):
         # sum_z (-1)^z c_z = pi * W(0) = delta_{mn}

@@ -1,3 +1,5 @@
+"""The Laguerre and Hermite recurrences behind fock's Wigner and wave functions."""
+
 import math
 
 import numpy as np
@@ -5,17 +7,17 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.special import eval_hermite, eval_laguerre
 
-from wigentropy.fock import wavefunction_table
-from wigentropy.polynomials import (
-    laguerre_all,
-    laguerre_derivative_all,
-    laguerre_scaled_all,
-)
+from wigentropy.fock import laguerre_scaled_all, wavefunction_table
 
 
-def laguerre(n, t):
-    """L_n(t) as the last row of the stacked recurrence."""
-    return float(laguerre_all(n, t)[n])
+def damped_laguerre(n, t):
+    """L_n(t) exp(-t/2) as the last row of the damped table."""
+    return float(laguerre_scaled_all(n, t)[n])
+
+
+def damped(value, t):
+    """A reference value of L_n(t) times the table's envelope exp(-t/2)."""
+    return math.exp(-0.5 * t) * value
 
 
 def hermite(n, x):
@@ -49,62 +51,47 @@ def hermite_monomial_sum(n, x):
 
 class TestLaguerre:
     def test_order_zero_is_one(self):
+        # L_0 = 1, so row 0 is the envelope itself, bit for bit
         for t in [-3.0, 0.0, 0.5, 17.2]:
-            assert laguerre(0, t) == 1.0
+            assert damped_laguerre(0, t) == np.exp(-0.5 * np.float64(t))
 
     def test_low_order_closed_forms(self):
-        assert laguerre(1, 3.0) == pytest.approx(-2.0, abs=1e-12)
-        assert laguerre(2, 1.0) == pytest.approx(-0.5, abs=1e-12)
+        assert damped_laguerre(1, 3.0) == pytest.approx(damped(-2.0, 3.0), abs=1e-12)
+        assert damped_laguerre(2, 1.0) == pytest.approx(damped(-0.5, 1.0), abs=1e-12)
         # L_3 = (-t^3 + 9t^2 - 18t + 6)/6,  L_4 = (t^4 - 16t^3 + 72t^2 - 96t + 24)/24
         for t in np.linspace(-10, 10, 41):
-            assert laguerre(3, t) == pytest.approx(
-                (-(t**3) + 9 * t**2 - 18 * t + 6) / 6, abs=1e-12 * max(1, abs(t) ** 3)
+            assert damped_laguerre(3, t) == pytest.approx(
+                damped((-(t**3) + 9 * t**2 - 18 * t + 6) / 6, t),
+                abs=1e-12 * max(1, abs(t) ** 3),
             )
-            assert laguerre(4, t) == pytest.approx(
-                (t**4 - 16 * t**3 + 72 * t**2 - 96 * t + 24) / 24,
+            assert damped_laguerre(4, t) == pytest.approx(
+                damped((t**4 - 16 * t**3 + 72 * t**2 - 96 * t + 24) / 24, t),
                 abs=1e-11 * max(1, abs(t) ** 4),
             )
 
     @pytest.mark.parametrize("n", range(11))
     def test_recurrence_matches_monomial_sum(self, n):
         for t in [-5.0, -0.7, 0.0, 0.3, 1.0, 4.2, 9.9]:
-            expected = laguerre_monomial_sum(n, t)
-            assert laguerre(n, t) == pytest.approx(expected, rel=1e-10, abs=1e-12)
+            expected = damped(laguerre_monomial_sum(n, t), t)
+            assert damped_laguerre(n, t) == pytest.approx(expected, rel=1e-10, abs=1e-12)
 
     def test_against_scipy(self):
         for n in range(0, 40, 3):
             for t in np.linspace(0, 30, 13):
-                assert laguerre(n, t) == pytest.approx(
-                    eval_laguerre(n, t), rel=1e-9, abs=1e-9
+                assert damped_laguerre(n, t) == pytest.approx(
+                    damped(eval_laguerre(n, t), t), rel=1e-9, abs=1e-9
                 )
 
     @given(st.integers(min_value=0, max_value=100))
     def test_value_at_zero_is_exactly_one(self, n):
-        assert laguerre(n, 0.0) == 1.0
-
-    def test_stacked_variant_matches_scalar(self):
-        ts = np.array([0.0, 1.5, 8.0])
-        stacked = laguerre_all(6, ts)
-        for n in range(7):
-            for j, t in enumerate(ts):
-                assert stacked[n, j] == laguerre(n, float(t))
+        assert damped_laguerre(n, 0.0) == 1.0
 
     def test_scaled_variant_is_damped(self):
         ts = np.linspace(0.0, 400.0, 64)
         scaled = laguerre_scaled_all(80, ts)
         assert np.all(np.isfinite(scaled))
         assert np.max(np.abs(scaled)) <= 1.0 + 1e-12
-        assert scaled[5, 0] == pytest.approx(laguerre(5, 0.0), abs=1e-14)
-
-    def test_derivative_identity_and_origin_limit(self):
-        ts = np.array([0.0, 0.5, 2.0, 7.0])
-        der = laguerre_derivative_all(6, ts)
-        eps = 1e-6
-        for n in range(1, 7):
-            assert der[n, 0] == pytest.approx(-n, abs=1e-12)
-            for j, t in enumerate(ts[1:], start=1):
-                fd = (laguerre(n, t + eps) - laguerre(n, t - eps)) / (2 * eps)
-                assert der[n, j] == pytest.approx(fd, rel=1e-6, abs=1e-6)
+        assert scaled[5, 0] == 1.0
 
 
 class TestHermite:

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 from numpy.polynomial.laguerre import lagval
+from scipy.special import eval_genlaguerre, eval_laguerre
 
 from conftest import (
     bitwise_corpus,
@@ -12,6 +13,7 @@ from conftest import (
     reference_radial_wigner,
 )
 from wigentropy import entropy, positivity
+from wigentropy.beamsplitter import husimi_phase_invariant
 from wigentropy.mixtures import PhotonMixture, sigma_coefficients
 from wigentropy.positivity import (
     curved_boundary_residual,
@@ -330,6 +332,42 @@ class TestCurvedBoundary:
             v_minus, _ = curved_boundary_residual(state, t - eps)
             _, slope = curved_boundary_residual(state, t)
             assert slope == pytest.approx((v_plus - v_minus) / (2 * eps), abs=1e-7)
+
+    def test_long_mixtures_match_scipy_sums(self, rng):
+        # independent reference: fsum of scipy's L_k(t) and of
+        # dL_k/dt = -L_{k-1}^{(1)}(t); |L_k(t)| <= exp(t/2) sets the scale.
+        # Worst measured error here 5.9e-14 at t = 0 and 1.0e-15 * exp(t/2)
+        # above it; 1.2e-13 at t = 0 over 1000 further mixtures.
+        for i in range(200):
+            n = int(rng.integers(1, 61))
+            t = 0.0 if i % 4 == 0 else float(rng.uniform(0.0, 40.0))
+            probs = rng.dirichlet(np.ones(n))
+            signed = probs * (-1.0) ** np.arange(n)
+            value, slope = curved_boundary_residual(PhotonMixture(probs), t)
+            expected_value = math.fsum(signed[k] * eval_laguerre(k, t) for k in range(n))
+            expected_slope = math.fsum(-signed[k] * eval_genlaguerre(k - 1, 1, t)
+                                       for k in range(1, n))
+            bound = 1e-12 * max(1.0, math.exp(0.5 * t))
+            assert value == pytest.approx(expected_value, abs=bound)
+            assert slope == pytest.approx(expected_slope, abs=bound)
+            if t == 0.0:
+                # dL_k/dt(0) = -k
+                origin_slope = -math.fsum(k * signed[k] for k in range(n))
+                assert slope == pytest.approx(origin_slope, abs=1e-12)
+
+
+@pytest.mark.parametrize("call", [
+    lambda r: radial_wigner(VACUUM, r),
+    lambda r: radial_wigner(VACUUM, np.array([0.0, r])),
+    lambda r: husimi_phase_invariant(VACUUM, r),
+    lambda r: husimi_phase_invariant(VACUUM, np.array([1.0, r])),
+    lambda r: curved_boundary_residual(SIGMA_C, r),
+    lambda r: extremal_arc_wigner(0.5, r),
+], ids=["radial", "radial-array", "husimi", "husimi-array", "curved", "arc"])
+@pytest.mark.parametrize("r", [-1.0, math.nan])
+def test_negative_or_nan_radius_rejected(call, r):
+    with pytest.raises(ValueError, match="non-negative"):
+        call(r)
 
 
 class TestTwoPhotonRegion:
