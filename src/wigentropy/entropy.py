@@ -19,8 +19,7 @@ from .fock import density_entropy, marginal_entropy, wavefunction_table
 from .mixtures import PhotonMixture, extremal_passive, is_passive
 from .positivity import (
     PositivityReport,
-    _laguerre_roots,
-    _signed_coeffs,
+    _touch_points,
     positivity_report,
     radial_wigner,
 )
@@ -58,18 +57,6 @@ def _radial_cutoff(p: PhotonMixture) -> float:
     return (12.0 + math.sqrt(2.0 * len(p))) ** 2
 
 
-def _zero_breakpoints(p: PhotonMixture) -> np.ndarray:
-    """u = t/2 at the real parts of the roots of sum_k (-1)**k p_k L_k(t).
-
-    Real roots are where W can vanish.  Coefficients below 1e-300 are
-    trimmed from the top, as in the positivity search.  Inexact roots of
-    long series and the near-real complex pairs that roundoff makes of
-    touching (double) roots are harmless: breakpoints only seed the panel
-    bisection.
-    """
-    return 0.5 * _laguerre_roots(_signed_coeffs(p))
-
-
 def _require_positive(p: PhotonMixture) -> PositivityReport:
     report = positivity_report(p)
     if not report.is_positive:
@@ -88,11 +75,11 @@ def wigner_entropy_radial(p: PhotonMixture,
     Raises NotWignerPositiveError when the radial profile dips below
     -EPS_POS anywhere, since the integrand is then undefined.
     """
-    _require_positive(p)
+    report = _require_positive(p)
     u_max = _radial_cutoff(p)
     return entropy_integral(
         lambda u: radial_wigner(p, np.sqrt(u)), 0.0, u_max, spec, weight=math.pi,
-        points=_zero_breakpoints(p),
+        points=_touch_points(report),
     )
 
 
@@ -135,7 +122,9 @@ def wigner_renyi(p: PhotonMixture, alpha: float,
     def integrand(u):
         return np.maximum(radial_wigner(p, np.sqrt(u)), 0.0) ** alpha
 
-    norm = math.pi * integrate(integrand, 0.0, u_max, spec, points=_zero_breakpoints(p))
+    # W**alpha is singular at the touches only for alpha < 1
+    points = _touch_points(report) if alpha < 1.0 else None
+    norm = math.pi * integrate(integrand, 0.0, u_max, spec, points=points)
     return math.log(norm) / (1.0 - alpha)
 
 

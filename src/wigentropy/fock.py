@@ -54,7 +54,7 @@ def tail_cutoff(n: int) -> float:
     """Integration half-width for the n-th marginal.
 
     Past the classical turning point sqrt(2n+1) the density decays like a
-    Gaussian; 12 extra units push the remainder below 1e-14 for n <= 100.
+    Gaussian; 12 extra units push the remainder below 1e-14 for n <= N_MAX.
     """
     return math.sqrt(2 * n + 1) + 12.0
 
@@ -121,16 +121,16 @@ def density_entropy(probs, spec: QuadratureSpec = DEFAULT_QUADRATURE) -> float:
     """Entropy of the position density sum_k probs[k] psi_k(x)**2.
 
     The density is even, so this is twice the integral over [0, tail_cutoff]
-    of the highest photon number.  The density vanishes or dips sharply at
-    the nodes of the dominant component's wave function, where the
-    integrand has log singularities; seeding the subdivision at the
-    non-negative nodes keeps the error estimate honest.
+    of the highest photon number.  A Fock state's density vanishes at its
+    wave function's nodes, a log singularity of the integrand, so the mesh
+    is graded toward the non-negative ones; a mixture's only dips there.
     """
     probs = np.asarray(probs, dtype=float)
     nmax = probs.size - 1
     cut = tail_cutoff(nmax)
-    dominant = int(np.argmax(probs))
-    nodes = np.polynomial.hermite.hermgauss(dominant)[0] if dominant > 0 else np.empty(0)
+    (held,) = np.nonzero(probs)
+    pure = held.size == 1 and held[0] > 0
+    nodes = np.polynomial.hermite.hermgauss(held[0])[0] if pure else np.empty(0)
 
     def density(x):
         psi = wavefunction_table(nmax, x)

@@ -216,7 +216,7 @@ def thermal_mixture(mean_photons: float) -> PhotonMixture:
     which keeps the truncated vector an acceptable probability vector
     without renormalization.
     """
-    if mean_photons < 0:
+    if not mean_photons >= 0:
         raise ValueError("mean photon number must be non-negative")
     if mean_photons > THERMAL_MAX_MEAN:
         raise ValueError(f"mean photon number {mean_photons!r} exceeds the largest "

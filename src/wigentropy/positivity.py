@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial.laguerre import lagval
@@ -67,6 +67,8 @@ class PositivityReport:
     touches_zero: bool
     max_value: float
     argmax_r: float
+    #: (radii, W) at the candidates from r = 0 to scan_radius, or () if unknown
+    candidates: tuple = field(default=(), compare=False, repr=False)
 
 
 def _signed_coeffs(p: PhotonMixture) -> np.ndarray:
@@ -146,12 +148,20 @@ def positivity_report(p: PhotonMixture) -> PositivityReport:
     # is a decaying tail, not a touch
     touches = bool(positive and abs(best_w) <= EPS_POS and i_min < len(rs) - 1)
     report = PositivityReport(positive, best_w, float(rs[i_min]), touches,
-                              float(ws[i_max]), float(rs[i_max]))
+                              float(ws[i_max]), float(rs[i_max]), (rs, ws))
     if _log.isEnabledFor(logging.DEBUG):
-        _log.debug("%d stationary points in (0, %.6g): min W %.6e at r = %.6g, "
-                   "max W %.6e at r = %.6g", len(ts), r_max, report.min_value,
-                   report.argmin_r, report.max_value, report.argmax_r)
+        _log.debug("%d stationary points in (0, %.6g), %d touches: min W %.6e at r = %.6g, "
+                   "max W %.6e at r = %.6g", len(ts), r_max, len(_touch_points(report)),
+                   report.min_value, report.argmin_r, report.max_value, report.argmax_r)
     return report
+
+
+def _touch_points(report: PositivityReport) -> np.ndarray:
+    """u = r**2 at the touches, the interior candidates with |W| <= EPS_POS no
+    larger than either neighbour: W's double roots, simple roots of Q."""
+    rs, ws = report.candidates
+    mid = ws[1:-1]
+    return rs[1:-1][(np.abs(mid) <= EPS_POS) & (mid <= ws[:-2]) & (mid <= ws[2:])] ** 2
 
 
 def curved_boundary_residual(p: PhotonMixture, t: float) -> tuple[float, float]:
@@ -175,7 +185,7 @@ def curved_boundary_residual(p: PhotonMixture, t: float) -> tuple[float, float]:
 
 def two_photon_mixture(p1: float, p2: float) -> PhotonMixture:
     """Mixture (1-p1-p2, p1, p2) of the first three Fock states."""
-    if p1 < 0 or p2 < 0 or p1 + p2 > 1:
+    if not (p1 >= 0 and p2 >= 0 and p1 + p2 <= 1):
         raise ValueError("(p1, p2) must lie in the physical triangle")
     return PhotonMixture([1.0 - p1 - p2, p1, p2])
 
@@ -186,7 +196,7 @@ def two_photon_region_contains(p1: float, p2: float) -> bool:
     The closed region is p1 <= 1/2 together with
     p2 <= 1/4 + (1/4) sqrt(1 - 4 p1**2).
     """
-    if p1 < 0 or p2 < 0 or p1 + p2 > 1:
+    if not (p1 >= 0 and p2 >= 0 and p1 + p2 <= 1):
         raise ValueError("(p1, p2) must lie in the physical triangle")
     if p1 > 0.5:
         return False

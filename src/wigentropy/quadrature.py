@@ -3,7 +3,7 @@
 Integrands carry their mass under a unit-scale Gaussian envelope that
 starts at the left limit, so improper integrals are truncated where the
 remainder is far below tolerance, and [a, b] starts out split on a dyadic
-mesh graded toward a, down to about unit width, and at the caller's
+mesh graded toward a, down to about unit width, and toward the caller's
 breakpoints: the panels that bisection of [a, b] would always reach.  Each
 round evaluates every open panel's nodes in one vectorized call and keeps
 its 32-node Gauss-Legendre value, with the 16-node difference as error
@@ -41,6 +41,10 @@ ROUNDOFF = np.finfo(float).eps
 #: one evaluation: a radial Wigner call holds a Laguerre table of up to
 #: fock.N_MAX + 1 rows of this many doubles (8.4 MB)
 EVAL_CHUNK = 4096
+
+#: halvings toward each caller's point on both sides, as bisection toward a
+#: log singularity makes them; at 6, sigma(n, n), n = 7..9, took two rounds
+POINT_DEPTH = 7
 
 _COARSE_NODES, _COARSE_WEIGHTS = np.polynomial.legendre.leggauss(16)
 _FINE_NODES, _FINE_WEIGHTS = np.polynomial.legendre.leggauss(32)
@@ -83,18 +87,25 @@ def integrate(func, a: float, b: float, spec: QuadratureSpec = DEFAULT_QUADRATUR
 
     ``func`` maps a 1-D array of abscissae to an array of values; each round
     calls it once per EVAL_CHUNK abscissae.  The initial panels end at
-    a + (b - a) 2**-k for k = 1 ... max(1, ceil(log2(b - a))) and at
-    ``points`` (awkward abscissae) inside (a, b).  The mesh assumes that
-    ``func`` carries its mass under a unit-scale envelope starting at a;
-    other integrands stay correct but may take extra rounds.  Raises
-    QuadratureConvergenceError when more than MAX_SUBDIVISIONS are needed.
+    a + (b - a) 2**-k for k = 1 ... max(1, ceil(log2(b - a))), at ``points``
+    (awkward abscissae) inside (a, b), and at c -+ g 2**-k, k <= POINT_DEPTH,
+    around each such c, g being its gap to the next edge on that side.  The
+    mesh assumes that ``func`` carries its mass under a unit-scale envelope
+    starting at a; other integrands stay correct but may take extra rounds.
+    Raises QuadratureConvergenceError past MAX_SUBDIVISIONS panels.
     """
     if not (math.isfinite(a) and math.isfinite(b) and a < b):
         raise ValueError(f"integration needs finite limits a < b, got [{a}, {b}]")
-    inner = np.ravel(points) if points is not None else []
     levels = max(1, math.ceil(math.log2(b - a)))
-    dyadic = a + (b - a) * np.exp2(-np.arange(1, levels + 1))
-    edges = np.unique(np.clip(np.concatenate([[a], dyadic, inner, [b]]), a, b))
+    edges = np.array([a] + [a + (b - a) * 2.0 ** -k for k in range(levels, 0, -1)] + [b])
+    inner = np.ravel(points if points is not None else ())
+    inner = inner[(inner > a) & (inner < b)]
+    if inner.size:
+        edges = np.unique(np.concatenate([edges, inner]))
+        at = np.searchsorted(edges, inner)
+        gaps = np.stack([edges[at - 1], edges[at + 1]]) - inner
+        graded = inner[:, None] + gaps[..., None] * np.exp2(-np.arange(1, POINT_DEPTH + 1))
+        edges = np.unique(np.concatenate([edges, graded.ravel()]))
     lo, hi = edges[:-1], edges[1:]
     panels = lo.size
     evaluations = 0

@@ -117,11 +117,6 @@ def reference_positivity_report(p: PhotonMixture) -> PositivityReport:
                             float(ws[i_max]), float(rs[i_max]))
 
 
-def reference_zero_breakpoints(p: PhotonMixture) -> np.ndarray:
-    """u = t/2 at the real parts of ``lagroots`` of the alternating series."""
-    return 0.5 * lagroots(reference_signed_coeffs(p)).real
-
-
 #: mixtures with a subnormal or near-underflow top probability
 TINY_TOP_MIXTURES = (
     PhotonMixture([0.5, 0.5 - 1e-320, 1e-320]),

@@ -4,16 +4,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.special import digamma
+from scipy.special import digamma, eval_genlaguerre, gammaln, roots_genlaguerre
 
 from conftest import (
     TINY_TOP_MIXTURES,
-    bitwise_corpus,
     fock_mixture,
     random_passive_mixture,
-    reference_zero_breakpoints,
 )
-from wigentropy import entropy
 from wigentropy.beamsplitter import grid_from_mixture
 from wigentropy.entropy import (
     MIN_WIGNER_ENTROPY,
@@ -41,6 +38,8 @@ from wigentropy.mixtures import (
     thermal_mixture,
 )
 from wigentropy.positivity import (
+    EPS_POS,
+    _touch_points,
     extremal_arc_point,
     positivity_report,
     two_photon_mixture,
@@ -90,7 +89,7 @@ class TestRadialEntropy:
     def test_matches_mpmath_reference(self, make, expected):
         assert wigner_entropy_radial(make()) == pytest.approx(expected, abs=1e-11)
 
-    # measured worst errors: 1.7e-13 at the default tolerances, 1.6e-14 at
+    # measured worst errors: 6.7e-14 at the default tolerances, 5.4e-15 at
     # the CLI's 1e-10
     @pytest.mark.parametrize("spec, bound", [
         (DEFAULT_QUADRATURE, 3e-13),
@@ -114,12 +113,35 @@ class TestRadialEntropy:
 
 
 class TestZeroBreakpoints:
-    def test_equal_to_lagroots(self):
-        # a coefficient at or below 1e-300 is trimmed here but not by lagroots
-        for p in bitwise_corpus():
-            if np.all((p.probs == 0.0) | (p.probs > 1e-300)):
-                assert np.array_equal(entropy._zero_breakpoints(p),
-                                      reference_zero_breakpoints(p)), p.probs
+    """The touches that split the radial integrals, against closed forms."""
+
+    def test_sigma_touches_are_laguerre_roots(self):
+        # sigma(m, n) has W = lo!/(pi hi!) exp(-u) u**d L_lo^(d)(u)**2 with
+        # lo = min(m, n) and d = |m - n|: its double zeros are the roots of
+        # L_lo^(d), and anything else reported as a touch must be a zero too
+        for total in range(41):
+            for lo in range(total // 2 + 1):
+                d = total - 2 * lo
+                touches = _touch_points(positivity_report(sigma_coefficients(lo, total - lo).coeffs))
+                roots = roots_genlaguerre(lo, d)[0] if lo else np.empty(0)
+                gaps = np.abs(touches[:, None] / roots - 1.0) if lo else np.empty((touches.size, 0))
+                assert np.all(gaps.min(axis=0, initial=np.inf) <= 1e-12), (lo, total - lo)
+                extra = touches[gaps.min(axis=1, initial=np.inf) > 1e-12]
+                w = (np.exp(gammaln(lo + 1) - gammaln(lo + d + 1) - extra) / math.pi
+                     * extra ** d * eval_genlaguerre(lo, d, extra) ** 2)
+                assert np.all(w <= EPS_POS), (lo, total - lo, extra)
+
+    @pytest.mark.parametrize("a", [1e-3, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0])
+    def test_arc_touch(self, a):
+        # extremal_arc_wigner's double root r**2 = 1 - sqrt((1 - a)/(1 + a))
+        (touch,) = _touch_points(positivity_report(two_photon_mixture(*extremal_arc_point(a))))
+        assert touch == pytest.approx(1.0 - math.sqrt((1.0 - a) / (1.0 + a)), rel=1e-12)
+
+    def test_no_touches_on_states_without_zeros(self, rng):
+        states = [thermal_mixture(mean) for mean in (0.1, 0.5, 1.0, 2.0, 4.0, 8.0)]
+        states += [random_passive_mixture(rng, 40) for _ in range(50)]
+        for p in states:
+            assert _touch_points(positivity_report(p)).size == 0, p.probs
 
     @pytest.mark.parametrize("p, clean", zip(TINY_TOP_MIXTURES, ([0.5, 0.5], [0.6, 0.4])),
                              ids=["1e-320", "1e-310"])

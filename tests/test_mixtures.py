@@ -189,7 +189,11 @@ class TestThermalMixture:
         assert THERMAL_MAX_MEAN == pytest.approx(8.062, abs=1e-3)
         assert len(thermal_mixture(THERMAL_MAX_MEAN)) == N_MAX + 1
 
-    @pytest.mark.parametrize("mean", [THERMAL_MAX_MEAN * (1.0 + 1e-9), 10.0])
+    def test_nan_mean_raises(self):
+        with pytest.raises(ValueError, match="must be non-negative"):
+            thermal_mixture(math.nan)
+
+    @pytest.mark.parametrize("mean", [THERMAL_MAX_MEAN * (1.0 + 1e-9), 10.0, math.inf])
     def test_mean_beyond_n_max_raises(self, mean):
         with pytest.raises(ValueError) as info:
             thermal_mixture(mean)

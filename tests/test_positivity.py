@@ -295,7 +295,7 @@ class TestLogging:
         (record,) = caplog.records
         assert record.levelno == logging.DEBUG
         message = record.getMessage()
-        for word in ("stationary points", "min W", "max W"):
+        for word in ("stationary points", "touches", "min W", "max W"):
             assert word in message
 
     def test_quiet_by_default(self, caplog):
@@ -379,6 +379,16 @@ class TestTwoPhotonRegion:
     def test_rejects_unphysical(self):
         with pytest.raises(ValueError):
             two_photon_region_contains(0.8, 0.4)
+
+    # NaN fails every comparison, so only a guard written as not (x >= 0 ...)
+    # refuses it; max(0.0, nan) once let (nan, 0.1) in
+    @pytest.mark.parametrize("p1, p2", [(math.nan, 0.1), (0.1, math.nan), (math.inf, 0.0),
+                                        (0.0, math.inf), (-math.inf, 0.5)])
+    @pytest.mark.parametrize("func", [two_photon_region_contains, two_photon_mixture],
+                             ids=["contains", "mixture"])
+    def test_rejects_non_finite(self, func, p1, p2):
+        with pytest.raises(ValueError, match="physical triangle"):
+            func(p1, p2)
 
     def test_volume_against_scan(self, rng):
         # smaller version of the region-equivalence suite

@@ -13,6 +13,7 @@ from wigentropy.entropy import (
 )
 from wigentropy.exceptions import QuadratureConvergenceError
 from wigentropy.mixtures import PhotonMixture, sigma_coefficients
+from wigentropy.positivity import extremal_arc_point, two_photon_mixture
 from wigentropy.quadrature import QuadratureSpec, entropy_integral, integrate
 
 # entropy of the Gamma(3) density u**2 exp(-u) / 2:
@@ -73,6 +74,21 @@ def integrand_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def panel_rounds(monkeypatch):
+    """Panel count of every round of every integral: one round may span
+    several integrand calls of at most EVAL_CHUNK abscissae."""
+    rounds = []
+    rules = quadrature._panel_rules
+
+    def counting_rules(func, lo, hi):
+        rounds.append(lo.size)
+        return rules(func, lo, hi)
+
+    monkeypatch.setattr(quadrature, "_panel_rules", counting_rules)
+    return rounds
+
+
 class TestBatching:
     def test_radial_entropy_makes_few_batched_calls(self, integrand_calls):
         # one scalar callback per node would make thousands of calls
@@ -91,6 +107,24 @@ class TestBatching:
     def test_smooth_states_take_at_most_two_rounds(self, integrand_calls, functional, probs):
         functional(PhotonMixture(probs))
         assert 0 < len(integrand_calls) <= 2
+
+    # the start mesh is graded toward the touches, which is where bisection
+    # of a touching state's entropy always went
+    @pytest.mark.parametrize("p", [sigma_coefficients(n, n).coeffs for n in range(11)]
+                             + [two_photon_mixture(*extremal_arc_point(a))
+                                for a in np.linspace(0.1, 1.0, 10)],
+                             ids=[f"sigma({n},{n})" for n in range(11)]
+                             + [f"arc({a:.1f})" for a in np.linspace(0.1, 1.0, 10)])
+    def test_touching_states_take_one_round(self, panel_rounds, p):
+        wigner_entropy_radial(p)
+        assert len(panel_rounds) == 1
+
+    def test_renyi_two_skips_the_touches(self, panel_rounds):
+        # W**2 is smooth at a double zero: the first round is the dyadic mesh
+        # alone, where grading toward the ten touches makes it 157 panels
+        wigner_renyi(sigma_coefficients(10, 10).coeffs, 2.0)
+        assert 0 < len(panel_rounds) <= 2
+        assert panel_rounds[0] < 20
 
     def test_debug_record_per_integral(self, caplog):
         with caplog.at_level(logging.DEBUG, logger="wigentropy.quadrature"):
