@@ -63,6 +63,8 @@ _log = logging.getLogger(__name__)
 
 #: rows per block of the convolution's FFT passes
 _BLOCK_ROWS = 64
+#: usable cores (CPU affinity, else the core count): the convolution's threads
+#: and the worker processes of the CLI's sigma-table
 _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
 _pool = None  # ThreadPoolExecutor of _WORKERS threads, made by the first pooled call
@@ -344,19 +346,17 @@ def fock_oracle_sigma(m: int, n: int, eta: float) -> PhotonMixture:
     """Photon distribution of one beam-splitter output for the input |m, n>.
 
     The modes evolve as a+ -> sqrt(eta) a+ - sqrt(1-eta) b+ and
-    b+ -> sqrt(1-eta) a+ + sqrt(eta) b+, and mode B is traced out: column m
-    of the split probabilities for m + n photons.  The sign convention is
-    pinned by eta -> 1 sending the first input to the surviving mode.
+    b+ -> sqrt(1-eta) a+ + sqrt(eta) b+, and mode B is traced out: the mix
+    of the Fock states |m> and |n>, column m of the split probabilities for
+    m + n photons.  The sign convention is pinned by eta -> 1 sending the
+    first input to the surviving mode.
     """
     if m < 0 or n < 0:
         raise ValueError("photon numbers must be non-negative")
     if m + n > N_MAX:
         raise TruncationError(f"total photon number {m + n} exceeds fock.N_MAX = {N_MAX}")
-    probs = _split_probabilities(m + n, eta)[:, m]
-    mass = math.fsum(probs.tolist())
-    if abs(mass - 1.0) > 1e-9:
-        raise ValueError(f"two-mode amplitudes are not normalized: mass {mass!r}")
-    return PhotonMixture(probs / mass)
+    pa, pb = (PhotonMixture(np.eye(1, k + 1, k)[0]) for k in (m, n))
+    return mix_through_beamsplitter(pa, pb, eta)
 
 
 def mix_through_beamsplitter(pa: PhotonMixture, pb: PhotonMixture,

@@ -13,13 +13,12 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import sys
 
 import click
 import numpy as np
 
-from . import __version__
+from . import __version__, beamsplitter
 from .entropy import (
     MIN_WIGNER_ENTROPY,
     wehrl_entropy,
@@ -58,6 +57,11 @@ def _fmt(value: float) -> str:
 
 def _header(tol: float) -> str:
     return f"# tol={_fmt(tol)}, version={__version__}"
+
+
+def _quadrature(quad_tol: float) -> QuadratureSpec:
+    """The spec behind --quad-tol: that absolute tolerance, relative no finer than 1e-12."""
+    return QuadratureSpec(abs_tol=quad_tol, rel_tol=max(quad_tol, 1e-12))
 
 
 class _PositiveFloat(click.FloatRange):
@@ -127,7 +131,7 @@ def cmd_entropy(state_file, renyi_orders, quad_tol, out_path):
         click.echo(f"error: cannot parse state file: {exc}", err=True)
         sys.exit(EXIT_PARSE_ERROR)
 
-    spec = QuadratureSpec(abs_tol=quad_tol, rel_tol=max(quad_tol, 1e-12))
+    spec = _quadrature(quad_tol)
     rows: list[tuple[str, float]] = []
     try:
         if isinstance(state, GaussianState):
@@ -161,37 +165,35 @@ def cmd_entropy(state_file, renyi_orders, quad_tol, out_path):
                     *(f"{key},{_fmt(value)}" for key, value in rows)], out_path)
 
 
-def _sigma_cell(args: tuple[int, int, float]) -> tuple[int, int, float]:
-    m, n, quad_tol = args
-    spec = QuadratureSpec(abs_tol=quad_tol, rel_tol=max(quad_tol, 1e-12))
-    value = wigner_entropy_radial(sigma_coefficients(m, n).coeffs, spec)
-    return m, n, value
+def _sigma_cell(args: tuple[int, int, QuadratureSpec]) -> tuple[int, int, float]:
+    m, n, spec = args
+    return m, n, wigner_entropy_radial(sigma_coefficients(m, n).coeffs, spec)
 
 
 @main.command("sigma-table")
 @click.option("--max", "max_photons", type=int, default=10, show_default=True,
               help="Largest photon number per input arm (guard: 30, which bounds "
                    "run time, not accuracy).")
-@click.option("--jobs", type=int, default=None,
-              help="Worker processes for the table cells (default: all cores).")
 @click.option("--quad-tol", type=TOLERANCE, default=1e-10, show_default=True)
 @click.option("--out", "out_path", type=click.Path(), default=None,
               help="CSV destination (default: stdout).")
-def cmd_sigma_table(max_photons, jobs, quad_tol, out_path):
+def cmd_sigma_table(max_photons, quad_tol, out_path):
     """Wigner entropies of the beam-splitter states over a photon-number grid.
 
     Every entry must stay above ln(pi) + 1; a violation would be a
     counterexample to the conjectured bound and exits with code 4.
     Monotonicity along rows and columns is reported as warnings only.
+    The cells run on one worker process per usable core (CPU affinity),
+    or in-process on one core.
     """
     if not 0 <= max_photons <= 30:
         raise click.BadParameter("--max must lie in 0..30")
-    cells = [(m, n, quad_tol) for m in range(max_photons + 1)
+    spec = _quadrature(quad_tol)
+    cells = [(m, n, spec) for m in range(max_photons + 1)
              for n in range(m, max_photons + 1)]
-    if jobs is None:
-        jobs = os.cpu_count() or 1
-    if jobs > 1 and len(cells) > 1:
-        with sys.modules[__name__].ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = beamsplitter._WORKERS
+    if workers > 1 and len(cells) > 1:
+        with sys.modules[__name__].ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sigma_cell, cells, chunksize=4))
     else:
         results = [_sigma_cell(cell) for cell in cells]
@@ -275,8 +277,7 @@ def cmd_region2(samples, out_path):
 @click.option("--quad-tol", type=TOLERANCE, default=1e-10, show_default=True)
 def cmd_verify(suite, seed, quad_tol):
     """Run one named verification suite (or all) and report pass/fail."""
-    spec = QuadratureSpec(abs_tol=quad_tol, rel_tol=max(quad_tol, 1e-12))
-    results = run_suite(suite, seed=seed, spec=spec)
+    results = run_suite(suite, seed=seed, spec=_quadrature(quad_tol))
     for result in results:
         click.echo(result.report())
     if not all(r.passed for r in results):

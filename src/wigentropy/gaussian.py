@@ -87,13 +87,18 @@ class SymplecticMap:
 
     def __init__(self, matrix, displacement=(0.0, 0.0)):
         m = _frozen_array(matrix, (2, 2))
-        residual = float(np.max(np.abs(m @ OMEGA @ m.T - OMEGA)))
-        if residual > SYMPLECTIC_TOL:
+        with np.errstate(invalid="ignore"):
+            residual = float(np.max(np.abs(m @ OMEGA @ m.T - OMEGA)))
+        # written so that a NaN residual, from a non-finite matrix, fails too
+        if not residual <= SYMPLECTIC_TOL:
             raise NonSymplecticError(
                 f"matrix deviates from the symplectic group by {residual:.3e}"
             )
+        d = _frozen_array(displacement, (2,))
+        if not np.all(np.isfinite(d)):
+            raise ValueError("displacement must be finite")
         object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "displacement", _frozen_array(displacement, (2,)))
+        object.__setattr__(self, "displacement", d)
 
 
 def vacuum() -> GaussianState:

@@ -25,6 +25,8 @@ class SuiteResult:
     name: str
     passed: bool
     lines: list[str] = field(default_factory=list)
+    #: each measured number the lines print, by name, and "inputs", the count checked
+    values: dict[str, float] = field(default_factory=dict)
 
     def report(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -64,38 +66,36 @@ def _triangle_samples(count: int) -> np.ndarray:
 
 def suite_fock_identity(rng, spec) -> SuiteResult:
     """Cumulative Fock Wigner sums equal the wave-function cross sums."""
-    worst = 0.0
-    for n in range(13):
-        worst = max(worst, entropy.fock_sum_identity_residual(n))
+    residuals = [entropy.fock_sum_identity_residual(n) for n in range(13)]
+    worst = max(residuals)
     passed = worst <= 1e-10
     return SuiteResult(
         "fock-identity", passed,
         [f"max residual over n <= 12 on 41x41 grid: {worst:.3e} (tol 1e-10)"],
+        {"max_residual": worst, "inputs": len(residuals)},
     )
 
 
 def suite_passive_mix(rng, spec) -> SuiteResult:
     """Equiprobable mixtures decompose into averaged beam-splitter states."""
-    worst = 0.0
-    for n in range(21):
-        direct = mixtures.extremal_passive(n).probs
-        averaged = mixtures.extremal_passive_from_sigmas(n).probs
-        worst = max(worst, float(np.max(np.abs(direct - averaged))))
+    residuals = [np.max(np.abs(mixtures.extremal_passive(n).probs
+                               - mixtures.extremal_passive_from_sigmas(n).probs))
+                 for n in range(21)]
+    worst = float(max(residuals))
     passed = worst <= 1e-12
     return SuiteResult(
         "passive-mix", passed,
         [f"max componentwise residual over n <= 20: {worst:.3e} (tol 1e-12)"],
+        {"max_residual": worst, "inputs": len(residuals)},
     )
 
 
 def suite_sigma_oracle(rng, spec) -> SuiteResult:
     """Closed-form coefficients match the two-mode Fock construction."""
-    worst = 0.0
-    for m in range(9):
-        for n in range(9 - m):
-            closed = mixtures.sigma_coefficients(m, n).coeffs.probs
-            brute = beamsplitter.fock_oracle_sigma(m, n, 0.5).probs
-            worst = max(worst, float(np.max(np.abs(closed - brute))))
+    pairs = [(m, n) for m in range(9) for n in range(9 - m)]
+    worst = max(float(np.max(np.abs(mixtures.sigma_coefficients(m, n).coeffs.probs
+                                     - beamsplitter.fock_oracle_sigma(m, n, 0.5).probs)))
+                for m, n in pairs)
     anchors = (
         np.allclose(mixtures.sigma_coefficients(1, 0).coeffs.probs, [0.5, 0.5],
                     rtol=0, atol=1e-15)
@@ -111,19 +111,16 @@ def suite_sigma_oracle(rng, spec) -> SuiteResult:
             f"max |closed form - two-mode oracle| over m+n <= 8: {worst:.3e} (tol 1e-12)",
             f"exact low-order fractions reproduced: {anchors}",
         ],
+        {"max_residual": worst, "anchors_exact": anchors, "inputs": len(pairs)},
     )
 
 
 def suite_wehrl_bridge(rng, spec) -> SuiteResult:
     """Splitter-with-vacuum Wigner entropy equals the input Wehrl entropy."""
-    worst = 0.0
-    lowest = math.inf
-    for n in range(7):
-        probs = np.zeros(n + 1)
-        probs[n] = 1.0
-        left, right = entropy.wehrl_bridge_check(PhotonMixture(probs), spec)
-        worst = max(worst, abs(left - right))
-        lowest = min(lowest, left, right)
+    routes = [entropy.wehrl_bridge_check(PhotonMixture(np.eye(1, n + 1, n)[0]), spec)
+              for n in range(7)]
+    worst = max(abs(wigner - wehrl) for wigner, wehrl in routes)
+    lowest = min(min(pair) for pair in routes)
     passed = worst <= 1e-8 and lowest >= entropy.MIN_WIGNER_ENTROPY - 1e-9
     return SuiteResult(
         "wehrl-bridge", passed,
@@ -131,18 +128,16 @@ def suite_wehrl_bridge(rng, spec) -> SuiteResult:
             f"max |Wigner route - Wehrl route| over Fock n <= 6: {worst:.3e} (tol 1e-8)",
             f"smallest entropy seen: {lowest:.9f} (bound {entropy.MIN_WIGNER_ENTROPY:.9f})",
         ],
+        {"max_gap": worst, "lowest_entropy": lowest, "inputs": len(routes)},
     )
 
 
 def suite_passive_bound(rng, spec) -> SuiteResult:
     """h(W) >= 2 sum p_k h(rho_k) over passive states."""
-    worst_margin = math.inf
-    for n in range(11):
-        lhs, rhs = entropy.passive_bound_check(mixtures.extremal_passive(n), spec)
-        worst_margin = min(worst_margin, lhs - rhs)
-    for _ in range(100):
-        lhs, rhs = entropy.passive_bound_check(_random_passive(rng, 20), spec)
-        worst_margin = min(worst_margin, lhs - rhs)
+    states = [mixtures.extremal_passive(n) for n in range(11)]
+    states += [_random_passive(rng, 20) for _ in range(100)]
+    checks = [entropy.passive_bound_check(state, spec) for state in states]
+    worst_margin = min(lhs - rhs for lhs, rhs in checks)
     vac_lhs, vac_rhs = entropy.passive_bound_check(PhotonMixture([1.0]), spec)
     saturation = abs(vac_lhs - vac_rhs)
     passed = worst_margin >= -1e-9 and saturation <= 1e-8
@@ -152,23 +147,20 @@ def suite_passive_bound(rng, spec) -> SuiteResult:
             f"worst margin lhs - rhs: {worst_margin:.3e} (must be >= -1e-9)",
             f"vacuum saturation gap: {saturation:.3e} (tol 1e-8)",
         ],
+        {"worst_margin": worst_margin, "vacuum_gap": saturation, "inputs": len(checks) + 1},
     )
 
 
 def suite_epi(rng, spec) -> SuiteResult:
     """Entropy powers obey N_out >= eta N_A + (1-eta) N_B."""
     states = _random_wigner_positive(rng, 8, 40)
-    pairs = [(states[2 * i], states[2 * i + 1]) for i in range(20)]
-    worst = math.inf
-    for pa, pb in pairs:
-        for eta in (0.25, 0.5, 0.75):
-            n_out, bound = entropy.check_epi(pa, pb, eta, spec)
-            worst = min(worst, n_out - bound)
+    etas = (0.25, 0.5, 0.75)
+    cases = [(states[2 * i], states[2 * i + 1], eta) for i in range(20) for eta in etas]
+    checks = [entropy.check_epi(pa, pb, eta, spec) for pa, pb, eta in cases]
+    worst = min(n_out - bound for n_out, bound in checks)
     thermal = mixtures.thermal_mixture(1.0)
-    sat_gap = 0.0
-    for eta in (0.25, 0.5, 0.75):
-        n_out, bound = entropy.check_epi(thermal, thermal, eta, spec)
-        sat_gap = max(sat_gap, abs(n_out - bound))
+    saturated = [entropy.check_epi(thermal, thermal, eta, spec) for eta in etas]
+    sat_gap = max(abs(n_out - bound) for n_out, bound in saturated)
     passed = worst >= -1e-6 and sat_gap <= 1e-4
     return SuiteResult(
         "epi", passed,
@@ -176,12 +168,15 @@ def suite_epi(rng, spec) -> SuiteResult:
             f"worst slack N_out - bound over 20 pairs x 3 etas: {worst:.3e} (>= -1e-6)",
             f"thermal-input saturation gap: {sat_gap:.3e} (tol 1e-4)",
         ],
+        {"worst_slack": worst, "thermal_gap": sat_gap,
+         "inputs": len(checks) + len(saturated)},
     )
 
 
 def suite_region2(rng, spec) -> SuiteResult:
     """Closed-form two-photon region matches the numeric positivity scan."""
     samples = _triangle_samples(10_000)
+    band_width = 1e-9
     disagreements = 0
     band = 0
     for p1, p2 in samples:
@@ -191,14 +186,15 @@ def suite_region2(rng, spec) -> SuiteResult:
         # a tail minimum at the scan endpoint decays to zero for every
         # positive state and carries no boundary information
         interior = report.argmin_r < positivity.scan_radius(state) * (1.0 - 1e-9)
-        if interior and abs(report.min_value) <= 1e-9:
+        if interior and abs(report.min_value) <= band_width:
             band += 1
             continue
         if positivity.two_photon_region_contains(float(p1), float(p2)) != report.is_positive:
             disagreements += 1
+    arc = np.linspace(0.0, 1.0, 11)
     arc_ok = True
     ellipse_worst = 0.0
-    for a in np.linspace(0.0, 1.0, 11):
+    for a in arc:
         p1, p2 = positivity.extremal_arc_point(float(a))
         report = positivity.positivity_report(positivity.two_photon_mixture(p1, p2))
         arc_ok = arc_ok and report.touches_zero and abs(report.min_value) <= 1e-9
@@ -213,6 +209,9 @@ def suite_region2(rng, spec) -> SuiteResult:
             f"arc states all touch zero: {arc_ok}",
             f"worst ellipse residual on the arc: {ellipse_worst:.3e} (tol 1e-12)",
         ],
+        {"disagreements": disagreements, "band_excluded": band, "inputs": len(samples),
+         "band_width": band_width, "arc_touches_zero": arc_ok,
+         "worst_ellipse_residual": ellipse_worst, "arc_points": len(arc)},
     )
 
 
@@ -226,9 +225,11 @@ def suite_conjecture_scan(rng, spec) -> SuiteResult:
     violations: list[str] = []
     lowest = math.inf
     lowest_label = ""
+    scanned = 0
 
     def record(label: str, value: float):
-        nonlocal lowest, lowest_label
+        nonlocal lowest, lowest_label, scanned
+        scanned += 1
         if value < lowest:
             lowest, lowest_label = value, label
         if value < bound - 1e-7:
@@ -262,7 +263,9 @@ def suite_conjecture_scan(rng, spec) -> SuiteResult:
         f"(bound {bound:.9f})",
     ]
     lines.extend(violations)
-    return SuiteResult("conjecture-scan", passed, lines)
+    return SuiteResult("conjecture-scan", passed, lines,
+                       {"lowest_entropy": lowest, "violations": len(violations),
+                        "inputs": scanned})
 
 
 SUITES = {

@@ -73,11 +73,6 @@ def exact_split_probs(m: int, n: int, eta: Fraction) -> list[Fraction]:
     return out
 
 
-def random_passive_mixture(rng: np.random.Generator, max_len: int) -> PhotonMixture:
-    length = int(rng.integers(1, max_len + 1))
-    return PhotonMixture(np.sort(rng.dirichlet(np.ones(length)))[::-1].copy())
-
-
 def fock_mixture(n: int) -> PhotonMixture:
     probs = np.zeros(n + 1)
     probs[n] = 1.0

@@ -1,7 +1,10 @@
 """Acceptance suite: one test per criterion, each printing a PASS line.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
-lines.  Every tolerance is pinned here, not configurable.
+lines.  Every tolerance is pinned here, not configurable.  Criteria that a
+``verify`` suite checks run through that suite and gate on the numbers it
+reports, so each criterion has one loop; the suite's report is printed
+under the PASS line.
 """
 
 import json
@@ -12,17 +15,12 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from conftest import exact_sigma_probs, fock_mixture, random_passive_mixture
-from wigentropy.beamsplitter import (
-    fock_oracle_sigma,
-    grid_from_gaussian,
-)
+from conftest import exact_sigma_probs, fock_mixture
+from wigentropy import beamsplitter
+from wigentropy.beamsplitter import fock_oracle_sigma, grid_from_gaussian
 from wigentropy.cli import main
 from wigentropy.entropy import (
     MIN_WIGNER_ENTROPY,
-    check_epi,
-    fock_sum_identity_residual,
-    passive_bound_check,
     wehrl_bridge_check,
     wigner_entropy_grid,
     wigner_renyi,
@@ -33,24 +31,21 @@ from wigentropy.gaussian import (
     random_symplectic,
     squeezed_vacuum,
 )
-from wigentropy.mixtures import (
-    PhotonMixture,
-    extremal_passive,
-    extremal_passive_from_sigmas,
-    sigma_coefficients,
-    thermal_mixture,
-)
-from wigentropy.positivity import (
-    extremal_arc_point,
-    positivity_report,
-    scan_radius,
-    two_photon_mixture,
-    two_photon_region_contains,
-)
+from wigentropy.mixtures import PhotonMixture, sigma_coefficients
+from wigentropy.quadrature import DEFAULT_QUADRATURE
+from wigentropy.verification import _random_wigner_positive, run_suite
 
 
-def announce(number, name):
+def announce(number, name, suite=None):
     print(f"ACCEPTANCE {number:02d} {name}: PASS")
+    if suite is not None:
+        print(suite.report())
+
+
+def verify_suite(name):
+    """Run one verify suite at seed 42 and the package's default quadrature."""
+    [suite] = run_suite(name, seed=42, spec=DEFAULT_QUADRATURE)
+    return suite
 
 
 def test_01_vacuum_anchor(tmp_path):
@@ -94,21 +89,21 @@ def test_03_cumulative_identity():
     """Max residual of the cumulative Wigner identity <= 1e-10 for n <= 12
     on a 41x41 grid over [-5, 5]^2, under 10 s."""
     start = time.perf_counter()
-    worst = max(fock_sum_identity_residual(n) for n in range(13))
+    suite = verify_suite("fock-identity")
     elapsed = time.perf_counter() - start
-    assert worst <= 1e-10, f"worst residual {worst:.3e}"
+    assert suite.values["inputs"] == 13
+    assert suite.values["max_residual"] <= 1e-10
     assert elapsed < 10.0, f"took {elapsed:.2f}s"
-    announce(3, "cumulative Wigner identity")
+    announce(3, "cumulative Wigner identity", suite)
 
 
 def test_04_equiprobable_decomposition():
     """Averaged beam-splitter states reproduce the equiprobable mixtures
     within 1e-12 per component for n <= 20."""
-    for n in range(21):
-        averaged = extremal_passive_from_sigmas(n).probs
-        direct = extremal_passive(n).probs
-        assert np.max(np.abs(averaged - direct)) <= 1e-12
-    announce(4, "equiprobable decomposition")
+    suite = verify_suite("passive-mix")
+    assert suite.values["inputs"] == 21
+    assert suite.values["max_residual"] <= 1e-12
+    announce(4, "equiprobable decomposition", suite)
 
 
 def test_05_sigma_oracle():
@@ -127,14 +122,15 @@ def test_05_sigma_oracle():
     announce(5, "sigma coefficients oracle")
 
 
-def test_06_sigma_table(tmp_path):
+def test_06_sigma_table(tmp_path, monkeypatch):
     """sigma-table --max 10: under 5 minutes, all 121 entries above the
     bound minus 1e-7, vacuum entry on the bound within 1e-9, monotonicity
     as warnings only."""
     out = tmp_path / "table.csv"
+    monkeypatch.setattr(beamsplitter, "_WORKERS", 1)  # cells in-process
     start = time.perf_counter()
     result = CliRunner().invoke(
-        main, ["sigma-table", "--max", "10", "--jobs", "1", "--out", str(out)]
+        main, ["sigma-table", "--max", "10", "--out", str(out)]
     )
     elapsed = time.perf_counter() - start
     assert result.exit_code == 0
@@ -160,28 +156,14 @@ def test_07_two_photon_region():
     """10^4 sampled points: closed form vs numeric scan, zero disagreements
     outside a 1e-9 interior band; 11 arc states touch zero within 1e-9 and
     sit on the boundary ellipse within 1e-12."""
-    from scipy.stats import qmc
-
-    points = qmc.Sobol(d=2, scramble=False).random_base2(14)[:10_000]
-    flip = points.sum(axis=1) > 1.0
-    points[flip] = 1.0 - points[flip]
-    disagreements = 0
-    for p1, p2 in points:
-        state = two_photon_mixture(float(p1), float(p2))
-        report = positivity_report(state)
-        interior = report.argmin_r < scan_radius(state) * (1 - 1e-9)
-        if interior and abs(report.min_value) <= 1e-9:
-            continue
-        if two_photon_region_contains(float(p1), float(p2)) != report.is_positive:
-            disagreements += 1
-    assert disagreements == 0
-    for a in np.linspace(0.0, 1.0, 11):
-        p1, p2 = extremal_arc_point(float(a))
-        report = positivity_report(two_photon_mixture(p1, p2))
-        assert report.touches_zero and abs(report.min_value) <= 1e-9
-        ellipse = (p1 / 0.5) ** 2 + ((p2 - 0.25) / 0.25) ** 2
-        assert abs(ellipse - 1.0) <= 1e-12
-    announce(7, "two-photon region")
+    suite = verify_suite("region2")
+    assert suite.values["inputs"] == 10_000
+    assert suite.values["band_width"] == 1e-9
+    assert suite.values["disagreements"] == 0
+    assert suite.values["arc_points"] == 11
+    assert suite.values["arc_touches_zero"]
+    assert suite.values["worst_ellipse_residual"] <= 1e-12
+    announce(7, "two-photon region", suite)
 
 
 def test_08_wehrl_bridge():
@@ -189,29 +171,23 @@ def test_08_wehrl_bridge():
     the Wehrl entropy within 1e-8; both above ln(pi)+1; the n=1 value
     reproduces the frozen oracle within 1e-6."""
     frozen = 2.721945550750933  # ln(pi) + 1 + Euler gamma
-    for n in range(7):
-        left, right = wehrl_bridge_check(fock_mixture(n))
-        assert abs(left - right) <= 1e-8
-        assert left >= MIN_WIGNER_ENTROPY - 1e-9
-        assert right >= MIN_WIGNER_ENTROPY - 1e-9
-        if n == 1:
-            assert left == pytest.approx(frozen, abs=1e-6)
-    announce(8, "Wehrl bridge")
+    suite = verify_suite("wehrl-bridge")
+    assert suite.values["inputs"] == 7
+    assert suite.values["max_gap"] <= 1e-8
+    assert suite.values["lowest_entropy"] >= MIN_WIGNER_ENTROPY - 1e-9
+    left, _ = wehrl_bridge_check(fock_mixture(1))
+    assert left == pytest.approx(frozen, abs=1e-6)
+    announce(8, "Wehrl bridge", suite)
 
 
 def test_09_passive_bound():
     """h(W) >= 2 sum p_k h(rho_k) for the equiprobable states n <= 10 and
     100 random decreasing mixtures; vacuum saturates within 1e-8."""
-    for n in range(11):
-        lhs, rhs = passive_bound_check(extremal_passive(n))
-        assert lhs >= rhs - 1e-9
-    rng = np.random.default_rng(42)
-    for _ in range(100):
-        lhs, rhs = passive_bound_check(random_passive_mixture(rng, 20))
-        assert lhs >= rhs - 1e-9
-    lhs, rhs = passive_bound_check(PhotonMixture([1.0]))
-    assert abs(lhs - rhs) <= 1e-8
-    announce(9, "passive-state bound")
+    suite = verify_suite("passive-bound")
+    assert suite.values["inputs"] == 11 + 100 + 1
+    assert suite.values["worst_margin"] >= -1e-9
+    assert suite.values["vacuum_gap"] <= 1e-8
+    announce(9, "passive-state bound", suite)
 
 
 def test_10_renyi():
@@ -224,13 +200,7 @@ def test_10_renyi():
         expected = math.log(math.pi) + math.log(alpha) / (alpha - 1.0)
         assert wigner_renyi(vacuum, alpha) == pytest.approx(expected, abs=1e-8)
     assert wigner_renyi(vacuum, math.inf) == pytest.approx(math.log(math.pi), abs=1e-9)
-    rng = np.random.default_rng(42)
-    found = 0
-    while found < 20:
-        p = PhotonMixture(rng.dirichlet(np.ones(int(rng.integers(1, 9)))))
-        if not positivity_report(p).is_positive:
-            continue
-        found += 1
+    for p in _random_wigner_positive(np.random.default_rng(42), 8, 20):
         expected = math.log(2.0 * math.pi / p.purity)
         assert wigner_renyi(p, 2.0) == pytest.approx(expected, abs=1e-7)
     announce(10, "Renyi entropies")
@@ -240,22 +210,11 @@ def test_11_entropy_power_inequality():
     """N_out >= eta N_A + (1-eta) N_B with slack -1e-6 for 20 random
     Wigner-positive pairs x eta in {0.25, 0.5, 0.75}; Gaussian inputs
     saturate within 1e-4."""
-    rng = np.random.default_rng(42)
-    states = []
-    while len(states) < 40:
-        p = PhotonMixture(rng.dirichlet(np.ones(int(rng.integers(1, 9)))))
-        if positivity_report(p).is_positive:
-            states.append(p)
-    for i in range(20):
-        pa, pb = states[2 * i], states[2 * i + 1]
-        for eta in (0.25, 0.5, 0.75):
-            n_out, bound = check_epi(pa, pb, eta)
-            assert n_out >= bound - 1e-6
-    thermal_state = thermal_mixture(1.0)
-    for eta in (0.25, 0.5, 0.75):
-        n_out, bound = check_epi(thermal_state, thermal_state, eta)
-        assert n_out == pytest.approx(bound, abs=1e-4)
-    announce(11, "entropy-power inequality")
+    suite = verify_suite("epi")
+    assert suite.values["inputs"] == 20 * 3 + 3
+    assert suite.values["worst_slack"] >= -1e-6
+    assert suite.values["thermal_gap"] <= 1e-4
+    announce(11, "entropy-power inequality", suite)
 
 
 def test_12_conjecture_scan():

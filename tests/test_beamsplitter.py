@@ -373,6 +373,16 @@ class TestFockOracle:
         with pytest.raises(TruncationError, match="N_MAX"):
             fock_oracle_sigma(128, 129, 0.5)
 
+    @pytest.mark.parametrize("eta", [0.0, 0.25, 0.3, 0.5, 0.75, 1.0])
+    def test_is_the_normalized_split_column(self, eta):
+        # the oracle is the mix of two Fock states; it must keep the bits of
+        # column m of the split probabilities over their fsum
+        for total in [0, 1, 2, 7, 13, 29, 64, 127, 200, N_MAX]:
+            for m in sorted({0, min(1, total), total // 3, total // 2, total}):
+                column = beamsplitter._split_probabilities(total, eta)[:, m]
+                expected = column / math.fsum(column.tolist())
+                assert np.array_equal(fock_oracle_sigma(m, total - m, eta).probs, expected)
+
     @pytest.mark.parametrize("eta", [Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)])
     def test_matches_exact_rationals_up_to_n_max(self, eta):
         for total in [24, 48, 128, N_MAX]:

@@ -3,12 +3,14 @@ import math
 import os
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
 import wigentropy
+from wigentropy import beamsplitter, cli
 from wigentropy.cli import main
 
 LN_PI_PLUS_1 = math.log(math.pi) + 1.0
@@ -109,9 +111,15 @@ class TestEntropyCommand:
         assert result.exception is None or isinstance(result.exception, SystemExit)
 
 
+@pytest.fixture
+def in_process(monkeypatch):
+    """sigma-table sizes its pool by the usable cores; one core runs the cells in-process."""
+    monkeypatch.setattr(beamsplitter, "_WORKERS", 1)
+
+
 class TestSigmaTableCommand:
     def test_single_cell(self, runner):
-        result = runner.invoke(main, ["sigma-table", "--max", "0", "--jobs", "1"])
+        result = runner.invoke(main, ["sigma-table", "--max", "0"])
         assert result.exit_code == 0
         rows = [l for l in result.output.splitlines() if not l.startswith(("#", "m,"))]
         assert len(rows) == 1
@@ -119,8 +127,8 @@ class TestSigmaTableCommand:
         assert (m, n) == ("0", "0")
         assert float(entropy) == pytest.approx(LN_PI_PLUS_1, abs=1e-9)
 
-    def test_three_by_three(self, runner):
-        result = runner.invoke(main, ["sigma-table", "--max", "2", "--jobs", "1"])
+    def test_three_by_three(self, runner, in_process):
+        result = runner.invoke(main, ["sigma-table", "--max", "2"])
         assert result.exit_code == 0
         rows = [l for l in result.output.splitlines() if not l.startswith(("#", "m,"))]
         assert len(rows) == 9
@@ -133,25 +141,41 @@ class TestSigmaTableCommand:
             assert h == table[(n, m)]
             assert h >= LN_PI_PLUS_1 - 1e-7
 
-    def test_deterministic_output(self, runner, tmp_path):
+    def test_deterministic_output(self, runner, tmp_path, in_process):
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
         for out in (out1, out2):
             result = runner.invoke(
-                main, ["sigma-table", "--max", "2", "--jobs", "1", "--out", str(out)]
+                main, ["sigma-table", "--max", "2", "--out", str(out)]
             )
             assert result.exit_code == 0
         assert out1.read_bytes() == out2.read_bytes()
 
-    def test_jobs_do_not_change_output(self, runner, tmp_path):
+    def test_jobs_do_not_change_output(self, runner, tmp_path, monkeypatch):
         serial, parallel = tmp_path / "s.csv", tmp_path / "p.csv"
-        r1 = runner.invoke(
-            main, ["sigma-table", "--max", "2", "--jobs", "1", "--out", str(serial)]
-        )
-        r2 = runner.invoke(
-            main, ["sigma-table", "--max", "2", "--jobs", "2", "--out", str(parallel)]
-        )
-        assert r1.exit_code == 0 and r2.exit_code == 0
+        outputs = []
+        for workers, out in ((1, serial), (2, parallel)):
+            monkeypatch.setattr(beamsplitter, "_WORKERS", workers)
+            outputs.append(runner.invoke(main, ["sigma-table", "--max", "2", "--out", str(out)]))
+        assert [r.exit_code for r in outputs] == [0, 0]
         assert serial.read_bytes() == parallel.read_bytes()
+
+    def test_pool_sized_by_usable_cores(self, runner, monkeypatch):
+        sizes = []
+
+        def pool(max_workers):
+            sizes.append(max_workers)
+            return ThreadPoolExecutor(max_workers)
+
+        monkeypatch.setattr(beamsplitter, "_WORKERS", 3)
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", pool)
+        for top in ("1", "0"):
+            assert runner.invoke(main, ["sigma-table", "--max", top]).exit_code == 0
+        assert sizes == [3]  # a single cell runs in-process
+
+    def test_no_jobs_flag(self, runner):
+        result = runner.invoke(main, ["sigma-table", "--max", "0", "--jobs", "1"])
+        assert result.exit_code == 2
+        assert "No such option" in result.output
 
     def test_guard_on_max(self, runner):
         result = runner.invoke(main, ["sigma-table", "--max", "31"])

@@ -6,11 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import digamma, eval_genlaguerre, gammaln, roots_genlaguerre
 
-from conftest import (
-    TINY_TOP_MIXTURES,
-    fock_mixture,
-    random_passive_mixture,
-)
+from conftest import TINY_TOP_MIXTURES, fock_mixture
 from wigentropy.beamsplitter import grid_from_mixture
 from wigentropy.entropy import (
     MIN_WIGNER_ENTROPY,
@@ -45,21 +41,12 @@ from wigentropy.positivity import (
     two_photon_mixture,
 )
 from wigentropy.quadrature import DEFAULT_QUADRATURE, QuadratureSpec
+from wigentropy.verification import _random_passive, _random_wigner_positive
 
 VACUUM = PhotonMixture([1.0])
 SIGMA_B = PhotonMixture([0.5, 0.5])
 WEHRL_FOCK_1 = math.log(math.pi) + 1.0 + np.euler_gamma
 REFERENCE_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
-
-
-def random_wigner_positive(rng, max_len, count):
-    found = []
-    while len(found) < count:
-        length = int(rng.integers(1, max_len + 1))
-        p = PhotonMixture(rng.dirichlet(np.ones(length)))
-        if positivity_report(p).is_positive:
-            found.append(p)
-    return found
 
 
 class TestRadialEntropy:
@@ -139,7 +126,7 @@ class TestZeroBreakpoints:
 
     def test_no_touches_on_states_without_zeros(self, rng):
         states = [thermal_mixture(mean) for mean in (0.1, 0.5, 1.0, 2.0, 4.0, 8.0)]
-        states += [random_passive_mixture(rng, 40) for _ in range(50)]
+        states += [_random_passive(rng, 40) for _ in range(50)]
         for p in states:
             assert _touch_points(positivity_report(p)).size == 0, p.probs
 
@@ -226,7 +213,7 @@ class TestRenyi:
         )
 
     def test_order_two_for_random_states(self, rng):
-        for p in random_wigner_positive(rng, 8, 20):
+        for p in _random_wigner_positive(rng, 8, 20):
             assert wigner_renyi(p, 2.0) == pytest.approx(
                 math.log(2.0 * math.pi / p.purity), abs=1e-7
             )
@@ -317,7 +304,7 @@ class TestEntropyPowerInequality:
             assert n_out == pytest.approx(bound, abs=1e-5)
 
     def test_random_pairs(self, rng):
-        states = random_wigner_positive(rng, 6, 12)
+        states = _random_wigner_positive(rng, 6, 12)
         for i in range(6):
             pa, pb = states[2 * i], states[2 * i + 1]
             for eta in [0.25, 0.5, 0.75]:
@@ -349,7 +336,7 @@ class TestPassiveBound:
 
     def test_random_passive(self, rng):
         for _ in range(30):
-            lhs, rhs = passive_bound_check(random_passive_mixture(rng, 20))
+            lhs, rhs = passive_bound_check(_random_passive(rng, 20))
             assert lhs >= rhs - 1e-9
 
     def test_rejects_non_passive(self):
@@ -369,7 +356,7 @@ class TestIdentityResidual:
 
 class TestStructuralInequalities:
     def test_concavity_spot_check(self, rng):
-        states = random_wigner_positive(rng, 6, 8)
+        states = _random_wigner_positive(rng, 6, 8)
         for i in range(4):
             pa, pb = states[2 * i], states[2 * i + 1]
             length = max(len(pa), len(pb))
@@ -385,7 +372,7 @@ class TestStructuralInequalities:
     def test_marginal_entropy_dominates_joint(self, rng):
         # joint entropy of (x, p) is at most the sum of the two marginal
         # entropies, which coincide for phase-invariant states
-        for p in random_wigner_positive(rng, 6, 8):
+        for p in _random_wigner_positive(rng, 6, 8):
             h_joint = wigner_entropy_radial(p)
             h_marginal = mixture_marginal_entropy(p)
             assert h_joint <= 2.0 * h_marginal + 1e-7

@@ -51,6 +51,20 @@ class TestSymplecticMap:
         with pytest.raises(NonSymplecticError):
             SymplecticMap([[1.0, 0.0], [0.0, 2.0]])
 
+    @pytest.mark.parametrize("build", [
+        lambda: SymplecticMap([[math.nan, 0.0], [0.0, 1.0]]),
+        lambda: SymplecticMap([[math.inf, 0.0], [0.0, 1.0]]),
+        lambda: rotation_map(math.nan),
+    ])
+    def test_rejects_non_finite_matrix(self, build):
+        with pytest.raises(NonSymplecticError):
+            build()
+
+    @pytest.mark.parametrize("shift", [(math.inf, 0.0), (0.0, math.nan)])
+    def test_rejects_non_finite_displacement(self, shift):
+        with pytest.raises(ValueError, match="finite"):
+            SymplecticMap(np.eye(2), shift)
+
     def test_identity_fixes_vacuum(self):
         out = apply_symplectic(vacuum(), SymplecticMap(np.eye(2)))
         assert np.allclose(out.cov, 0.5 * np.eye(2), atol=1e-15)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import exact_sigma_probs, random_passive_mixture
+from conftest import exact_sigma_probs
 from wigentropy.beamsplitter import fock_oracle_sigma
 from wigentropy.exceptions import NotPassiveError, TruncationError
 from wigentropy.fock import N_MAX
@@ -20,6 +20,7 @@ from wigentropy.mixtures import (
     sigma_coefficients,
     thermal_mixture,
 )
+from wigentropy.verification import _random_passive
 
 
 class TestPhotonMixture:
@@ -93,7 +94,7 @@ class TestPassivity:
 
     def test_reconstruction_roundtrip(self, rng):
         for _ in range(100):
-            p = random_passive_mixture(rng, 30)
+            p = _random_passive(rng, 30)
             back = compose_passive(passive_decompose(p))
             assert np.max(np.abs(back.probs - p.probs)) <= 1e-12
 

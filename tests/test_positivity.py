@@ -8,7 +8,6 @@ from scipy.special import eval_genlaguerre, eval_laguerre
 
 from conftest import (
     bitwise_corpus,
-    random_passive_mixture,
     reference_positivity_report,
     reference_radial_wigner,
 )
@@ -25,6 +24,7 @@ from wigentropy.positivity import (
     two_photon_mixture,
     two_photon_region_contains,
 )
+from wigentropy.verification import _random_passive
 
 VACUUM = PhotonMixture([1.0])
 SIGMA_B = PhotonMixture([0.5, 0.5])          # one photon through the splitter
@@ -167,7 +167,7 @@ class TestPositivityReport:
 
     def test_passive_states_are_positive(self, rng):
         for _ in range(100):
-            p = random_passive_mixture(rng, 20)
+            p = _random_passive(rng, 20)
             assert positivity_report(p).is_positive
 
     def test_sigma_states_touch_zero_except_vacuum(self):
@@ -216,7 +216,7 @@ class TestExtremaAgainstReferences:
 
     @pytest.mark.parametrize("make", [
         lambda: sigma_coefficients(0, 128).coeffs,
-        lambda: random_passive_mixture(np.random.default_rng(256), 256),
+        lambda: _random_passive(np.random.default_rng(256), 256),
         lambda: PhotonMixture(np.random.default_rng(256).dirichlet(np.ones(256))),
     ], ids=["sigma(0,128)", "passive", "dirichlet-256"])
     def test_long_mixtures(self, make):
