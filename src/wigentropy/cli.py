@@ -273,7 +273,7 @@ def cmd_region2(samples, out_path):
 
 @main.command("verify")
 @click.option("--suite", type=click.Choice(available_suites()), required=True)
-@click.option("--seed", type=int, default=42, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=42, show_default=True)
 @click.option("--quad-tol", type=TOLERANCE, default=1e-10, show_default=True)
 def cmd_verify(suite, seed, quad_tol):
     """Run one named verification suite (or all) and report pass/fail."""

@@ -52,13 +52,30 @@ def _random_wigner_positive(rng: np.random.Generator, max_len: int,
     return found
 
 
+def _sobol_2d(power: int) -> np.ndarray:
+    """The first 2**power unscrambled 2-D Sobol points, in Gray-code order.
+
+    Dimension 1 has direction numbers v_k = 2**-(k+1); dimension 2 starts
+    at v_0 = 1/2 and has v_k = v_{k-1} xor (v_{k-1} >> 1).  Point i xors the
+    direction numbers of the set bits of i xor (i >> 1) (Antonov & Saleev,
+    1979; Bratley & Fox, ACM TOMS 14, 88, 1988): the points and their order
+    are those of ``scipy.stats.qmc.Sobol(d=2, scramble=False)``.
+    """
+    index = np.arange(2**power)
+    gray = index ^ (index >> 1)
+    # fixed-point numerators over 2**power; every point is exact in float64
+    points = np.zeros((2**power, 2), dtype=np.int64)
+    second = (1 << power) >> 1
+    for k in range(power):
+        points[(gray >> k) & 1 == 1] ^= (1 << (power - 1 - k), second)
+        second ^= second >> 1
+    return points / 2.0**power
+
+
 def _triangle_samples(count: int) -> np.ndarray:
     """Deterministic low-discrepancy points in the triangle p1 + p2 <= 1."""
-    # scipy.stats takes most of a second to import; only two suites need it
-    from scipy.stats import qmc
-
     power = max(4, math.ceil(math.log2(max(count, 1))))
-    points = qmc.Sobol(d=2, scramble=False).random_base2(power)[:count]
+    points = _sobol_2d(power)[:count]
     flip = points.sum(axis=1) > 1.0
     points[flip] = 1.0 - points[flip]
     return points
@@ -174,7 +191,7 @@ def suite_epi(rng, spec) -> SuiteResult:
 
 
 def suite_region2(rng, spec) -> SuiteResult:
-    """Closed-form two-photon region matches the numeric positivity scan."""
+    """Closed-form two-photon region matches the stationary-point positivity report."""
     samples = _triangle_samples(10_000)
     band_width = 1e-9
     disagreements = 0
@@ -183,8 +200,8 @@ def suite_region2(rng, spec) -> SuiteResult:
         state = positivity.two_photon_mixture(float(p1), float(p2))
         report = positivity.positivity_report(state)
         # ambiguous only when an *interior* minimum sits within the band;
-        # a tail minimum at the scan endpoint decays to zero for every
-        # positive state and carries no boundary information
+        # a minimum at the last candidate, r = scan_radius, is the tail that
+        # decays to zero for every positive state: no boundary information
         interior = report.argmin_r < positivity.scan_radius(state) * (1.0 - 1e-9)
         if interior and abs(report.min_value) <= band_width:
             band += 1

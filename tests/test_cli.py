@@ -225,6 +225,7 @@ class TestRegion2Command:
     ["entropy", "STATE", "--renyi", "nan"],
     ["sigma-table", "--max", "1", "--quad-tol", "0"],
     ["verify", "--suite", "passive-mix", "--quad-tol", "0"],
+    ["verify", "--suite", "fock-identity", "--seed", "-1"],
 ])
 def test_out_of_range_option_is_a_usage_error(runner, tmp_path, command):
     path = write_state(tmp_path, "vac.json", {"fock_probs": [1.0]})
@@ -259,12 +260,29 @@ def _run_python(*args):
                           text=True, timeout=120)
 
 
+_LOADED_SCIPY = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+
+
 def test_import_does_not_load_scipy():
-    # scipy costs over a second of start-up; only the Sobol suites may load it
-    probe = _run_python("-c", "import sys, wigentropy, wigentropy.cli; "
-                        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    # scipy is a test dependency only, and costs over half a second of start-up
+    probe = _run_python("-c", "import sys, wigentropy, wigentropy.cli; " + _LOADED_SCIPY)
     assert probe.returncode == 0, probe.stderr
     assert probe.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("command", [
+    ["verify", "--suite", "all"],
+    ["region2", "--samples", "16"],
+    ["entropy", "STATE"],
+    ["sigma-table", "--max", "1"],
+])
+def test_command_does_not_load_scipy(tmp_path, command):
+    path = write_state(tmp_path, "mix.json", {"fock_probs": [0.5, 0.3, 0.2]})
+    probe = _run_python("-c", "import sys; from wigentropy.cli import main; "
+                        "main(sys.argv[1:], standalone_mode=False); " + _LOADED_SCIPY,
+                        *[path if arg == "STATE" else arg for arg in command])
+    assert probe.returncode == 0, probe.stderr
+    assert probe.stdout.splitlines()[-1] == "[]"
 
 
 def test_import_does_not_start_thread_pool():
