@@ -46,6 +46,7 @@ from .fock import N_MAX
 from .gaussian import GaussianState, gaussian_wigner
 from .mixtures import PhotonMixture
 from .positivity import radial_wigner
+from .quadrature import EVAL_CHUNK
 
 __all__ = [
     "WignerGrid",
@@ -85,9 +86,10 @@ if hasattr(os, "register_at_fork"):
 class WignerGrid:
     """Wigner function sampled on a square grid symmetric about the origin.
 
-    ``values[i, j]`` is W(x_i, p_j) with both axes running over
-    ``linspace(-extent, extent, resolution)``.  The Riemann sum of the
-    values must equal 1 within ``mass_tol``.
+    ``values[i, j]`` is W(x_i, p_j) with both axes running over ``axis()``:
+    ``linspace(-extent, extent, resolution)`` with its upper half mirrored
+    from the lower one, so the axis is exactly symmetric.  The Riemann sum
+    of the values must equal 1 within ``mass_tol``.
     """
 
     values: np.ndarray
@@ -100,8 +102,7 @@ class WignerGrid:
             raise GridMismatchError(
                 f"expected {(resolution, resolution)} values, got {arr.shape}"
             )
-        if extent <= 0 or resolution < 2:
-            raise ValueError("extent must be positive and resolution at least 2")
+        _check_grid(extent, resolution)
         mass = float(np.sum(arr)) * (2.0 * extent / (resolution - 1)) ** 2
         if not math.isfinite(mass):
             raise ValueError("grid values must be finite")
@@ -117,7 +118,7 @@ class WignerGrid:
         return 2.0 * self.extent / (self.resolution - 1)
 
     def axis(self) -> np.ndarray:
-        return np.linspace(-self.extent, self.extent, self.resolution)
+        return _axis(self.extent, self.resolution)
 
     def to_csv(self, path) -> None:
         """Write the grid as CSV: a header line, then row-major values."""
@@ -141,19 +142,51 @@ class WignerGrid:
         return cls(values, extent, resolution)
 
 
+def _check_grid(extent: float, resolution: int) -> None:
+    if not (math.isfinite(extent) and extent > 0) or resolution < 2:
+        raise ValueError("extent must be positive and resolution at least 2")
+
+
+def _axis(extent: float, resolution: int) -> np.ndarray:
+    """linspace(-extent, extent, resolution), upper half mirrored from the lower."""
+    axis = np.linspace(-extent, extent, resolution)
+    half = resolution // 2
+    axis[resolution - half:] = -axis[half - 1::-1]
+    if resolution % 2:
+        axis[half] = 0.0
+    return axis
+
+
 def grid_from_mixture(p: PhotonMixture, extent: float = 8.0,
                       resolution: int = 512) -> WignerGrid:
-    """Sample the (radial) Wigner function of a Fock mixture on a grid."""
-    axis = np.linspace(-extent, extent, resolution)
-    x, q = np.meshgrid(axis, axis, indexing="ij")
-    values = radial_wigner(p, np.sqrt(x * x + q * q))
-    return WignerGrid(values, extent, resolution)
+    """Sample the (radial) Wigner function of a Fock mixture on a grid.
+
+    W is evaluated once per distinct radius, at the pairs i <= j of the
+    non-negative half axis, EVAL_CHUNK radii per call, and mirrored into
+    all four quadrants, so the grid is exactly symmetric.
+    """
+    _check_grid(extent, resolution)
+    half = _axis(extent, resolution)[resolution // 2:]
+    i, j = np.triu_indices(half.size)
+    radii = np.sqrt(half[i] ** 2 + half[j] ** 2)
+    chunks = range(0, radii.size, EVAL_CHUNK)
+    quadrant = np.empty((half.size, half.size))
+    for s in chunks:
+        quadrant[i[s:s + EVAL_CHUNK], j[s:s + EVAL_CHUNK]] = radial_wigner(p, radii[s:s + EVAL_CHUNK])
+    quadrant[j, i] = quadrant[i, j]
+    if _log.isEnabledFor(logging.DEBUG):
+        _log.debug("sampled %dx%d grid: %d distinct radii in %d chunks of at most %d",
+                   resolution, resolution, radii.size, len(chunks), EVAL_CHUNK)
+    # grid index a holds the half-axis point |axis[a]|
+    fold = np.abs(2 * np.arange(resolution) - (resolution - 1)) // 2
+    return WignerGrid(quadrant[np.ix_(fold, fold)], extent, resolution)
 
 
 def grid_from_gaussian(state: GaussianState, extent: float = 8.0,
                        resolution: int = 512) -> WignerGrid:
     """Sample a Gaussian state's Wigner function on a grid."""
-    axis = np.linspace(-extent, extent, resolution)
+    _check_grid(extent, resolution)
+    axis = _axis(extent, resolution)
     x, q = np.meshgrid(axis, axis, indexing="ij")
     return WignerGrid(gaussian_wigner(state, x, q), extent, resolution)
 
@@ -195,13 +228,15 @@ def _for_blocks(fn, rows: int) -> None:
 
 
 def _lattice_dft(x: np.ndarray, x0: float, h: float, k0: float, dk: float,
-                 m: int, sign: int) -> np.ndarray:
+                 m: int, sign: int, into: np.ndarray | None = None) -> np.ndarray:
     """out[..., j] = sum_g x[..., g] exp(sign i (x0 + g h)(k0 + j dk)), j < m.
 
     Bluestein's algorithm along the last axis: g j = (g**2 + j**2 - (j-g)**2) / 2
     turns the sum into a linear convolution with the chirp
     exp(-sign i h dk t**2 / 2), done by FFT at a 5-smooth length; every
-    other phase is folded into the chirps applied before and after.
+    other phase is folded into the chirps applied before and after.  x may be
+    a strided view: each block's pre-chirp product is made C-ordered.  Given
+    ``into``, the rows of out are multiplied into it, which is returned.
     """
     n = x.shape[-1]
     size = _fast_len(n + m - 1)
@@ -214,29 +249,32 @@ def _lattice_dft(x: np.ndarray, x0: float, h: float, k0: float, dk: float,
     lags = np.concatenate([j, np.zeros(size - m - n + 1), np.arange(n - 1, 0, -1)])
     kernel = np.fft.fft(np.exp(-sign * 1j * half * lags * lags))
     rows = x.reshape(-1, n)
-    out = np.empty((rows.shape[0], m), dtype=complex)
+    out = np.empty((rows.shape[0], m), dtype=complex) if into is None else into.reshape(-1, m)
 
     def block(s):
-        spectrum = np.fft.fft(rows[s:s + _BLOCK_ROWS] * pre, size)
+        spectrum = np.fft.fft(np.multiply(rows[s:s + _BLOCK_ROWS], pre, order="C"), size)
         spectrum *= kernel
-        np.multiply(np.fft.ifft(spectrum, out=spectrum)[:, :m], post,
-                    out=out[s:s + _BLOCK_ROWS])
+        spectrum = np.fft.ifft(spectrum, out=spectrum)[:, :m]
+        if into is None:
+            np.multiply(spectrum, post, out=out[s:s + _BLOCK_ROWS])
+        else:
+            out[s:s + _BLOCK_ROWS] *= spectrum * post
 
     _for_blocks(block, rows.shape[0])
     return out.reshape(x.shape[:-1] + (m,))
 
 
 def _half_lattice_dft(x: np.ndarray, x0: float, h: float, k0: float,
-                      dk: float) -> np.ndarray:
+                      dk: float, into: np.ndarray | None = None) -> np.ndarray:
     """sum_g x[g] exp(-i (x0 + g h) . k) at k_j = k0 + j dk, out[j_p, j_x].
 
     j_x < 2n and j_p <= n: for a real n x n array and k0 = -n dk, the rows j_p > n
-    are conjugates, as k_{2n-j} = -k_j.  Each pass runs along a contiguous last
-    axis, as the FFTs need.
+    are conjugates, as k_{2n-j} = -k_j.  The pass along x reads the columns of
+    the pass along p by blocks.  Given ``into``, out is multiplied into it.
     """
     n = x.shape[-1]
     t = _lattice_dft(x, x0, h, k0, dk, n + 1, -1)
-    return _lattice_dft(np.ascontiguousarray(t.T), x0, h, k0, dk, 2 * n, -1)
+    return _lattice_dft(t.T, x0, h, k0, dk, 2 * n, -1, into)
 
 
 def convolve_beamsplitter(wa: WignerGrid, wb: WignerGrid, eta: float) -> WignerGrid:
@@ -261,30 +299,32 @@ def convolve_beamsplitter(wa: WignerGrid, wb: WignerGrid, eta: float) -> WignerG
     dk = 2.0 * k_nyquist / m
     sa, sb = math.sqrt(eta), math.sqrt(1.0 - eta)
 
-    # sum over the grid of values * exp(-i scale k . xi), k_j = -k_nyquist + j dk
+    # sum over the grid of values * exp(-i scale k . xi), k_j = -k_nyquist + j dk;
+    # B's spectrum is multiplied into A's block by block, never held whole
     product = _half_lattice_dft(wa.values, -wa.extent, h, -sa * k_nyquist, sa * dk)
-    product *= _half_lattice_dft(wb.values, -wa.extent, h, -sb * k_nyquist, sb * dk)
+    _half_lattice_dft(wb.values, -wa.extent, h, -sb * k_nyquist, sb * dk, product)
     # back to [x, p]: as dk h = 2 pi / m, exp(i k_j x_a) = exp(-i k_j extent)
     # (-1)**a exp(2 pi i j a / m), a length-m inverse DFT of a Hermitian array
     phase = np.exp(-1j * wa.extent * (-k_nyquist + dk * np.arange(m)))
-    product *= phase[: n + 1, None] * phase
     # irfft2(product, s=(m, m), axes=(1, 0))[:n, :n] as its two steps: ifft
     # along j_x, then irfft along j_p of only the n columns the crop keeps
     values = np.empty((n, n))
     kept = product[:, :n]
+    # h**2 per forward sum, (dk / 2 pi)**2 back, and the m**2 the inverse divides by
+    sign = (m * h * h * dk / (2.0 * math.pi)) * (-1.0) ** np.arange(n)
 
     def inverse_rows(s):
-        np.fft.ifft(product[s:s + _BLOCK_ROWS], axis=1, out=product[s:s + _BLOCK_ROWS])
+        rows = product[s:s + _BLOCK_ROWS]
+        rows *= phase[: n + 1][s:s + _BLOCK_ROWS, None] * phase
+        np.fft.ifft(rows, axis=1, out=rows)
 
     def inverse_columns(s):
-        values[:, s:s + _BLOCK_ROWS] = np.fft.irfft(kept[:, s:s + _BLOCK_ROWS], m, axis=0)[:n]
+        np.multiply(np.fft.irfft(kept[:, s:s + _BLOCK_ROWS], m, axis=0)[:n],
+                    sign[:, None] * sign[s:s + _BLOCK_ROWS], out=values[:, s:s + _BLOCK_ROWS])
 
     _for_blocks(inverse_rows, n + 1)
     _for_blocks(inverse_columns, n)
     values = values.T
-    # h**2 per forward sum, (dk / 2 pi)**2 back, and the m**2 the inverse divides by
-    sign = (m * h * h * dk / (2.0 * math.pi)) * (-1.0) ** np.arange(n)
-    values *= sign[:, None] * sign
     if _log.isEnabledFor(logging.DEBUG):
         _log.debug("convolved %dx%d grid at eta %.6g: FFT lengths %d and %d, %d workers, "
                    "blocks of %d rows, mass %.15g, min W %.6e", n, n, eta, _fast_len(m),

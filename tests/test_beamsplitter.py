@@ -3,6 +3,7 @@ import math
 import multiprocessing
 import sys
 import threading
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -27,7 +28,7 @@ from wigentropy.entropy import wehrl_bridge_check
 from wigentropy.exceptions import GridMismatchError, TruncationError
 from wigentropy.fock import N_MAX
 from wigentropy.gaussian import GaussianState
-from wigentropy.mixtures import PhotonMixture, sigma_coefficients
+from wigentropy.mixtures import PhotonMixture, sigma_coefficients, thermal_mixture
 from wigentropy.positivity import radial_wigner
 
 VACUUM = PhotonMixture([1.0])
@@ -35,6 +36,7 @@ WEHRL_FOCK_1 = math.log(math.pi) + 1.0 + np.euler_gamma  # frozen oracle 2.72194
 
 
 def radial_values(p, extent, resolution):
+    """The meshgrid formula grid_from_mixture replaced: W at every grid point."""
     axis = np.linspace(-extent, extent, resolution)
     x, q = np.meshgrid(axis, axis, indexing="ij")
     return radial_wigner(p, np.sqrt(x * x + q * q))
@@ -78,7 +80,34 @@ class TestWignerGrid:
     def test_axis_is_symmetric(self):
         grid = grid_from_mixture(VACUUM, 6.0, 128)
         axis = grid.axis()
-        assert np.allclose(axis + axis[::-1], 0.0, atol=1e-15)
+        assert np.array_equal(axis, -axis[::-1])
+
+    @pytest.mark.parametrize("resolution", [2, 3, 4, 5, 127])
+    def test_axis_mirrors_lower_half_of_linspace(self, resolution):
+        axis = beamsplitter._axis(6.0, resolution)
+        assert np.array_equal(axis, -axis[::-1])
+        assert axis[0] == -6.0 and axis[-1] == 6.0
+        lower = np.linspace(-6.0, 6.0, resolution)[: resolution // 2]
+        assert np.array_equal(axis[: resolution // 2], lower)
+
+    @pytest.mark.parametrize("extent, resolution", [
+        (8.0, 1), (8.0, 0), (8.0, -4), (0.0, 64), (-8.0, 64),
+        (math.nan, 64), (math.inf, 64), (-math.inf, 64),
+    ])
+    def test_builders_reject_bad_grid_first(self, monkeypatch, extent, resolution):
+        def never(*args):
+            raise AssertionError("evaluated before the grid was validated")
+
+        monkeypatch.setattr(beamsplitter, "radial_wigner", never)
+        monkeypatch.setattr(beamsplitter, "gaussian_wigner", never)
+        match = "extent must be positive and resolution at least 2"
+        with pytest.raises(ValueError, match=match):
+            grid_from_mixture(VACUUM, extent, resolution)
+        with pytest.raises(ValueError, match=match):
+            grid_from_gaussian(GaussianState([0.0, 0.0], 0.5 * np.eye(2)), extent, resolution)
+        if resolution >= 0:
+            with pytest.raises(ValueError, match=match):
+                WignerGrid(np.zeros((resolution, resolution)), extent, resolution)
 
     def test_csv_roundtrip(self, tmp_path):
         grid = grid_from_mixture(PhotonMixture([0.5, 0.5]), 6.0, 64)
@@ -88,6 +117,41 @@ class TestWignerGrid:
         assert back.extent == grid.extent
         assert back.resolution == grid.resolution
         assert np.max(np.abs(back.values - grid.values)) <= 1e-16
+
+
+GRID_STATES = {"mix3": PhotonMixture([0.2, 0.5, 0.3]), "thermal1": thermal_mixture(1.0),
+               "sigma(10,10)": sigma_coefficients(10, 10).coeffs}
+
+
+class TestGridFromMixture:
+    @pytest.mark.parametrize("resolution", [64, 65, 127, 128, 255, 256, 511, 512])
+    @pytest.mark.parametrize("p", GRID_STATES.values(), ids=GRID_STATES.keys())
+    def test_exactly_symmetric(self, p, resolution):
+        v = grid_from_mixture(p, 8.0, resolution).values
+        assert np.array_equal(v, v.T)
+        assert np.array_equal(v, v[::-1])
+        assert np.array_equal(v, v[:, ::-1])
+
+    @pytest.mark.parametrize("resolution", [64, 65, 255, 256, 512])
+    @pytest.mark.parametrize("extent", [8.0, 12.0])
+    @pytest.mark.parametrize("p", GRID_STATES.values(), ids=GRID_STATES.keys())
+    def test_matches_meshgrid_formula(self, p, extent, resolution):
+        # only the axis moves: linspace's upper half is up to an ulp off the
+        # mirrored one; measured worst 3.6e-15, at sigma(10,10)
+        got = grid_from_mixture(p, extent, resolution).values
+        assert np.max(np.abs(got - radial_values(p, extent, resolution))) <= 5e-15
+
+    def test_memory_held_to_eval_chunk(self):
+        # 106 terms: all 512**2 radii at once took a 220 MB Laguerre table;
+        # a chunk's table is 106 x EVAL_CHUNK doubles (3.5 MB), measured peak 5.5 MB
+        p = thermal_mixture(3.0)
+        tracemalloc.start()
+        try:
+            grid_from_mixture(p, 12.0, 512)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12e6
 
 
 class TestLatticeDFT:
@@ -217,6 +281,22 @@ class TestConvolution:
         with pytest.raises(ValueError):
             convolve_beamsplitter(ga, ga, 1.0)
 
+    def test_transient_memory(self, monkeypatch):
+        # one held spectrum, one pass-1 output, one block's workspace: measured
+        # 15.6 MB on one worker at 512**2, where both spectra, a transposed copy
+        # and the full phase product took 27.4 MB
+        monkeypatch.setattr(beamsplitter, "_WORKERS", 1)
+        ga = grid_from_mixture(PhotonMixture([0.2, 0.5, 0.3]), 8.0, 512)
+        gb = grid_from_mixture(VACUUM, 8.0, 512)
+        convolve_beamsplitter(ga, gb, 0.5)
+        tracemalloc.start()
+        try:
+            convolve_beamsplitter(ga, gb, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 18e6
+
 
 def _convolve_in_child(queue, grid):
     queue.put(convolve_beamsplitter(grid, grid, 0.5).values)
@@ -299,7 +379,19 @@ class TestLogging:
         grid = grid_from_mixture(VACUUM, 8.0, 64)
         with caplog.at_level(logging.INFO, logger="wigentropy.beamsplitter"):
             convolve_beamsplitter(grid, grid, 0.5)
+            grid_from_mixture(VACUUM, 8.0, 64)
         assert caplog.records == []
+
+    @pytest.mark.parametrize("resolution, radii, chunks", [(64, 528, 1), (65, 561, 1),
+                                                           (512, 32896, 9)])
+    def test_debug_record_per_sampled_grid(self, caplog, resolution, radii, chunks):
+        with caplog.at_level(logging.DEBUG, logger="wigentropy.beamsplitter"):
+            grid_from_mixture(VACUUM, 8.0, resolution)
+        (record,) = caplog.records
+        assert record.levelno == logging.DEBUG
+        message = record.getMessage()
+        for word in (f"{resolution}x{resolution}", f"{radii} distinct radii", f"{chunks} chunks"):
+            assert word in message
 
 
 class TestHusimi:

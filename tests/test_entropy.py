@@ -7,7 +7,7 @@ import pytest
 from scipy.special import digamma, eval_genlaguerre, gammaln, roots_genlaguerre
 
 from conftest import TINY_TOP_MIXTURES, fock_mixture
-from wigentropy.beamsplitter import grid_from_mixture
+from wigentropy.beamsplitter import fock_oracle_sigma, grid_from_mixture
 from wigentropy.entropy import (
     MIN_WIGNER_ENTROPY,
     check_epi,
@@ -153,6 +153,16 @@ class TestGridEntropy:
         assert wigner_entropy_grid(grid) == pytest.approx(
             wigner_entropy_radial(p), abs=1e-5
         )
+
+    @pytest.mark.parametrize("p", [two_photon_mixture(*extremal_arc_point(0.5)),
+                                   fock_oracle_sigma(2, 3, 0.5), fock_oracle_sigma(5, 7, 0.5)],
+                             ids=["arc(0.5)", "sigma(2,3)", "sigma(5,7)"])
+    def test_touching_states_within_stated_error(self, p):
+        # the error README's Numerical notes state: at 512**2 and extent 8
+        # the gaps are -2.7e-7, 1.8e-7 and -1.8e-6, and they do not fall
+        # steadily with resolution, so no finer grid is the reference
+        grid = grid_from_mixture(p, 8.0, 512)
+        assert abs(wigner_entropy_grid(grid) - wigner_entropy_radial(p)) <= 2.5e-6
 
     def test_uniform_disk_sanity(self):
         # synthetic density: uniform on a disk of radius 2, entropy ln(pi R^2);
