@@ -187,8 +187,7 @@ def grid_from_gaussian(state: GaussianState, extent: float = 8.0,
     """Sample a Gaussian state's Wigner function on a grid."""
     _check_grid(extent, resolution)
     axis = _axis(extent, resolution)
-    x, q = np.meshgrid(axis, axis, indexing="ij")
-    return WignerGrid(gaussian_wigner(state, x, q), extent, resolution)
+    return WignerGrid(gaussian_wigner(state, axis[:, None], axis[None, :]), extent, resolution)
 
 
 def _fast_len(n: int) -> int:

@@ -30,7 +30,6 @@ from .gaussian import (
     GaussianState,
     gaussian_renyi_entropy,
     gaussian_wehrl_entropy,
-    gaussian_wigner_entropy,
 )
 from .mixtures import PhotonMixture, sigma_coefficients
 from .quadrature import QuadratureSpec
@@ -132,20 +131,17 @@ def cmd_entropy(state_file, renyi_orders, quad_tol, out_path):
         sys.exit(EXIT_PARSE_ERROR)
 
     spec = _quadrature(quad_tol)
+    gaussian = isinstance(state, GaussianState)
     rows: list[tuple[str, float]] = []
     try:
-        if isinstance(state, GaussianState):
-            rows.append(("h_wigner", gaussian_wigner_entropy(state)))
-            for alpha in renyi_orders:
-                rows.append((f"h_renyi_{_fmt(alpha)}", gaussian_renyi_entropy(state, alpha)))
-            rows.append(("h_wehrl", gaussian_wehrl_entropy(state)))
-            rows.append(("purity", state.purity))
-        else:
-            rows.append(("h_wigner", wigner_entropy_radial(state, spec)))
-            for alpha in renyi_orders:
-                rows.append((f"h_renyi_{_fmt(alpha)}", wigner_renyi(state, alpha, spec)))
-            rows.append(("h_wehrl", wehrl_entropy(state, spec)))
-            rows.append(("purity", state.purity))
+        # h_wigner is the order-1 entropy, so it and every --renyi row share one loop
+        for key, alpha in (("h_wigner", 1.0),
+                           *((f"h_renyi_{_fmt(a)}", a) for a in renyi_orders)):
+            rows.append((key, gaussian_renyi_entropy(state, alpha) if gaussian
+                          else wigner_renyi(state, alpha, spec)))
+        rows.append(("h_wehrl", gaussian_wehrl_entropy(state) if gaussian
+                     else wehrl_entropy(state, spec)))
+        rows.append(("purity", state.purity))
     except NotWignerPositiveError as exc:
         click.echo(
             "error: state is not Wigner positive: "

@@ -17,12 +17,7 @@ from .beamsplitter import WignerGrid, husimi_phase_invariant, mix_through_beamsp
 from .exceptions import NegativeGridError, NotPassiveError, NotWignerPositiveError
 from .fock import density_entropy, marginal_entropy, wavefunction_table
 from .mixtures import PhotonMixture, extremal_passive, is_passive
-from .positivity import (
-    PositivityReport,
-    _touch_points,
-    positivity_report,
-    radial_wigner,
-)
+from .positivity import PositivityReport, positivity_report, radial_wigner
 from .quadrature import DEFAULT_QUADRATURE, QuadratureSpec, entropy_integral, integrate
 
 __all__ = [
@@ -72,15 +67,11 @@ def wigner_entropy_radial(p: PhotonMixture,
                           spec: QuadratureSpec = DEFAULT_QUADRATURE) -> float:
     """Shannon entropy of the Wigner function of a Wigner-positive Fock mixture.
 
-    Raises NotWignerPositiveError when the radial profile dips below
-    -EPS_POS anywhere, since the integrand is then undefined.
+    The order-1 case of wigner_renyi.  Raises NotWignerPositiveError when
+    the radial profile dips below -EPS_POS anywhere, since the integrand is
+    then undefined.
     """
-    report = _require_positive(p)
-    u_max = _radial_cutoff(p)
-    return entropy_integral(
-        lambda u: radial_wigner(p, np.sqrt(u)), 0.0, u_max, spec, weight=math.pi,
-        points=_touch_points(report),
-    )
+    return wigner_renyi(p, 1.0, spec)
 
 
 def wigner_entropy_grid(grid: WignerGrid) -> float:
@@ -105,25 +96,26 @@ def wigner_renyi(p: PhotonMixture, alpha: float,
                  spec: QuadratureSpec = DEFAULT_QUADRATURE) -> float:
     """Order-alpha entropy of the Wigner function of a Wigner-positive mixture.
 
-    alpha = 1 routes to the Shannon functional, alpha = inf returns
-    -ln(max W); alpha = 0 is rejected because every Wigner function has
-    unbounded support, making the order-0 entropy divergent.  Order 2
-    satisfies h_2 = ln(2 pi / purity).
+    alpha = 1 is the Shannon functional, alpha = inf returns -ln(max W);
+    alpha = 0 is rejected because every Wigner function has unbounded
+    support, making the order-0 entropy divergent.  Order 2 satisfies
+    h_2 = ln(2 pi / purity).
     """
     if not alpha > 0:
         raise ValueError("Renyi order must be positive (order 0 diverges)")
-    if alpha == 1.0:
-        return wigner_entropy_radial(p, spec)
     report = _require_positive(p)
     if math.isinf(alpha):
         return -math.log(report.max_value)
     u_max = _radial_cutoff(p) * max(1.0, 1.0 / alpha)
+    # W ln W and W**alpha are singular at the touches only for alpha <= 1
+    points = report.touches if alpha <= 1.0 else None
+    if alpha == 1.0:
+        return entropy_integral(lambda u: radial_wigner(p, np.sqrt(u)), 0.0, u_max, spec,
+                                weight=math.pi, points=points)
 
     def integrand(u):
         return np.maximum(radial_wigner(p, np.sqrt(u)), 0.0) ** alpha
 
-    # W**alpha is singular at the touches only for alpha < 1
-    points = _touch_points(report) if alpha < 1.0 else None
     norm = math.pi * integrate(integrand, 0.0, u_max, spec, points=points)
     return math.log(norm) / (1.0 - alpha)
 

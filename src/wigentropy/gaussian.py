@@ -162,7 +162,7 @@ def gaussian_wigner_entropy(state: GaussianState) -> float:
     Equals ln(pi) + 1 exactly when the state is pure, regardless of
     squeezing or displacement.
     """
-    return math.log(2.0 * math.pi * math.sqrt(state.det_cov)) + 1.0
+    return gaussian_renyi_entropy(state, 1.0)
 
 
 def gaussian_renyi_entropy(state: GaussianState, alpha: float) -> float:

@@ -70,6 +70,17 @@ class PositivityReport:
     #: (radii, W) at the candidates from r = 0 to scan_radius, or () if unknown
     candidates: tuple = field(default=(), compare=False, repr=False)
 
+    @property
+    def touches(self) -> np.ndarray:
+        """u = r**2 at the touches, the interior candidates with |W| <= EPS_POS no
+        larger than either neighbour: W's double roots, simple roots of Q.
+        Empty when the candidates are unknown."""
+        if not self.candidates:
+            return np.empty(0)
+        rs, ws = self.candidates
+        mid = ws[1:-1]
+        return rs[1:-1][(np.abs(mid) <= EPS_POS) & (mid <= ws[:-2]) & (mid <= ws[2:])] ** 2
+
 
 def _signed_coeffs(p: PhotonMixture) -> np.ndarray:
     return p.probs * _SIGNS[:len(p)]
@@ -146,22 +157,14 @@ def positivity_report(p: PhotonMixture) -> PositivityReport:
     positive = best_w >= -EPS_POS
     # the right endpoint is a candidate for the minimum, but a zero there
     # is a decaying tail, not a touch
-    touches = bool(positive and abs(best_w) <= EPS_POS and i_min < len(rs) - 1)
-    report = PositivityReport(positive, best_w, float(rs[i_min]), touches,
+    touches_zero = bool(positive and abs(best_w) <= EPS_POS and i_min < len(rs) - 1)
+    report = PositivityReport(positive, best_w, float(rs[i_min]), touches_zero,
                               float(ws[i_max]), float(rs[i_max]), (rs, ws))
     if _log.isEnabledFor(logging.DEBUG):
         _log.debug("%d stationary points in (0, %.6g), %d touches: min W %.6e at r = %.6g, "
-                   "max W %.6e at r = %.6g", len(ts), r_max, len(_touch_points(report)),
+                   "max W %.6e at r = %.6g", len(ts), r_max, len(report.touches),
                    report.min_value, report.argmin_r, report.max_value, report.argmax_r)
     return report
-
-
-def _touch_points(report: PositivityReport) -> np.ndarray:
-    """u = r**2 at the touches, the interior candidates with |W| <= EPS_POS no
-    larger than either neighbour: W's double roots, simple roots of Q."""
-    rs, ws = report.candidates
-    mid = ws[1:-1]
-    return rs[1:-1][(np.abs(mid) <= EPS_POS) & (mid <= ws[:-2]) & (mid <= ws[2:])] ** 2
 
 
 def curved_boundary_residual(p: PhotonMixture, t: float) -> tuple[float, float]:

@@ -75,6 +75,27 @@ class TestEntropyCommand:
         assert "-0.318" in result.output
         assert "r = 0" in result.output
 
+    @pytest.mark.parametrize("doc", [
+        {"fock_probs": [0.5, 0.3, 0.2]},
+        {"gaussian": {"mean": [0.3, -0.1], "cov": [[1.2, 0.2], [0.2, 0.8]]}},
+    ], ids=["fock", "gaussian"])
+    def test_order_one_row_repeats_h_wigner(self, runner, tmp_path, doc):
+        path = write_state(tmp_path, "s.json", doc)
+        result = runner.invoke(main, ["entropy", path, "--renyi", "2", "--renyi", "1"])
+        assert result.exit_code == 0
+        rows = dict(line.split(" = ") for line in result.output.splitlines())
+        assert list(rows) == ["h_wigner", "h_renyi_2", "h_renyi_1", "h_wehrl", "purity",
+                              "margin_above_ln_pi_plus_1"]
+        assert rows["h_renyi_1"] == rows["h_wigner"]
+
+    def test_renyi_orders_on_negative_state_exit_3(self, runner, tmp_path):
+        path = write_state(tmp_path, "f1.json", {"fock_probs": [0, 1.0]})
+        result = runner.invoke(main, ["entropy", path, "--renyi", "2", "--renyi", "1"])
+        assert result.exit_code == 3
+        assert result.output == (
+            "error: state is not Wigner positive: min W = -0.318309886183791 at r = 0\n"
+        )
+
     def test_parse_error_exits_2(self, runner, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("not json")

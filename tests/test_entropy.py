@@ -33,9 +33,10 @@ from wigentropy.mixtures import (
     sigma_coefficients,
     thermal_mixture,
 )
+from wigentropy import positivity
 from wigentropy.positivity import (
     EPS_POS,
-    _touch_points,
+    PositivityReport,
     extremal_arc_point,
     positivity_report,
     two_photon_mixture,
@@ -109,7 +110,7 @@ class TestZeroBreakpoints:
         for total in range(41):
             for lo in range(total // 2 + 1):
                 d = total - 2 * lo
-                touches = _touch_points(positivity_report(sigma_coefficients(lo, total - lo).coeffs))
+                touches = positivity_report(sigma_coefficients(lo, total - lo).coeffs).touches
                 roots = roots_genlaguerre(lo, d)[0] if lo else np.empty(0)
                 gaps = np.abs(touches[:, None] / roots - 1.0) if lo else np.empty((touches.size, 0))
                 assert np.all(gaps.min(axis=0, initial=np.inf) <= 1e-12), (lo, total - lo)
@@ -121,14 +122,19 @@ class TestZeroBreakpoints:
     @pytest.mark.parametrize("a", [1e-3, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0])
     def test_arc_touch(self, a):
         # extremal_arc_wigner's double root r**2 = 1 - sqrt((1 - a)/(1 + a))
-        (touch,) = _touch_points(positivity_report(two_photon_mixture(*extremal_arc_point(a))))
+        (touch,) = positivity_report(two_photon_mixture(*extremal_arc_point(a))).touches
         assert touch == pytest.approx(1.0 - math.sqrt((1.0 - a) / (1.0 + a)), rel=1e-12)
 
     def test_no_touches_on_states_without_zeros(self, rng):
         states = [thermal_mixture(mean) for mean in (0.1, 0.5, 1.0, 2.0, 4.0, 8.0)]
         states += [_random_passive(rng, 40) for _ in range(50)]
         for p in states:
-            assert _touch_points(positivity_report(p)).size == 0, p.probs
+            assert positivity_report(p).touches.size == 0, p.probs
+
+    def test_no_touches_without_candidates(self):
+        # candidates default to (), as in reports built by hand
+        report = PositivityReport(True, 0.0, 1.0, True, 0.5, 0.0)
+        assert report.touches.shape == (0,)
 
     @pytest.mark.parametrize("p, clean", zip(TINY_TOP_MIXTURES, ([0.5, 0.5], [0.6, 0.4])),
                              ids=["1e-320", "1e-310"])
@@ -202,6 +208,16 @@ class TestQuadratureControls:
                 QuadratureSpec(rel_tol=bad)
 
 
+#: states for the single-path tests: smooth, touching and passive
+SINGLE_PATH_STATES = {
+    "vacuum": VACUUM,
+    "sigma(5,7)": sigma_coefficients(5, 7).coeffs,
+    "arc(a=0.5)": two_photon_mixture(*extremal_arc_point(0.5)),
+    "thermal(1)": thermal_mixture(1.0),
+    "passive(3)": extremal_passive(3),
+}
+
+
 class TestRenyi:
     def test_vacuum_special_orders(self):
         for alpha in [0.5, 2.0, 5.0]:
@@ -229,7 +245,25 @@ class TestRenyi:
             )
 
     def test_order_one_routes_to_shannon(self):
-        assert wigner_renyi(SIGMA_B, 1.0) == wigner_entropy_radial(SIGMA_B)
+        for p in (SIGMA_B, *SINGLE_PATH_STATES.values()):
+            assert wigner_renyi(p, 1.0) == wigner_entropy_radial(p), p.probs
+
+    @pytest.mark.parametrize("p", SINGLE_PATH_STATES.values(), ids=SINGLE_PATH_STATES.keys())
+    def test_one_positivity_report_per_call(self, p, monkeypatch):
+        calls = []
+        roots = positivity._laguerre_roots
+
+        def counted(c):
+            calls.append(c)
+            return roots(c)
+
+        monkeypatch.setattr(positivity, "_laguerre_roots", counted)
+        functionals = [lambda: wigner_entropy_radial(p)]
+        functionals += [lambda a=a: wigner_renyi(p, a) for a in (0.5, 1.0, 2.0, math.inf)]
+        for f in functionals:
+            calls.clear()
+            f()
+            assert len(calls) == 1
 
     def test_continuity_near_one(self):
         h = wigner_entropy_radial(SIGMA_B)

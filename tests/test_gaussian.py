@@ -174,6 +174,12 @@ class TestOtherEntropies:
             with pytest.raises(ValueError):
                 gaussian_renyi_entropy(vacuum(), alpha)
 
+    def test_wigner_entropy_is_order_one(self):
+        states = [vacuum(), thermal(1.5), squeezed_vacuum(0.7),
+                  GaussianState([0.3, -0.1], [[1.2, 0.2], [0.2, 0.8]])]
+        for state in states:
+            assert gaussian_wigner_entropy(state) == gaussian_renyi_entropy(state, 1.0)
+
     def test_wehrl_vacuum_is_the_coherent_minimum(self):
         assert gaussian_wehrl_entropy(vacuum()) == pytest.approx(
             LN_PI_PLUS_1, rel=1e-13
