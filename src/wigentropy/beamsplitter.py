@@ -88,20 +88,20 @@ class WignerGrid:
 
     ``values[i, j]`` is W(x_i, p_j) with both axes running over ``axis()``:
     ``linspace(-extent, extent, resolution)`` with its upper half mirrored
-    from the lower one, so the axis is exactly symmetric.  The Riemann sum
-    of the values must equal 1 within ``mass_tol``.
+    from the lower one, so the axis is exactly symmetric.  ``resolution`` is
+    the side of the square ``values``.  The Riemann sum of the values must
+    equal 1 within ``mass_tol``.
     """
 
     values: np.ndarray
     extent: float
     resolution: int
 
-    def __init__(self, values, extent, resolution, mass_tol=GRID_MASS_TOL):
+    def __init__(self, values, extent, mass_tol=GRID_MASS_TOL):
         arr = np.array(values, dtype=float)
-        if arr.shape != (resolution, resolution):
-            raise GridMismatchError(
-                f"expected {(resolution, resolution)} values, got {arr.shape}"
-            )
+        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+            raise GridMismatchError(f"expected square 2-D values, got shape {arr.shape}")
+        resolution = arr.shape[0]
         _check_grid(extent, resolution)
         mass = float(np.sum(arr)) * (2.0 * extent / (resolution - 1)) ** 2
         if not math.isfinite(mass):
@@ -111,7 +111,7 @@ class WignerGrid:
         arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
         object.__setattr__(self, "extent", float(extent))
-        object.__setattr__(self, "resolution", int(resolution))
+        object.__setattr__(self, "resolution", resolution)
 
     @property
     def step(self) -> float:
@@ -119,27 +119,6 @@ class WignerGrid:
 
     def axis(self) -> np.ndarray:
         return _axis(self.extent, self.resolution)
-
-    def to_csv(self, path) -> None:
-        """Write the grid as CSV: a header line, then row-major values."""
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(f"# extent={self.extent!r}, resolution={self.resolution}\n")
-            for row in self.values:
-                fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
-
-    @classmethod
-    def from_csv(cls, path) -> "WignerGrid":
-        with open(path, encoding="utf-8") as fh:
-            header = fh.readline().strip()
-            if not header.startswith("#"):
-                raise ValueError("grid CSV must start with a '# extent=..., resolution=...' line")
-            fields = dict(
-                part.strip().split("=") for part in header.lstrip("#").split(",")
-            )
-            extent = float(fields["extent"])
-            resolution = int(fields["resolution"])
-            values = np.loadtxt(fh, delimiter=",")
-        return cls(values, extent, resolution)
 
 
 def _check_grid(extent: float, resolution: int) -> None:
@@ -179,7 +158,7 @@ def grid_from_mixture(p: PhotonMixture, extent: float = 8.0,
                    resolution, resolution, radii.size, len(chunks), EVAL_CHUNK)
     # grid index a holds the half-axis point |axis[a]|
     fold = np.abs(2 * np.arange(resolution) - (resolution - 1)) // 2
-    return WignerGrid(quadrant[np.ix_(fold, fold)], extent, resolution)
+    return WignerGrid(quadrant[np.ix_(fold, fold)], extent)
 
 
 def grid_from_gaussian(state: GaussianState, extent: float = 8.0,
@@ -187,7 +166,7 @@ def grid_from_gaussian(state: GaussianState, extent: float = 8.0,
     """Sample a Gaussian state's Wigner function on a grid."""
     _check_grid(extent, resolution)
     axis = _axis(extent, resolution)
-    return WignerGrid(gaussian_wigner(state, axis[:, None], axis[None, :]), extent, resolution)
+    return WignerGrid(gaussian_wigner(state, axis[:, None], axis[None, :]), extent)
 
 
 def _fast_len(n: int) -> int:
@@ -329,7 +308,7 @@ def convolve_beamsplitter(wa: WignerGrid, wb: WignerGrid, eta: float) -> WignerG
                    "blocks of %d rows, mass %.15g, min W %.6e", n, n, eta, _fast_len(m),
                    _fast_len(n + m - 1), _WORKERS, _BLOCK_ROWS,
                    float(values.sum()) * h * h, float(values.min()))
-    return WignerGrid(values, wa.extent, n, mass_tol=1e-5)
+    return WignerGrid(values, wa.extent, mass_tol=1e-5)
 
 
 def husimi_phase_invariant(p: PhotonMixture, r):

@@ -107,7 +107,7 @@ def wigner_fock(n: int, x, p):
     p = np.asarray(p, dtype=float)
     t = 2.0 * (x * x + p * p)
     values = laguerre_scaled_all(n, t)[n]
-    result = ((-1.0) ** n / math.pi) * values
+    result = (-1.0) ** n * values / math.pi
     return float(result) if result.ndim == 0 else result
 
 

@@ -184,5 +184,6 @@ def gaussian_wehrl_entropy(state: GaussianState) -> float:
     balanced beam splitter with vacuum, a Gaussian with covariance
     (cov + I/2)/2; coherent states give the minimum ln(pi) + 1.
     """
-    det = float(np.linalg.det(0.5 * state.cov + 0.25 * np.eye(2)))
-    return math.log(2.0 * math.pi * math.sqrt(det)) + 1.0
+    # det((cov + I/2)/2) = det/4 + tr/8 + 1/16 >= 1/4: it passes the Heisenberg check
+    husimi = GaussianState(state.mean, 0.5 * state.cov + 0.25 * np.eye(2))
+    return gaussian_renyi_entropy(husimi, 1.0)

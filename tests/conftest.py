@@ -73,6 +73,19 @@ def exact_split_probs(m: int, n: int, eta: Fraction) -> list[Fraction]:
     return out
 
 
+#: reason of the strict xfails that pin ROADMAP item 15's wrong decision
+OUTER_DIP = ("ROADMAP item 15: positivity_report searches t < 2 scan_radius**2 only, "
+             "and misses the dip W = -3.24e-7 at u = 234.8 beyond scan_radius**2 = 217.1")
+
+
+def outer_dip_mixture() -> PhotonMixture:
+    """sigma(64,64) with 1e-4 of probability moved from p_128 to p_127."""
+    probs = sigma_coefficients(64, 64).coeffs.probs.copy()
+    probs[128] -= 1e-4
+    probs[127] += 1e-4
+    return PhotonMixture(probs)
+
+
 def fock_mixture(n: int) -> PhotonMixture:
     probs = np.zeros(n + 1)
     probs[n] = 1.0

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import digamma, eval_genlaguerre, gammaln, roots_genlaguerre
 
-from conftest import TINY_TOP_MIXTURES, fock_mixture
+from conftest import OUTER_DIP, TINY_TOP_MIXTURES, fock_mixture, outer_dip_mixture
 from wigentropy.beamsplitter import fock_oracle_sigma, grid_from_mixture
 from wigentropy.entropy import (
     MIN_WIGNER_ENTROPY,
@@ -55,6 +55,11 @@ class TestRadialEntropy:
         assert wigner_entropy_radial(VACUUM) == pytest.approx(
             MIN_WIGNER_ENTROPY, abs=1e-10
         )
+
+    @pytest.mark.xfail(raises=pytest.fail.Exception, strict=True, reason=OUTER_DIP)
+    def test_refuses_dip_beyond_search_range(self):
+        with pytest.raises(NotWignerPositiveError):
+            wigner_entropy_radial(outer_dip_mixture())
 
     def test_sigma_b_equals_wehrl_of_one_photon(self):
         assert wigner_entropy_radial(SIGMA_B) == pytest.approx(WEHRL_FOCK_1, abs=1e-9)
@@ -181,7 +186,7 @@ class TestGridEntropy:
         values = inside / (inside.sum() * h * h)
         from wigentropy.beamsplitter import WignerGrid
 
-        grid = WignerGrid(values, extent, resolution)
+        grid = WignerGrid(values, extent)
         assert wigner_entropy_grid(grid) == pytest.approx(
             math.log(math.pi * radius**2), abs=1e-2
         )
@@ -192,7 +197,7 @@ class TestGridEntropy:
         values[0, 0] -= 1e-6
         from wigentropy.beamsplitter import WignerGrid
 
-        bad = WignerGrid(values, 8.0, 128)
+        bad = WignerGrid(values, 8.0)
         with pytest.raises(NegativeGridError):
             wigner_entropy_grid(bad)
 

@@ -185,6 +185,13 @@ class TestOtherEntropies:
             LN_PI_PLUS_1, rel=1e-13
         )
 
+    def test_wehrl_is_wigner_entropy_of_husimi_gaussian(self, rng):
+        # the Husimi function is the Gaussian of covariance (cov + I/2)/2
+        for _ in range(200):
+            state = apply_symplectic(thermal(rng.uniform(0.0, 3.0)), random_symplectic(rng))
+            husimi = GaussianState(state.mean, 0.5 * state.cov + 0.25 * np.eye(2))
+            assert gaussian_wehrl_entropy(state) == gaussian_wigner_entropy(husimi)
+
     def test_wehrl_matches_mixture_route_for_thermal(self):
         from wigentropy.entropy import wehrl_entropy
         from wigentropy.mixtures import thermal_mixture

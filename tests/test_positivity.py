@@ -7,7 +7,10 @@ from numpy.polynomial.laguerre import lagval
 from scipy.special import eval_genlaguerre, eval_laguerre
 
 from conftest import (
+    OUTER_DIP,
     bitwise_corpus,
+    fock_mixture,
+    outer_dip_mixture,
     reference_positivity_report,
     reference_radial_wigner,
 )
@@ -104,16 +107,15 @@ class TestRadialWigner:
         assert radial_wigner(SIGMA_B, 0.0) == pytest.approx(0.0, abs=1e-15)
 
     def test_matches_fock_wigner(self):
-        from wigentropy.fock import wigner_fock
+        from wigentropy.fock import N_MAX, wigner_fock
 
-        for n in range(6):
-            probs = np.zeros(n + 1)
-            probs[n] = 1.0
-            p = PhotonMixture(probs)
+        # on the axis 2 (r**2 + 0**2) rounds as 2 r r, and the one-hot dot is exact
+        radii = np.linspace(0.0, 12.0, 401)
+        for n in range(N_MAX + 1):
+            p = fock_mixture(n)
+            assert np.array_equal(radial_wigner(p, radii), wigner_fock(n, radii, 0.0))
             for r in [0.0, 0.7, 1.3, 2.9]:
-                assert radial_wigner(p, r) == pytest.approx(
-                    wigner_fock(n, r, 0.0), rel=1e-12, abs=1e-15
-                )
+                assert radial_wigner(p, r) == wigner_fock(n, r, 0.0)
 
     def test_flat_facet_states_vanish_at_origin(self, rng):
         # any mixture whose even-photon mass is exactly 1/2 has W(0) = 0
@@ -164,6 +166,10 @@ class TestPositivityReport:
         assert not report.is_positive
         assert report.min_value == pytest.approx(-1.0 / math.pi, rel=1e-12)
         assert report.argmin_r == pytest.approx(0.0, abs=1e-9)
+
+    @pytest.mark.xfail(raises=AssertionError, strict=True, reason=OUTER_DIP)
+    def test_dip_beyond_search_range_is_negative(self):
+        assert not positivity_report(outer_dip_mixture()).is_positive
 
     def test_passive_states_are_positive(self, rng):
         for _ in range(100):
