@@ -26,9 +26,11 @@ normalization tolerance.
 
 Fock-diagonal inputs cross the splitter exactly in the Fock basis: on the
 N-photon subspace it is a spin-N/2 rotation, so each output photon
-distribution is a column of the squared Wigner d-matrix |d^{N/2}|**2, from
-the eigenvectors of the real tridiagonal J_x.  Totals above fock.N_MAX
-raise TruncationError.
+distribution is a column of the squared Wigner d-matrix |d^{N/2}|**2
+(Campos, Saleh & Teich, PRA 40, 1371 (1989)).  One sweep builds the real
+amplitudes of every total from those of the total below, by Risbo's
+two-sided recursion (J. Geodesy 70, 383 (1996)), keeping only the columns
+the inputs weight.  Totals above fock.N_MAX raise TruncationError.
 """
 
 from __future__ import annotations
@@ -340,24 +342,27 @@ def husimi_phase_invariant(p: PhotonMixture, r):
     return float(values[0]) if scalar else values.reshape(r.shape)
 
 
-def _split_probabilities(total: int, eta: float) -> np.ndarray:
-    """P[k, a] = |d^{total/2}_{ka}(beta)|**2 with cos(beta/2)**2 = eta.
+def _amplitude_step(prev: np.ndarray, n: int, lo: int, hi: int,
+                    u: float, v: float) -> np.ndarray:
+    """A^n[k, a] = <k, n-k| U |a, n-a> for k <= n and lo <= a <= hi, from A^(n-1).
 
-    On the total-photon subspace, basis |a, total - a>, the splitter is the
-    spin-total/2 rotation exp(-i beta J_y), so column a is the mode-A photon
-    distribution of the input |a, total - a> (Campos, Saleh & Teich, PRA 40,
-    1371 (1989)).  d = V exp(-i beta Lambda) V^H from eigh of the tridiagonal
-    J_y stays accurate at any total (Feng, Wang, Yang & Jin, PRE 92, 043307
-    (2015)).  J_y = D J_x D^H with D = diag((-i)**a) leaves |d| unchanged, so
-    the real symmetric J_x is diagonalized instead.
+    ``prev`` holds the columns of the level below from max(lo - 1, 0); the
+    rest enter as 0.  |a, n-a> = (sqrt(a) a+ |a-1, n-a> + sqrt(n-a) b+
+    |a, n-a-1>) / n under a+ -> u a+ - v b+, b+ -> v a+ + u b+ gives Risbo's
+    two-sided recursion (J. Geodesy 70, 383 (1996)) in boson form; a+ alone
+    would amplify roundoff to 8e20 by n = 256 at eta = 1/2.
     """
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError("transmittance must lie in [0, 1]")
-    a = np.arange(1, total + 1)
-    ladder = 0.5 * np.sqrt(a * (total + 1.0 - a))  # <a-1| J_x |a>
-    lam, v = np.linalg.eigh(np.diag(ladder, 1) + np.diag(ladder, -1))
-    d = (v * np.exp(-2j * math.acos(math.sqrt(eta)) * lam)) @ v.T
-    return d.real ** 2 + d.imag ** 2
+    width = hi - lo + 1
+    padded = np.zeros((n + 2, width + 1))  # rows k = -1..n, columns a = lo-1..hi
+    first = int(lo == 0)
+    padded[1:n + 1, first:first + prev.shape[1]] = prev
+    up, down = padded[:-1], padded[1:]  # A[k-1, .] and A[k, .] for k = 0..n
+    k = np.arange(n + 1.0)[:, None]
+    sk, snk = np.sqrt(k), np.sqrt(n - k)
+    a = np.arange(lo, hi + 1.0)
+    via_a = u * sk * up - v * snk * down  # the image of a+, read at column a - 1
+    via_b = v * sk * up + u * snk * down  # the image of b+, read at column a
+    return (np.sqrt(a) * via_a[:, :width] + np.sqrt(n - a) * via_b[:, 1:]) / n
 
 
 def fock_oracle_sigma(m: int, n: int, eta: float) -> PhotonMixture:
@@ -365,8 +370,8 @@ def fock_oracle_sigma(m: int, n: int, eta: float) -> PhotonMixture:
 
     The modes evolve as a+ -> sqrt(eta) a+ - sqrt(1-eta) b+ and
     b+ -> sqrt(1-eta) a+ + sqrt(eta) b+, and mode B is traced out: the mix
-    of the Fock states |m> and |n>, column m of the split probabilities for
-    m + n photons.  The sign convention is pinned by eta -> 1 sending the
+    of the Fock states |m> and |n>, the squared column m of the amplitudes
+    for m + n photons.  The sign convention is pinned by eta -> 1 sending the
     first input to the surviving mode.
     """
     if m < 0 or n < 0:
@@ -382,21 +387,29 @@ def mix_through_beamsplitter(pa: PhotonMixture, pb: PhotonMixture,
     """Output mixture for Fock-diagonal inputs at arbitrary transmittance.
 
     The channel is linear and conserves the photon total, so the output is
-    sum over totals N of the split probabilities for N photons applied to
-    the anti-diagonal weights pa[a] pb[N - a]; this is exact for
-    phase-invariant inputs at any eta, not just 1/2.  Totals whose weights
-    are all zero are skipped, so a pure Fock pair costs one eigh.  The
-    final roundoff renormalization refuses deviations beyond 1e-9.
+    sum over totals N of the squared amplitudes A^N[k, a]**2 applied to the
+    anti-diagonal weights pa[a] pb[N - a]; this is exact for phase-invariant
+    inputs at any eta, not just 1/2.  A^N comes from A^(N-1) by
+    _amplitude_step, for the columns a those weights index, so the sweep
+    costs O(total**2 * min(len(pa), len(pb))).  The final roundoff
+    renormalization refuses deviations beyond 1e-9.
     """
+    if not 0.0 <= eta <= 1.0:
+        raise ValueError("transmittance must lie in [0, 1]")
     total = len(pa) + len(pb) - 2
     if total > N_MAX:
         raise TruncationError(f"total photon number {total} exceeds fock.N_MAX = {N_MAX}")
+    u, v = math.sqrt(eta), math.sqrt(1.0 - eta)
     acc = np.zeros(total + 1)
+    amplitudes = np.ones((1, 1))
     for n in range(total + 1):
-        a = np.arange(max(0, n + 1 - len(pb)), min(n, len(pa) - 1) + 1)
+        lo, hi = max(0, n + 1 - len(pb)), min(n, len(pa) - 1)
+        if n:
+            amplitudes = _amplitude_step(amplitudes, n, lo, hi, u, v)
+        a = np.arange(lo, hi + 1)
         weights = pa.probs[a] * pb.probs[n - a]
         if weights.any():
-            acc[: n + 1] += _split_probabilities(n, eta)[:, a] @ weights
+            acc[: n + 1] += amplitudes ** 2 @ weights
     mass = math.fsum(acc.tolist())
     if abs(mass - 1.0) > 1e-9:
         raise ValueError(f"channel output mass {mass!r} is too far from 1")

@@ -1,8 +1,9 @@
 """Shared fixtures and independent oracles for the test suite.
 
 The oracles here deliberately avoid the code paths they check: exact
-rational combinatorics for the beam-splitter coefficients, scipy special
-functions for polynomials, and brute-force summation for integrals.  The
+rational combinatorics and an eigh-built d-matrix for the beam-splitter
+coefficients, scipy special functions for polynomials, and brute-force
+summation for integrals.  The
 positivity references are the exception: they pin the package's numbers
 bit for bit to a formulation through numpy.polynomial's Laguerre routines.
 """
@@ -72,6 +73,26 @@ def exact_split_probs(m: int, n: int, eta: Fraction) -> list[Fraction]:
         out.append(Fraction(num, scale))
     return out
 
+
+
+def reference_split_probabilities(total: int, eta: float) -> np.ndarray:
+    """P[k, a] = |d^{total/2}_{ka}(beta)|**2 with cos(beta/2)**2 = eta.
+
+    On the total-photon subspace, basis |a, total - a>, the splitter is the
+    spin-total/2 rotation exp(-i beta J_y), so column a is the mode-A photon
+    distribution of the input |a, total - a> (Campos, Saleh & Teich, PRA 40,
+    1371 (1989)).  d = V exp(-i beta Lambda) V^H from eigh of the tridiagonal
+    J_y stays accurate at any total (Feng, Wang, Yang & Jin, PRE 92, 043307
+    (2015)).  J_y = D J_x D^H with D = diag((-i)**a) leaves |d| unchanged, so
+    the real symmetric J_x is diagonalized instead.
+    """
+    if not 0.0 <= eta <= 1.0:
+        raise ValueError("transmittance must lie in [0, 1]")
+    a = np.arange(1, total + 1)
+    ladder = 0.5 * np.sqrt(a * (total + 1.0 - a))  # <a-1| J_x |a>
+    lam, v = np.linalg.eigh(np.diag(ladder, 1) + np.diag(ladder, -1))
+    d = (v * np.exp(-2j * math.acos(math.sqrt(eta)) * lam)) @ v.T
+    return d.real ** 2 + d.imag ** 2
 
 #: reason of the strict xfails that pin ROADMAP item 15's wrong decision
 OUTER_DIP = ("ROADMAP item 15: positivity_report searches t < 2 scan_radius**2 only, "
