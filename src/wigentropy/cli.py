@@ -82,26 +82,44 @@ def _write_csv(lines: list[str], out_path) -> None:
     output = "\n".join(lines) + "\n"
     if out_path is None:
         click.echo(output, nl=False)
-    else:
+        return
+    try:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(output)
+    except OSError as exc:
+        click.echo(f"error: cannot write {out_path}: {exc.strerror or exc}", err=True)
+        sys.exit(1)
+
+
+def _numbers(value, length: int = 0) -> bool:
+    """Whether value is a non-empty JSON list of numbers, not booleans, of that length (0: any)."""
+    return (isinstance(value, list) and len(value) > 0 and length in (0, len(value))
+            and all(type(x) in (int, float) for x in value))
 
 
 def load_state(path: str):
-    """Parse a state file into a PhotonMixture or GaussianState."""
+    """Parse a state file into a PhotonMixture or GaussianState.
+
+    The numbers must come in the documented shapes: no strings, booleans or
+    flattened matrices.
+    """
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):
         raise ValueError("state file must hold a JSON object")
     keys = {"fock_probs", "gaussian"} & set(doc)
     if len(keys) != 1:
-        raise ValueError(
-            "state file must contain exactly one of 'fock_probs' or 'gaussian'"
-        )
+        raise ValueError("state file must contain exactly one of 'fock_probs' or 'gaussian'")
     if "fock_probs" in doc:
+        if not _numbers(doc["fock_probs"]):
+            raise ValueError("'fock_probs' must be a non-empty list of numbers")
         return PhotonMixture(doc["fock_probs"])
-    spec = doc["gaussian"]
-    return GaussianState(spec["mean"], spec["cov"])
+    mean, cov = doc["gaussian"]["mean"], doc["gaussian"]["cov"]
+    if not (_numbers(mean, 2) and isinstance(cov, list) and len(cov) == 2
+            and all(_numbers(row, 2) for row in cov)):
+        raise ValueError("'gaussian' must hold 'mean' as 2 numbers and 'cov' as a "
+                         "2x2 list of lists of numbers")
+    return GaussianState(mean, cov)
 
 
 @click.group()
@@ -116,7 +134,7 @@ def main():
               help="Also report the order-ALPHA entropy (repeatable).")
 @click.option("--quad-tol", type=TOLERANCE, default=1e-10, show_default=True,
               help="Absolute quadrature tolerance.")
-@click.option("--out", "out_path", type=click.Path(), default=None,
+@click.option("--out", "out_path", type=click.Path(dir_okay=False), default=None,
               help="Also write the report as a key,value CSV.")
 def cmd_entropy(state_file, renyi_orders, quad_tol, out_path):
     """Entropy report for one state file.
@@ -143,11 +161,8 @@ def cmd_entropy(state_file, renyi_orders, quad_tol, out_path):
                      else wehrl_entropy(state, spec)))
         rows.append(("purity", state.purity))
     except NotWignerPositiveError as exc:
-        click.echo(
-            "error: state is not Wigner positive: "
-            f"min W = {_fmt(exc.min_value)} at r = {_fmt(exc.argmin_r)}",
-            err=True,
-        )
+        click.echo(f"error: state is not Wigner positive: min W = {_fmt(exc.min_value)} "
+                   f"at r = {_fmt(exc.argmin_r)}", err=True)
         sys.exit(EXIT_NOT_POSITIVE)
     except WigentropyError as exc:
         click.echo(f"error: {exc}", err=True)
@@ -167,11 +182,11 @@ def _sigma_cell(args: tuple[int, int, QuadratureSpec]) -> tuple[int, int, float]
 
 
 @main.command("sigma-table")
-@click.option("--max", "max_photons", type=int, default=10, show_default=True,
+@click.option("--max", "max_photons", type=click.IntRange(0, 30), default=10, show_default=True,
               help="Largest photon number per input arm (guard: 30, which bounds "
                    "run time, not accuracy).")
 @click.option("--quad-tol", type=TOLERANCE, default=1e-10, show_default=True)
-@click.option("--out", "out_path", type=click.Path(), default=None,
+@click.option("--out", "out_path", type=click.Path(dir_okay=False), default=None,
               help="CSV destination (default: stdout).")
 def cmd_sigma_table(max_photons, quad_tol, out_path):
     """Wigner entropies of the beam-splitter states over a photon-number grid.
@@ -182,8 +197,6 @@ def cmd_sigma_table(max_photons, quad_tol, out_path):
     The cells run on one worker process per usable core (CPU affinity),
     or in-process on one core.
     """
-    if not 0 <= max_photons <= 30:
-        raise click.BadParameter("--max must lie in 0..30")
     spec = _quadrature(quad_tol)
     cells = [(m, n, spec) for m in range(max_photons + 1)
              for n in range(m, max_photons + 1)]
@@ -194,10 +207,7 @@ def cmd_sigma_table(max_photons, quad_tol, out_path):
     else:
         results = [_sigma_cell(cell) for cell in cells]
 
-    table = {}
-    for m, n, value in results:
-        table[(m, n)] = value
-        table[(n, m)] = value
+    table = {key: value for m, n, value in results for key in ((m, n), (n, m))}
 
     lines = [_header(quad_tol), "m,n,entropy"]
     for m in range(max_photons + 1):
@@ -231,9 +241,9 @@ def cmd_sigma_table(max_photons, quad_tol, out_path):
 
 
 @main.command("region2")
-@click.option("--samples", type=int, default=128, show_default=True,
+@click.option("--samples", type=click.IntRange(min=16), default=128, show_default=True,
               help="Points per family (minimum 16).")
-@click.option("--out", "out_path", type=click.Path(), default=None,
+@click.option("--out", "out_path", type=click.Path(dir_okay=False), default=None,
               help="CSV destination (default: stdout).")
 def cmd_region2(samples, out_path):
     """Boundary data of the two-photon Wigner-positive region.
@@ -242,8 +252,6 @@ def cmd_region2(samples, out_path):
     each state), the flat facet p1 = 1/2, and the family of lines
     W(r) = 0 whose envelope is the boundary ellipse.
     """
-    if samples < 16:
-        raise click.BadParameter("--samples must be at least 16")
     from .positivity import extremal_arc_point
 
     lines = [_header(0.0),

@@ -8,12 +8,13 @@ so positivity is a one-dimensional question.  With t = 2 r**2,
 pi W = exp(-t/2) P(t) for the alternating Laguerre series P, and W is
 stationary exactly at r = 0 and at the real roots of Q = P' - P/2.  In the
 Laguerre basis dL_k/dt = -(L_0 + ... + L_{k-1}), so Q's coefficients are
--s_k/2 minus the suffix sum s_{k+1} + ... + s_n of P's coefficients s.  The
-extrema are therefore the values of W at Q's roots (eigenvalues of the
-Laguerre comrade matrix) and at both ends of the search range, evaluated
-in one call; there is no grid for a narrow dip to slip through.  The
-module also detects tangency with zero (the signature of extremal states)
-and carries the exact closed-form description of the positive region for
+-s_k/2 minus the suffix sum s_{k+1} + ... + s_n of P's coefficients s.  A
+positivity report is W at its candidates: r = 0, Q's roots (eigenvalues of
+the Laguerre comrade matrix) and the tail end of the search range,
+evaluated in one call; there is no grid for a narrow dip to slip through.
+The extrema, and the one touch rule that detects tangency with zero (the
+signature of extremal states), are read from those values.  The module
+also carries the exact closed-form description of the positive region for
 mixtures of up to two photons.
 """
 
@@ -59,27 +60,42 @@ _TRIM_TOL = 1e-300
 
 @dataclass(frozen=True)
 class PositivityReport:
-    """Global extrema of the radial Wigner function over [0, scan_radius]."""
+    """W at its candidates, r = 0, the stationary radii and the tail end
+    scan_radius, with the global extrema over them; ties go to the smaller
+    radius."""
 
-    is_positive: bool
-    min_value: float
-    argmin_r: float
-    touches_zero: bool
-    max_value: float
-    argmax_r: float
-    #: (radii, W) at the candidates from r = 0 to scan_radius, or () if unknown
-    candidates: tuple = field(default=(), compare=False, repr=False)
+    #: (radii, W), the radii ascending from 0 to the tail end
+    candidates: tuple = field(compare=False, repr=False)
+    is_positive: bool = field(init=False)
+    min_value: float = field(init=False)
+    argmin_r: float = field(init=False)
+    max_value: float = field(init=False)
+    argmax_r: float = field(init=False)
+
+    def __post_init__(self):
+        rs, ws = self.candidates
+        i_min, i_max = int(ws.argmin()), int(ws.argmax())
+        fix = object.__setattr__  # the dataclass is frozen
+        fix(self, "min_value", float(ws[i_min]))
+        fix(self, "is_positive", self.min_value >= -EPS_POS)
+        fix(self, "argmin_r", float(rs[i_min]))
+        fix(self, "max_value", float(ws[i_max]))
+        fix(self, "argmax_r", float(rs[i_max]))
 
     @property
     def touches(self) -> np.ndarray:
         """u = r**2 at the touches, the interior candidates with |W| <= EPS_POS no
-        larger than either neighbour: W's double roots, simple roots of Q.
-        Empty when the candidates are unknown."""
-        if not self.candidates:
-            return np.empty(0)
+        larger than either neighbour: W's double roots, simple roots of Q."""
         rs, ws = self.candidates
         mid = ws[1:-1]
         return rs[1:-1][(np.abs(mid) <= EPS_POS) & (mid <= ws[:-2]) & (mid <= ws[2:])] ** 2
+
+    @property
+    def touches_zero(self) -> bool:
+        """Positive, with a touch or |W(0)| <= EPS_POS.  A zero at the tail end
+        is the decay every state shares, not a touch."""
+        ws = self.candidates[1]
+        return self.is_positive and bool(abs(ws[0]) <= EPS_POS or self.touches.size)
 
 
 def _signed_coeffs(p: PhotonMixture) -> np.ndarray:
@@ -129,15 +145,13 @@ def scan_radius(p: PhotonMixture) -> float:
 
 
 def positivity_report(p: PhotonMixture) -> PositivityReport:
-    """Global minimum and maximum of W(r) over [0, scan_radius].
+    """W(r) at the candidates of [0, scan_radius], as a PositivityReport.
 
     The candidates are r = 0, the radii of the real parts of the roots of
     Q = P' - P/2 inside the range, and r = scan_radius; W is evaluated
-    once on all of them.  Ties go to the smaller radius.  Real parts of
-    complex roots only add candidates, so a double root that roundoff
-    splits into a near-real pair is still found.  ``touches_zero`` is set
-    only for minima attained strictly inside the range: the vacuum's
-    infimum 0 at r -> infinity is a tail, not a touch.
+    once on all of them, and the report reads its extrema and touches from
+    those values.  Real parts of complex roots only add candidates, so a
+    double root that roundoff splits into a near-real pair is still found.
     """
     r_max = scan_radius(p)
     signed = _signed_coeffs(p)
@@ -151,15 +165,7 @@ def positivity_report(p: PhotonMixture) -> PositivityReport:
     # radial_wigner's dot product can change its last bit
     ts = np.concatenate((ts[:1], ts[1:][ts[1:] != ts[:-1]]))
     rs = np.concatenate(([0.0], np.sqrt(0.5 * ts), [r_max]))
-    ws = radial_wigner(p, rs)
-    i_min, i_max = int(ws.argmin()), int(ws.argmax())
-    best_w = float(ws[i_min])
-    positive = best_w >= -EPS_POS
-    # the right endpoint is a candidate for the minimum, but a zero there
-    # is a decaying tail, not a touch
-    touches_zero = bool(positive and abs(best_w) <= EPS_POS and i_min < len(rs) - 1)
-    report = PositivityReport(positive, best_w, float(rs[i_min]), touches_zero,
-                              float(ws[i_max]), float(rs[i_max]), (rs, ws))
+    report = PositivityReport((rs, radial_wigner(p, rs)))
     if _log.isEnabledFor(logging.DEBUG):
         _log.debug("%d stationary points in (0, %.6g), %d touches: min W %.6e at r = %.6g, "
                    "max W %.6e at r = %.6g", len(ts), r_max, len(report.touches),
@@ -228,6 +234,4 @@ def extremal_arc_wigner(a: float, r: float) -> float:
     if not r >= 0:
         raise ValueError("radius must be non-negative")
     shift = math.sqrt((1.0 - a) / (1.0 + a))
-    return (
-        math.exp(-r * r) * 0.5 * (a + 1.0) * (r * r - 1.0 + shift) ** 2 / math.pi
-    )
+    return math.exp(-r * r) * 0.5 * (a + 1.0) * (r * r - 1.0 + shift) ** 2 / math.pi

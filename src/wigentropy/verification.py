@@ -113,14 +113,9 @@ def suite_sigma_oracle(rng, spec) -> SuiteResult:
     worst = max(float(np.max(np.abs(mixtures.sigma_coefficients(m, n).coeffs.probs
                                      - beamsplitter.fock_oracle_sigma(m, n, 0.5).probs)))
                 for m, n in pairs)
-    anchors = (
-        np.allclose(mixtures.sigma_coefficients(1, 0).coeffs.probs, [0.5, 0.5],
-                    rtol=0, atol=1e-15)
-        and np.allclose(mixtures.sigma_coefficients(1, 1).coeffs.probs,
-                        [0.5, 0.0, 0.5], rtol=0, atol=1e-15)
-        and np.allclose(mixtures.sigma_coefficients(2, 0).coeffs.probs,
-                        [0.25, 0.5, 0.25], rtol=0, atol=1e-15)
-    )
+    exact = {(1, 0): [0.5, 0.5], (1, 1): [0.5, 0.0, 0.5], (2, 0): [0.25, 0.5, 0.25]}
+    anchors = all(np.allclose(mixtures.sigma_coefficients(m, n).coeffs.probs, probs,
+                              rtol=0, atol=1e-15) for (m, n), probs in exact.items())
     passed = worst <= 1e-12 and anchors
     return SuiteResult(
         "sigma-oracle", passed,
@@ -200,23 +195,17 @@ def suite_region2(rng, spec) -> SuiteResult:
         state = positivity.two_photon_mixture(float(p1), float(p2))
         report = positivity.positivity_report(state)
         # ambiguous only when an *interior* minimum sits within the band;
-        # a minimum at the last candidate, r = scan_radius, is the tail that
-        # decays to zero for every positive state: no boundary information
-        interior = report.argmin_r < positivity.scan_radius(state) * (1.0 - 1e-9)
-        if interior and abs(report.min_value) <= band_width:
+        # a minimum at the last candidate, the tail end, is the decay to zero
+        # every positive state shares: no boundary information
+        if report.argmin_r < report.candidates[0][-1] and abs(report.min_value) <= band_width:
             band += 1
             continue
         if positivity.two_photon_region_contains(float(p1), float(p2)) != report.is_positive:
             disagreements += 1
-    arc = np.linspace(0.0, 1.0, 11)
-    arc_ok = True
-    ellipse_worst = 0.0
-    for a in arc:
-        p1, p2 = positivity.extremal_arc_point(float(a))
-        report = positivity.positivity_report(positivity.two_photon_mixture(p1, p2))
-        arc_ok = arc_ok and report.touches_zero and abs(report.min_value) <= 1e-9
-        ellipse = (p1 / 0.5) ** 2 + ((p2 - 0.25) / 0.25) ** 2
-        ellipse_worst = max(ellipse_worst, abs(ellipse - 1.0))
+    arc = [positivity.extremal_arc_point(float(a)) for a in np.linspace(0.0, 1.0, 11)]
+    reports = [positivity.positivity_report(positivity.two_photon_mixture(*pt)) for pt in arc]
+    arc_ok = all(r.touches_zero and abs(r.min_value) <= 1e-9 for r in reports)
+    ellipse_worst = max(abs((p1 / 0.5) ** 2 + ((p2 - 0.25) / 0.25) ** 2 - 1.0) for p1, p2 in arc)
     passed = disagreements == 0 and arc_ok and ellipse_worst <= 1e-12
     return SuiteResult(
         "region2", passed,
@@ -238,51 +227,32 @@ def suite_conjecture_scan(rng, spec) -> SuiteResult:
     A violation would be a counterexample to the conjectured bound and is
     reported loudly.
     """
-    bound = entropy.MIN_WIGNER_ENTROPY
-    violations: list[str] = []
-    lowest = math.inf
-    lowest_label = ""
-    scanned = 0
-
-    def record(label: str, value: float):
-        nonlocal lowest, lowest_label, scanned
-        scanned += 1
-        if value < lowest:
-            lowest, lowest_label = value, label
-        if value < bound - 1e-7:
-            violations.append(f"COUNTEREXAMPLE CANDIDATE {label}: h(W) = {value!r}")
-
-    for m in range(11):
-        for n in range(m, 11):
-            h = entropy.wigner_entropy_radial(
-                mixtures.sigma_coefficients(m, n).coeffs, spec
-            )
-            record(f"sigma({m},{n})", h)
-    for k in range(30):
-        state = _random_passive(rng, 20)
-        record(f"passive#{k}", entropy.wigner_entropy_radial(state, spec))
+    h = entropy.wigner_entropy_radial
+    scanned = [(f"sigma({m},{n})", h(mixtures.sigma_coefficients(m, n).coeffs, spec))
+               for m in range(11) for n in range(m, 11)]
+    scanned += [(f"passive#{k}", h(_random_passive(rng, 20), spec)) for k in range(30)]
     for a in np.linspace(0.0, 1.0, 11):
-        p1, p2 = positivity.extremal_arc_point(float(a))
-        state = positivity.two_photon_mixture(p1, p2)
-        record(f"arc(a={a:.1f})", entropy.wigner_entropy_radial(state, spec))
+        state = positivity.two_photon_mixture(*positivity.extremal_arc_point(float(a)))
+        scanned.append((f"arc(a={a:.1f})", h(state, spec)))
     for k, (p1, p2) in enumerate(_triangle_samples(256)):
         if positivity.two_photon_region_contains(float(p1), float(p2)):
             state = positivity.two_photon_mixture(float(p1), float(p2))
             if positivity.positivity_report(state).is_positive:
-                record(f"two-photon#{k}", entropy.wigner_entropy_radial(state, spec))
-    for k, state in enumerate(_random_wigner_positive(rng, 6, 40)):
-        record(f"rejection#{k}", entropy.wigner_entropy_radial(state, spec))
+                scanned.append((f"two-photon#{k}", h(state, spec)))
+    scanned += [(f"rejection#{k}", h(state, spec))
+                for k, state in enumerate(_random_wigner_positive(rng, 6, 40))]
 
+    bound = entropy.MIN_WIGNER_ENTROPY
+    lowest_label, lowest = min(scanned, key=lambda entry: entry[1])
+    violations = [f"COUNTEREXAMPLE CANDIDATE {label}: h(W) = {value!r}"
+                  for label, value in scanned if value < bound - 1e-7]
     passed = not violations
-    lines = [
-        f"states scanned, all with h(W) >= ln(pi) + 1 - 1e-7: {passed}",
-        f"lowest entropy seen: {lowest:.9f} at {lowest_label} "
-        f"(bound {bound:.9f})",
-    ]
-    lines.extend(violations)
+    lines = [f"states scanned, all with h(W) >= ln(pi) + 1 - 1e-7: {passed}",
+             f"lowest entropy seen: {lowest:.9f} at {lowest_label} (bound {bound:.9f})",
+             *violations]
     return SuiteResult("conjecture-scan", passed, lines,
                        {"lowest_entropy": lowest, "violations": len(violations),
-                        "inputs": scanned})
+                        "inputs": len(scanned)})
 
 
 SUITES = {

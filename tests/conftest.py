@@ -130,20 +130,23 @@ def reference_positivity_report(p: PhotonMixture) -> PositivityReport:
 
     ``lagder``, ``lagsub``, ``lagtrim``, ``lagroots`` and ``np.unique`` do
     the floating-point operations of the package's direct formulation in
-    the same order, so the two reports must be equal, not just close.
+    the same order, so the candidates, and with them the reports, must be
+    equal, not just close.
     """
     r_max = scan_radius(p)
     signed = reference_signed_coeffs(p)
     ts = lagroots(lagtrim(lagsub(lagder(signed), 0.5 * signed), 1e-300)).real
     ts = np.unique(ts[(ts > 0.0) & (ts < 2.0 * r_max * r_max)])
     rs = np.concatenate(([0.0], np.sqrt(0.5 * ts), [r_max]))
-    ws = reference_radial_wigner(p, rs)
-    i_min, i_max = int(np.argmin(ws)), int(np.argmax(ws))
-    best_w = float(ws[i_min])
-    positive = best_w >= -EPS_POS
-    touches = bool(positive and abs(best_w) <= EPS_POS and i_min < len(rs) - 1)
-    return PositivityReport(positive, best_w, float(rs[i_min]), touches,
-                            float(ws[i_max]), float(rs[i_max]))
+    return PositivityReport((rs, reference_radial_wigner(p, rs)))
+
+
+def reference_touches_zero(report: PositivityReport) -> bool:
+    """The touch rule read from the minimum alone: |min W| <= EPS_POS, attained
+    before the last candidate, the tail end."""
+    ws = report.candidates[1]
+    i_min = int(np.argmin(ws))
+    return bool(abs(ws[i_min]) <= EPS_POS and i_min < len(ws) - 1)
 
 
 #: mixtures with a subnormal or near-underflow top probability

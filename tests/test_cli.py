@@ -56,16 +56,12 @@ class TestEntropyCommand:
         assert report["h_wigner"] == pytest.approx(expected, abs=1e-6)
 
     def test_gaussian_state(self, runner, tmp_path):
-        path = write_state(
-            tmp_path, "g.json",
-            {"gaussian": {"mean": [0, 0], "cov": [[1.5, 0], [0, 1.5]]}},
-        )
+        doc = {"gaussian": {"mean": [0, 0], "cov": [[1.5, 0], [0, 1.5]]}}
+        path = write_state(tmp_path, "g.json", doc)
         result = runner.invoke(main, ["entropy", path])
         assert result.exit_code == 0
         report = parse_report(result.output)
-        assert report["h_wigner"] == pytest.approx(
-            math.log(3 * math.pi) + 1.0, abs=1e-12
-        )
+        assert report["h_wigner"] == pytest.approx(math.log(3 * math.pi) + 1.0, abs=1e-12)
         assert report["purity"] == pytest.approx(1 / 3, abs=1e-12)
 
     def test_wigner_negative_state_exits_3(self, runner, tmp_path):
@@ -109,10 +105,8 @@ class TestEntropyCommand:
         assert result.exit_code == 2
 
     def test_both_variants_rejected(self, runner, tmp_path):
-        path = write_state(
-            tmp_path, "both.json",
-            {"fock_probs": [1.0], "gaussian": {"mean": [0, 0], "cov": [[0.5, 0], [0, 0.5]]}},
-        )
+        doc = {"fock_probs": [1.0], "gaussian": {"mean": [0, 0], "cov": [[0.5, 0], [0, 0.5]]}}
+        path = write_state(tmp_path, "both.json", doc)
         result = runner.invoke(main, ["entropy", path])
         assert result.exit_code == 2
 
@@ -136,6 +130,30 @@ class TestEntropyCommand:
         assert result.exit_code == 2
         assert "cannot parse state file" in result.output
         assert result.exception is None or isinstance(result.exception, SystemExit)
+
+    # numpy would read each of these as some state
+    @pytest.mark.parametrize("doc", [
+        {"fock_probs": "1"}, {"fock_probs": []}, {"fock_probs": [True]},
+        {"fock_probs": ["0.5", "0.5"]}, {"fock_probs": [[0.5], [0.5]]},
+        {"gaussian": {"mean": ["0", 0], "cov": [[0.5, 0.0], [0.0, 0.5]]}},
+        {"gaussian": {"mean": [0, 0, 0], "cov": [[0.5, 0.0], [0.0, 0.5]]}},
+        {"gaussian": {"mean": [0, 0], "cov": [[0.5, "0"], [0.0, 0.5]]}},
+        {"gaussian": {"mean": [0, 0], "cov": [0.5, 0.0, 0.0, 0.5]}},
+    ], ids=["str", "empty", "bool", "strs", "nested", "mean-str", "mean-3", "cov-str", "cov-flat"])
+    def test_numbers_outside_documented_shapes_exit_2(self, runner, tmp_path, doc):
+        result = runner.invoke(main, ["entropy", write_state(tmp_path, "bad.json", doc)])
+        assert result.exit_code == 2
+        assert result.output.startswith("error: cannot parse state file: ")
+        assert "h_wigner" not in result.output
+
+    def test_unwritable_out_is_one_line_error(self, runner, tmp_path):
+        path = write_state(tmp_path, "vac.json", {"fock_probs": [1.0]})
+        out = tmp_path / "missing" / "report.csv"
+        result = runner.invoke(main, ["entropy", path, "--out", str(out)])
+        assert result.exit_code == 1
+        assert result.output.splitlines()[-1] == (
+            f"error: cannot write {out}: No such file or directory")
+        assert isinstance(result.exception, SystemExit)
 
 
 @pytest.fixture
@@ -171,9 +189,7 @@ class TestSigmaTableCommand:
     def test_deterministic_output(self, runner, tmp_path, in_process):
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
         for out in (out1, out2):
-            result = runner.invoke(
-                main, ["sigma-table", "--max", "2", "--out", str(out)]
-            )
+            result = runner.invoke(main, ["sigma-table", "--max", "2", "--out", str(out)])
             assert result.exit_code == 0
         assert out1.read_bytes() == out2.read_bytes()
 
@@ -198,6 +214,14 @@ class TestSigmaTableCommand:
         for top in ("1", "0"):
             assert runner.invoke(main, ["sigma-table", "--max", top]).exit_code == 0
         assert sizes == [3]  # a single cell runs in-process
+
+    def test_directory_out_is_a_usage_error(self, runner, tmp_path, in_process, monkeypatch):
+        cells = []
+        monkeypatch.setattr(cli, "_sigma_cell", cells.append)
+        result = runner.invoke(main, ["sigma-table", "--max", "2", "--out", str(tmp_path)])
+        assert result.exit_code == 2
+        assert "is a directory" in result.output
+        assert cells == []
 
     def test_no_jobs_flag(self, runner):
         result = runner.invoke(main, ["sigma-table", "--max", "0", "--jobs", "1"])

@@ -26,7 +26,7 @@ from wigentropy.exceptions import (
     NotWignerPositiveError,
     QuadratureConvergenceError,
 )
-from wigentropy.fock import marginal_entropy
+from wigentropy.fock import N_MAX, marginal_entropy
 from wigentropy.mixtures import (
     PhotonMixture,
     extremal_passive,
@@ -36,7 +36,6 @@ from wigentropy.mixtures import (
 from wigentropy import positivity
 from wigentropy.positivity import (
     EPS_POS,
-    PositivityReport,
     extremal_arc_point,
     positivity_report,
     two_photon_mixture,
@@ -52,9 +51,7 @@ REFERENCE_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "reference.
 
 class TestRadialEntropy:
     def test_vacuum_anchor(self):
-        assert wigner_entropy_radial(VACUUM) == pytest.approx(
-            MIN_WIGNER_ENTROPY, abs=1e-10
-        )
+        assert wigner_entropy_radial(VACUUM) == pytest.approx(MIN_WIGNER_ENTROPY, abs=1e-10)
 
     @pytest.mark.xfail(raises=pytest.fail.Exception, strict=True, reason=OUTER_DIP)
     def test_refuses_dip_beyond_search_range(self):
@@ -67,9 +64,8 @@ class TestRadialEntropy:
     def test_thermal_matches_gaussian_closed_form(self):
         from wigentropy.gaussian import gaussian_wigner_entropy, thermal
 
-        assert wigner_entropy_radial(thermal_mixture(1.0)) == pytest.approx(
-            gaussian_wigner_entropy(thermal(1.0)), abs=1e-6
-        )
+        expected = gaussian_wigner_entropy(thermal(1.0))
+        assert wigner_entropy_radial(thermal_mixture(1.0)) == pytest.approx(expected, abs=1e-6)
 
     # mpmath references from perfbench/reference.json (tanh-sinh at 50 digits,
     # split at the extrema of the Laguerre polynomial; perfbench/make_reference.py)
@@ -94,6 +90,23 @@ class TestRadialEntropy:
         for entry in entries:
             value = wigner_entropy_radial(PhotonMixture(entry["probs"]), spec)
             assert abs(value - float(entry["h_wigner"])) <= bound, entry["name"]
+
+    # sigma(0, n) has pi W(u) = u**n exp(-u) / n!, a Gamma density in u = r**2,
+    # so h = ln pi + ln n! - n psi(n+1) + n + 1 and h_alpha has Gamma functions
+    # only; measured worst errors up to N_MAX: 9.3e-14 (order 1), 2.7e-13 (2),
+    # 2.6e-13 (3)
+    @pytest.mark.parametrize("alpha, bound", [(1.0, 3e-13), (2.0, 1e-12), (3.0, 1e-12)])
+    def test_sigma_zero_n_matches_gamma_closed_form(self, alpha, bound):
+        for n in (*range(41), 64, 100, 128, 200, 255, N_MAX):
+            if alpha == 1.0:
+                psi = math.fsum(1.0 / k for k in range(1, n + 1)) - np.euler_gamma
+                expected = math.log(math.pi) + math.lgamma(n + 1) - n * psi + n + 1
+            else:
+                expected = ((1 - alpha) * math.log(math.pi) + math.lgamma(alpha * n + 1)
+                            - alpha * math.lgamma(n + 1) - (alpha * n + 1) * math.log(alpha)
+                            ) / (1 - alpha)
+            value = wigner_renyi(sigma_coefficients(0, n).coeffs, alpha)
+            assert abs(value - expected) <= bound, n
 
     def test_vacuum_not_below_the_bound(self):
         assert wigner_entropy_radial(VACUUM) >= MIN_WIGNER_ENTROPY - 1e-15
@@ -136,11 +149,6 @@ class TestZeroBreakpoints:
         for p in states:
             assert positivity_report(p).touches.size == 0, p.probs
 
-    def test_no_touches_without_candidates(self):
-        # candidates default to (), as in reports built by hand
-        report = PositivityReport(True, 0.0, 1.0, True, 0.5, 0.0)
-        assert report.touches.shape == (0,)
-
     @pytest.mark.parametrize("p, clean", zip(TINY_TOP_MIXTURES, ([0.5, 0.5], [0.6, 0.4])),
                              ids=["1e-320", "1e-310"])
     def test_tiny_top_probability(self, p, clean):
@@ -154,16 +162,12 @@ class TestZeroBreakpoints:
 class TestGridEntropy:
     def test_vacuum_grid(self):
         grid = grid_from_mixture(VACUUM, 8.0, 512)
-        assert wigner_entropy_grid(grid) == pytest.approx(
-            MIN_WIGNER_ENTROPY, abs=1e-5
-        )
+        assert wigner_entropy_grid(grid) == pytest.approx(MIN_WIGNER_ENTROPY, abs=1e-5)
 
     def test_agrees_with_radial_route(self):
         p = sigma_coefficients(2, 1).coeffs
         grid = grid_from_mixture(p, 8.0, 512)
-        assert wigner_entropy_grid(grid) == pytest.approx(
-            wigner_entropy_radial(p), abs=1e-5
-        )
+        assert wigner_entropy_grid(grid) == pytest.approx(wigner_entropy_radial(p), abs=1e-5)
 
     @pytest.mark.parametrize("p", [two_photon_mixture(*extremal_arc_point(0.5)),
                                    fock_oracle_sigma(2, 3, 0.5), fock_oracle_sigma(5, 7, 0.5)],
@@ -187,9 +191,7 @@ class TestGridEntropy:
         from wigentropy.beamsplitter import WignerGrid
 
         grid = WignerGrid(values, extent)
-        assert wigner_entropy_grid(grid) == pytest.approx(
-            math.log(math.pi * radius**2), abs=1e-2
-        )
+        assert wigner_entropy_grid(grid) == pytest.approx(math.log(math.pi * radius**2), abs=1e-2)
 
     def test_rejects_too_negative_grid(self):
         grid = grid_from_mixture(VACUUM, 8.0, 128)
@@ -230,24 +232,17 @@ class TestRenyi:
             assert wigner_renyi(VACUUM, alpha) == pytest.approx(expected, abs=1e-8)
 
     def test_vacuum_infinite_order(self):
-        assert wigner_renyi(VACUUM, math.inf) == pytest.approx(
-            math.log(math.pi), abs=1e-9
-        )
+        assert wigner_renyi(VACUUM, math.inf) == pytest.approx(math.log(math.pi), abs=1e-9)
 
     def test_order_two_is_purity(self):
         sigma_c = PhotonMixture([0.5, 0.0, 0.5])
-        assert wigner_renyi(sigma_c, 2.0) == pytest.approx(
-            math.log(2.0 * math.pi / sigma_c.purity), abs=1e-8
-        )
-        assert math.log(2.0 * math.pi / sigma_c.purity) == pytest.approx(
-            math.log(4.0 * math.pi), rel=1e-14
-        )
+        h_2 = math.log(2.0 * math.pi / sigma_c.purity)
+        assert wigner_renyi(sigma_c, 2.0) == pytest.approx(h_2, abs=1e-8)
+        assert h_2 == pytest.approx(math.log(4.0 * math.pi), rel=1e-14)
 
     def test_order_two_for_random_states(self, rng):
         for p in _random_wigner_positive(rng, 8, 20):
-            assert wigner_renyi(p, 2.0) == pytest.approx(
-                math.log(2.0 * math.pi / p.purity), abs=1e-7
-            )
+            assert wigner_renyi(p, 2.0) == pytest.approx(math.log(2 * math.pi / p.purity), abs=1e-7)
 
     def test_order_one_routes_to_shannon(self):
         for p in (SIGMA_B, *SINGLE_PATH_STATES.values()):
@@ -323,9 +318,7 @@ class TestWehrl:
 class TestEntropyPower:
     def test_anchors(self):
         assert entropy_power(math.log(math.pi) + 1.0) == pytest.approx(0.5, rel=1e-14)
-        assert entropy_power(math.log(2 * math.pi) + 1.0) == pytest.approx(
-            1.0, rel=1e-14
-        )
+        assert entropy_power(math.log(2 * math.pi) + 1.0) == pytest.approx(1.0, rel=1e-14)
 
     def test_monotone(self):
         hs = np.linspace(-1.0, 4.0, 21)
@@ -412,9 +405,7 @@ class TestStructuralInequalities:
             ha = wigner_entropy_radial(pa)
             hb = wigner_entropy_radial(pb)
             for lam in [0.25, 0.5, 0.75]:
-                mixed = PhotonMixture(
-                    lam * pa.padded(length) + (1 - lam) * pb.padded(length)
-                )
+                mixed = PhotonMixture(lam * pa.padded(length) + (1 - lam) * pb.padded(length))
                 h_mixed = wigner_entropy_radial(mixed)
                 assert h_mixed >= lam * ha + (1 - lam) * hb - 1e-7
 
@@ -433,9 +424,7 @@ class TestStructuralInequalities:
     def test_extremal_chain(self, n):
         # h(equiprobable mixture) >= mean marginal entropy pair >= ln(pi)+1
         h = wigner_entropy_radial(extremal_passive(n))
-        mean_marginals = (
-            2.0 / (n + 1) * math.fsum(marginal_entropy(k) for k in range(n + 1))
-        )
+        mean_marginals = 2.0 / (n + 1) * math.fsum(marginal_entropy(k) for k in range(n + 1))
         assert h >= mean_marginals - 1e-9
         assert mean_marginals >= MIN_WIGNER_ENTROPY - 1e-9
 

@@ -13,6 +13,7 @@ from conftest import (
     outer_dip_mixture,
     reference_positivity_report,
     reference_radial_wigner,
+    reference_touches_zero,
 )
 from wigentropy import entropy, positivity
 from wigentropy.beamsplitter import husimi_phase_invariant
@@ -27,7 +28,7 @@ from wigentropy.positivity import (
     two_photon_mixture,
     two_photon_region_contains,
 )
-from wigentropy.verification import _random_passive
+from wigentropy.verification import _random_passive, _triangle_samples
 
 VACUUM = PhotonMixture([1.0])
 SIGMA_B = PhotonMixture([0.5, 0.5])          # one photon through the splitter
@@ -95,9 +96,7 @@ def two_photon_extrema(p1: float, p2: float, r_max: float) -> tuple[float, float
 class TestRadialWigner:
     def test_vacuum(self):
         assert radial_wigner(VACUUM, 0.0) == pytest.approx(1.0 / math.pi, rel=1e-14)
-        assert radial_wigner(VACUUM, 2.0) == pytest.approx(
-            math.exp(-4.0) / math.pi, rel=1e-13
-        )
+        assert radial_wigner(VACUUM, 2.0) == pytest.approx(math.exp(-4.0) / math.pi, rel=1e-13)
 
     def test_sigma_c_origin(self):
         # L_0(0) = L_2(0) = 1, so the origin value is 1/pi
@@ -277,8 +276,24 @@ class TestBitwiseReference:
     """Same numbers as the numpy.polynomial formulation, to the last bit."""
 
     def test_reports_equal_reference(self):
-        mismatched = [p.probs for p in bitwise_corpus()
-                      if positivity_report(p) != reference_positivity_report(p)]
+        mismatched = []
+        for p in bitwise_corpus():
+            report, expected = positivity_report(p), reference_positivity_report(p)
+            if report != expected or not all(
+                    map(np.array_equal, report.candidates, expected.candidates)):
+                mismatched.append(p.probs)
+        assert mismatched == []
+
+    def test_touch_rule_equals_minimum_rule(self):
+        # reference_touches_zero reads the minimum alone; it differs from the
+        # touches-based property only where the tail end lies below a touch
+        states = [*bitwise_corpus(),
+                  *(two_photon_mixture(*extremal_arc_point(a)) for a in np.linspace(0, 1, 101)),
+                  *(two_photon_mixture(p1, p2) for p1, p2 in _triangle_samples(2000)),
+                  *(sigma_coefficients(m, total - m).coeffs
+                    for total in range(41) for m in range(total // 2 + 1))]
+        mismatched = [p.probs for p, report in zip(states, map(positivity_report, states))
+                      if report.touches_zero != reference_touches_zero(report)]
         assert mismatched == []
 
     @pytest.mark.parametrize("length", [1, 2, 3, 17, 64, 257])
@@ -396,19 +411,6 @@ class TestTwoPhotonRegion:
         with pytest.raises(ValueError, match="physical triangle"):
             func(p1, p2)
 
-    def test_volume_against_scan(self, rng):
-        # smaller version of the region-equivalence suite
-        for _ in range(500):
-            p1, p2 = rng.uniform(0, 1, 2)
-            if p1 + p2 > 1:
-                p1, p2 = 1 - p1, 1 - p2
-            state = two_photon_mixture(p1, p2)
-            report = positivity_report(state)
-            interior = report.argmin_r < scan_radius(state) * (1 - 1e-9)
-            if interior and abs(report.min_value) <= 1e-9:
-                continue
-            assert two_photon_region_contains(p1, p2) == report.is_positive
-
 
 class TestExtremalArc:
     def test_endpoints(self):
@@ -429,18 +431,15 @@ class TestExtremalArc:
     def test_ellipse_membership(self):
         for a in np.linspace(0, 1, 11):
             p1, p2 = extremal_arc_point(float(a))
-            assert (p1 / 0.5) ** 2 + ((p2 - 0.25) / 0.25) ** 2 == pytest.approx(
-                1.0, abs=1e-12
-            )
+            assert (p1 / 0.5) ** 2 + ((p2 - 0.25) / 0.25) ** 2 == pytest.approx(1.0, abs=1e-12)
 
     def test_closed_form_matches_mixture(self):
         for a in np.linspace(0, 1, 11):
             p1, p2 = extremal_arc_point(float(a))
             state = two_photon_mixture(p1, p2)
             for r in np.linspace(0, 3, 13):
-                assert extremal_arc_wigner(float(a), float(r)) == pytest.approx(
-                    radial_wigner(state, float(r)), abs=1e-12
-                )
+                expected = radial_wigner(state, float(r))
+                assert extremal_arc_wigner(float(a), float(r)) == pytest.approx(expected, abs=1e-12)
 
     def test_touch_radius(self):
         # the squared factor vanishes at r*^2 = 1 - sqrt((1-a)/(1+a))
