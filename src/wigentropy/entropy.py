@@ -3,8 +3,8 @@
 All radial integrals are taken in u = r**2, where the area element
 dx dp = pi du, so the Shannon functional of a radial profile f is
 -pi * integral of f(u) ln f(u) du.  Distributions here decay under a
-Gaussian envelope, so integrals are truncated where the envelope bounds
-the remainder far below tolerance.
+Gaussian envelope, so radial integrals stop at positivity.radial_cutoff,
+where the envelope bounds the remainder far below tolerance.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from .beamsplitter import WignerGrid, husimi_phase_invariant, mix_through_beamsp
 from .exceptions import NegativeGridError, NotPassiveError, NotWignerPositiveError
 from .fock import density_entropy, marginal_entropy, wavefunction_table
 from .mixtures import PhotonMixture, extremal_passive, is_passive
-from .positivity import PositivityReport, positivity_report, radial_wigner
+from .positivity import positivity_report, radial_cutoff, radial_wigner
 from .quadrature import DEFAULT_QUADRATURE, QuadratureSpec, entropy_integral, integrate
 
 __all__ = [
@@ -45,22 +45,6 @@ NEGATIVE_FLOOR = -1e-9
 #: above the ~1e-16 roundoff of a convolved grid, whose noise would
 #: otherwise enter through x ln x
 ENTROPY_CLIP = 1e-14
-
-
-def _radial_cutoff(p: PhotonMixture) -> float:
-    """Upper integration limit in u = r**2."""
-    return (12.0 + math.sqrt(2.0 * len(p))) ** 2
-
-
-def _require_positive(p: PhotonMixture) -> PositivityReport:
-    report = positivity_report(p)
-    if not report.is_positive:
-        raise NotWignerPositiveError(
-            f"Wigner function reaches {report.min_value:.6e} at r = {report.argmin_r:.6f}",
-            min_value=report.min_value,
-            argmin_r=report.argmin_r,
-        )
-    return report
 
 
 def wigner_entropy_radial(p: PhotonMixture,
@@ -103,10 +87,16 @@ def wigner_renyi(p: PhotonMixture, alpha: float,
     """
     if not alpha > 0:
         raise ValueError("Renyi order must be positive (order 0 diverges)")
-    report = _require_positive(p)
+    report = positivity_report(p)
+    if not report.is_positive:
+        raise NotWignerPositiveError(
+            f"Wigner function reaches {report.min_value:.6e} at r = {report.argmin_r:.6f}",
+            min_value=report.min_value,
+            argmin_r=report.argmin_r,
+        )
     if math.isinf(alpha):
         return -math.log(report.max_value)
-    u_max = _radial_cutoff(p) * max(1.0, 1.0 / alpha)
+    u_max = radial_cutoff(p) * max(1.0, 1.0 / alpha)
     # W ln W and W**alpha are singular at the touches only for alpha <= 1
     points = report.touches if alpha <= 1.0 else None
     if alpha == 1.0:
@@ -127,7 +117,7 @@ def wehrl_entropy(p: PhotonMixture,
     Defined for every physical state (the Husimi function is positive) and
     bounded below by ln(pi) + 1, with coherent states as minimizers.
     """
-    u_max = _radial_cutoff(p)
+    u_max = radial_cutoff(p)
     return entropy_integral(
         lambda u: husimi_phase_invariant(p, np.sqrt(u)), 0.0, u_max, spec,
         weight=math.pi,

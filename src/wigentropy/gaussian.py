@@ -40,7 +40,10 @@ MAX_DISPLACEMENT = 2.0
 
 
 def _frozen_array(values, shape) -> np.ndarray:
-    arr = np.array(values, dtype=float).reshape(shape)
+    arr = np.array(values)
+    if arr.shape != shape or arr.dtype.kind not in "iuf":
+        raise ValueError(f"expected real numbers in shape {shape}, got {arr.dtype} {arr.shape}")
+    arr = arr.astype(float)
     arr.flags.writeable = False
     return arr
 

@@ -45,6 +45,15 @@ THERMAL_TAIL_TOL = 1e-13
 THERMAL_MAX_MEAN = THERMAL_TAIL_TOL ** (1.0 / N_MAX) / (1.0 - THERMAL_TAIL_TOL ** (1.0 / N_MAX))
 
 
+def _real_vector(values, what: str) -> np.ndarray:
+    """A float copy of a 1-D array of real numbers; bools, strings and nesting are refused."""
+    arr = np.array(values)
+    if arr.ndim != 1 or arr.dtype.kind not in "iuf":
+        raise ValueError(f"{what} must be a flat sequence of real numbers, "
+                         f"got {arr.dtype} {arr.shape}")
+    return arr.astype(float)
+
+
 @dataclass(frozen=True)
 class PhotonMixture:
     """Photon-number probability vector of a phase-invariant state."""
@@ -52,7 +61,7 @@ class PhotonMixture:
     probs: np.ndarray
 
     def __init__(self, probs):
-        arr = np.array(probs, dtype=float).reshape(-1)
+        arr = _real_vector(probs, "photon-number probabilities")
         if arr.size == 0:
             raise ValueError("probability vector must not be empty")
         if arr.size - 1 > N_MAX:
@@ -99,7 +108,7 @@ class PassiveDecomposition:
     weights: np.ndarray
 
     def __init__(self, weights):
-        arr = np.array(weights, dtype=float).reshape(-1)
+        arr = _real_vector(weights, "decomposition weights")
         if not np.all(np.isfinite(arr)):
             raise ValueError("decomposition weights must be finite")
         if np.any(arr < 0.0):
@@ -214,7 +223,10 @@ def thermal_mixture(mean_photons: float) -> PhotonMixture:
 
     The cutoff is chosen so the discarded tail mass is below THERMAL_TAIL_TOL,
     which keeps the truncated vector an acceptable probability vector
-    without renormalization.
+    without renormalization.  Against the Gaussian closed forms the cut
+    costs up to 4e-12 in the Wigner, Wehrl and marginal entropies and 1e-13
+    at Renyi orders 2 to inf, but low orders weight up the missing far
+    tail: 5e-7 at order 0.5 and 1.4e-4 at order 0.3.
     """
     if not mean_photons >= 0:
         raise ValueError("mean photon number must be non-negative")

@@ -10,12 +10,12 @@ stationary exactly at r = 0 and at the real roots of Q = P' - P/2.  In the
 Laguerre basis dL_k/dt = -(L_0 + ... + L_{k-1}), so Q's coefficients are
 -s_k/2 minus the suffix sum s_{k+1} + ... + s_n of P's coefficients s.  A
 positivity report is W at its candidates: r = 0, Q's roots (eigenvalues of
-the Laguerre comrade matrix) and the tail end of the search range,
-evaluated in one call; there is no grid for a narrow dip to slip through.
-The extrema, and the one touch rule that detects tangency with zero (the
-signature of extremal states), are read from those values.  The module
-also carries the exact closed-form description of the positive region for
-mixtures of up to two photons.
+the Laguerre comrade matrix) and the tail end of radial_cutoff, the one
+range the entropy integrals cover too, evaluated in one call; there is no
+grid for a narrow dip to slip through.  The extrema, and the one touch rule
+that detects tangency with zero (the signature of extremal states), are
+read from those values.  The module also carries the exact closed-form
+description of the positive region for mixtures of up to two photons.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ __all__ = [
     "EPS_POS",
     "PositivityReport",
     "radial_wigner",
-    "scan_radius",
+    "radial_cutoff",
     "positivity_report",
     "curved_boundary_residual",
     "two_photon_mixture",
@@ -61,8 +61,8 @@ _TRIM_TOL = 1e-300
 @dataclass(frozen=True)
 class PositivityReport:
     """W at its candidates, r = 0, the stationary radii and the tail end
-    scan_radius, with the global extrema over them; ties go to the smaller
-    radius."""
+    sqrt(radial_cutoff), with the global extrema over them; ties go to the
+    smaller radius."""
 
     #: (radii, W), the radii ascending from 0 to the tail end
     candidates: tuple = field(compare=False, repr=False)
@@ -85,10 +85,13 @@ class PositivityReport:
     @property
     def touches(self) -> np.ndarray:
         """u = r**2 at the touches, the interior candidates with |W| <= EPS_POS no
-        larger than either neighbour: W's double roots, simple roots of Q."""
+        larger than either neighbour and before the envelope tail, which starts
+        after the last |W| > EPS_POS: W's double roots, simple roots of Q."""
         rs, ws = self.candidates
         mid = ws[1:-1]
-        return rs[1:-1][(np.abs(mid) <= EPS_POS) & (mid <= ws[:-2]) & (mid <= ws[2:])] ** 2
+        last = np.flatnonzero(np.abs(ws) > EPS_POS).max(initial=0)
+        return rs[1:-1][(np.abs(mid) <= EPS_POS) & (mid <= ws[:-2]) & (mid <= ws[2:])
+                        & (np.arange(1, len(ws) - 1) < last)] ** 2
 
     @property
     def touches_zero(self) -> bool:
@@ -138,37 +141,40 @@ def radial_wigner(p: PhotonMixture, r):
     return float(values) if values.ndim == 0 else values
 
 
-def scan_radius(p: PhotonMixture) -> float:
-    """Upper end of the search range: classical radius plus buffer."""
-    n = len(p)
-    return math.sqrt(n + 6.0 * math.sqrt(n) + 20.0)
+def radial_cutoff(p: PhotonMixture) -> float:
+    """End (12 + sqrt(2 len))**2 in u = r**2 of the positivity search and the
+    radial integrals.  Past it |W| <= max_k |L_k(t) exp(-t/2)| / pi, which
+    is at most 2.3e-79 up to 4 times the cutoff for every length up to
+    N_MAX + 1 (the vacuum the worst), so no decision at EPS_POS hides there."""
+    return (12.0 + math.sqrt(2.0 * len(p))) ** 2
 
 
 def positivity_report(p: PhotonMixture) -> PositivityReport:
-    """W(r) at the candidates of [0, scan_radius], as a PositivityReport.
+    """W(r) at the candidates of u = r**2 in [0, radial_cutoff], as a PositivityReport.
 
     The candidates are r = 0, the radii of the real parts of the roots of
-    Q = P' - P/2 inside the range, and r = scan_radius; W is evaluated
-    once on all of them, and the report reads its extrema and touches from
-    those values.  Real parts of complex roots only add candidates, so a
-    double root that roundoff splits into a near-real pair is still found.
+    Q = P' - P/2 inside the range, and r = sqrt(radial_cutoff); W is
+    evaluated once on all of them, and the report reads its extrema and
+    touches from those values.  Real parts of complex roots only add
+    candidates, so a double root that roundoff splits into a near-real pair
+    is still found: sigma(m, m)'s touches are all m roots of L_m.
     """
-    r_max = scan_radius(p)
+    u_max = radial_cutoff(p)
     signed = _signed_coeffs(p)
     # Q_k = -s_k/2 - (s_{k+1} + ... + s_n), the suffix sums accumulated
     # from the top as lagder does
     q = -0.5 * signed
     q[:-1] -= np.cumsum(signed[:0:-1])[::-1]
     ts = _laguerre_roots(q)
-    ts = ts[(ts > 0.0) & (ts < 2.0 * r_max * r_max)]
+    ts = ts[(ts > 0.0) & (ts < 2.0 * u_max)]
     # drop repeated roots: besides the wasted work, the column count of
     # radial_wigner's dot product can change its last bit
     ts = np.concatenate((ts[:1], ts[1:][ts[1:] != ts[:-1]]))
-    rs = np.concatenate(([0.0], np.sqrt(0.5 * ts), [r_max]))
+    rs = np.concatenate(([0.0], np.sqrt(0.5 * ts), [math.sqrt(u_max)]))
     report = PositivityReport((rs, radial_wigner(p, rs)))
     if _log.isEnabledFor(logging.DEBUG):
-        _log.debug("%d stationary points in (0, %.6g), %d touches: min W %.6e at r = %.6g, "
-                   "max W %.6e at r = %.6g", len(ts), r_max, len(report.touches),
+        _log.debug("%d stationary points in 0 < u < u_max = %.6g, %d touches: min W %.6e at "
+                   "r = %.6g, max W %.6e at r = %.6g", len(ts), u_max, len(report.touches),
                    report.min_value, report.argmin_r, report.max_value, report.argmax_r)
     return report
 

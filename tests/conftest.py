@@ -23,10 +23,9 @@ from wigentropy.mixtures import (
     thermal_mixture,
 )
 from wigentropy.positivity import (
-    EPS_POS,
     PositivityReport,
     extremal_arc_point,
-    scan_radius,
+    radial_cutoff,
     two_photon_mixture,
 )
 
@@ -94,13 +93,10 @@ def reference_split_probabilities(total: int, eta: float) -> np.ndarray:
     d = (v * np.exp(-2j * math.acos(math.sqrt(eta)) * lam)) @ v.T
     return d.real ** 2 + d.imag ** 2
 
-#: reason of the strict xfails that pin ROADMAP item 15's wrong decision
-OUTER_DIP = ("ROADMAP item 15: positivity_report searches t < 2 scan_radius**2 only, "
-             "and misses the dip W = -3.24e-7 at u = 234.8 beyond scan_radius**2 = 217.1")
-
 
 def outer_dip_mixture() -> PhotonMixture:
-    """sigma(64,64) with 1e-4 of probability moved from p_128 to p_127."""
+    """sigma(64,64) with 1e-4 of probability moved from p_128 to p_127: W dips
+    to -3.28e-7 at r = 15.32, near the outer end of the classical range."""
     probs = sigma_coefficients(64, 64).coeffs.probs.copy()
     probs[128] -= 1e-4
     probs[127] += 1e-4
@@ -133,20 +129,12 @@ def reference_positivity_report(p: PhotonMixture) -> PositivityReport:
     the same order, so the candidates, and with them the reports, must be
     equal, not just close.
     """
-    r_max = scan_radius(p)
+    u_max = radial_cutoff(p)
     signed = reference_signed_coeffs(p)
     ts = lagroots(lagtrim(lagsub(lagder(signed), 0.5 * signed), 1e-300)).real
-    ts = np.unique(ts[(ts > 0.0) & (ts < 2.0 * r_max * r_max)])
-    rs = np.concatenate(([0.0], np.sqrt(0.5 * ts), [r_max]))
+    ts = np.unique(ts[(ts > 0.0) & (ts < 2.0 * u_max)])
+    rs = np.concatenate(([0.0], np.sqrt(0.5 * ts), [math.sqrt(u_max)]))
     return PositivityReport((rs, reference_radial_wigner(p, rs)))
-
-
-def reference_touches_zero(report: PositivityReport) -> bool:
-    """The touch rule read from the minimum alone: |min W| <= EPS_POS, attained
-    before the last candidate, the tail end."""
-    ws = report.candidates[1]
-    i_min = int(np.argmin(ws))
-    return bool(abs(ws[i_min]) <= EPS_POS and i_min < len(ws) - 1)
 
 
 #: mixtures with a subnormal or near-underflow top probability

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from conftest import OUTER_DIP, outer_dip_mixture
+from conftest import outer_dip_mixture
 import wigentropy
 from wigentropy import beamsplitter, cli
 from wigentropy.cli import main
@@ -72,8 +72,7 @@ class TestEntropyCommand:
         assert "-0.318" in result.output
         assert "r = 0" in result.output
 
-    @pytest.mark.xfail(raises=AssertionError, strict=True, reason=OUTER_DIP)
-    def test_dip_beyond_search_range_exits_3(self, runner, tmp_path):
+    def test_outer_dip_exits_3(self, runner, tmp_path):
         path = write_state(tmp_path, "dip.json", {"fock_probs": outer_dip_mixture().probs.tolist()})
         assert runner.invoke(main, ["entropy", path]).exit_code == 3
 

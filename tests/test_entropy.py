@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import digamma, eval_genlaguerre, gammaln, roots_genlaguerre
 
-from conftest import OUTER_DIP, TINY_TOP_MIXTURES, fock_mixture, outer_dip_mixture
+from conftest import TINY_TOP_MIXTURES, fock_mixture, outer_dip_mixture
 from wigentropy.beamsplitter import fock_oracle_sigma, grid_from_mixture
 from wigentropy.entropy import (
     MIN_WIGNER_ENTROPY,
@@ -28,6 +28,7 @@ from wigentropy.exceptions import (
 )
 from wigentropy.fock import N_MAX, marginal_entropy
 from wigentropy.mixtures import (
+    THERMAL_MAX_MEAN,
     PhotonMixture,
     extremal_passive,
     sigma_coefficients,
@@ -53,8 +54,7 @@ class TestRadialEntropy:
     def test_vacuum_anchor(self):
         assert wigner_entropy_radial(VACUUM) == pytest.approx(MIN_WIGNER_ENTROPY, abs=1e-10)
 
-    @pytest.mark.xfail(raises=pytest.fail.Exception, strict=True, reason=OUTER_DIP)
-    def test_refuses_dip_beyond_search_range(self):
+    def test_refuses_outer_dip(self):
         with pytest.raises(NotWignerPositiveError):
             wigner_entropy_radial(outer_dip_mixture())
 
@@ -62,10 +62,25 @@ class TestRadialEntropy:
         assert wigner_entropy_radial(SIGMA_B) == pytest.approx(WEHRL_FOCK_1, abs=1e-9)
 
     def test_thermal_matches_gaussian_closed_form(self):
-        from wigentropy.gaussian import gaussian_wigner_entropy, thermal
+        # thermal_mixture cuts the geometric tail at mass THERMAL_TAIL_TOL, and
+        # each functional sees the cut at its own scale: low Renyi orders weight
+        # up the far tail.  Measured worst gaps, all at THERMAL_MAX_MEAN but
+        # order 2: 3.8e-12, 2.8e-12 and 1.4e-12; 8.9e-16 (orders 2 and 3),
+        # 8.9e-14 (order inf) and 5.0e-7 (order 0.5)
+        from wigentropy import gaussian
 
-        expected = gaussian_wigner_entropy(thermal(1.0))
-        assert wigner_entropy_radial(thermal_mixture(1.0)) == pytest.approx(expected, abs=1e-6)
+        bounds = {"wigner": 5e-12, "wehrl": 4e-12, "marginal": 2e-12,
+                  2.0: 2e-15, 3.0: 2e-15, math.inf: 1.5e-13, 0.5: 7e-7}
+        for mean in (0.01, 0.1, 0.5, 1.0, 2.0, 4.0, THERMAL_MAX_MEAN):
+            p, state = thermal_mixture(mean), gaussian.thermal(mean)
+            gaps = {"wigner": wigner_entropy_radial(p) - gaussian.gaussian_wigner_entropy(state),
+                    "wehrl": wehrl_entropy(p) - gaussian.gaussian_wehrl_entropy(state),
+                    "marginal": (mixture_marginal_entropy(p)
+                                 - 0.5 * math.log(2.0 * math.pi * math.e * (mean + 0.5)))}
+            gaps |= {alpha: wigner_renyi(p, alpha) - gaussian.gaussian_renyi_entropy(state, alpha)
+                     for alpha in (0.5, 2.0, 3.0, math.inf)}
+            for key, gap in gaps.items():
+                assert abs(gap) <= bounds[key], (mean, key, gap)
 
     # mpmath references from perfbench/reference.json (tanh-sinh at 50 digits,
     # split at the extrema of the Laguerre polynomial; perfbench/make_reference.py)
@@ -108,6 +123,18 @@ class TestRadialEntropy:
             value = wigner_renyi(sigma_coefficients(0, n).coeffs, alpha)
             assert abs(value - expected) <= bound, n
 
+    # sigma(64,64): W = exp(-u) L_64(u)**2 / pi, in 30-digit mpmath split at
+    # L_64's Newton-refined roots; the integrals split at every root only if
+    # the report finds the outermost ones.  Measured errors at the CLI's
+    # tolerance: 8.9e-15 (order 1) and 8.9e-16 (order 0.5)
+    @pytest.mark.parametrize("alpha, expected, bound", [
+        (1.0, 6.2992279779496781874, 1.5e-14),
+        (0.5, 6.4997044181388778003, 5e-15),
+    ])
+    def test_sigma_64_64_matches_mpmath(self, alpha, expected, bound):
+        spec = QuadratureSpec(abs_tol=1e-10, rel_tol=1e-10)
+        assert abs(wigner_renyi(sigma_coefficients(64, 64).coeffs, alpha, spec) - expected) <= bound
+
     def test_vacuum_not_below_the_bound(self):
         assert wigner_entropy_radial(VACUUM) >= MIN_WIGNER_ENTROPY - 1e-15
 
@@ -137,6 +164,14 @@ class TestZeroBreakpoints:
                      * extra ** d * eval_genlaguerre(lo, d, extra) ** 2)
                 assert np.all(w <= EPS_POS), (lo, total - lo, extra)
 
+    def test_sigma_m_m_touches_are_all_roots_of_laguerre(self):
+        # sigma(m, m) has W = exp(-u) L_m(u)**2 / pi; its m double zeros run out
+        # to u ~ 4m, past the classical radius; measured worst 1.3e-11 at m <= 128
+        for m in range(1, 129):
+            touches = positivity_report(sigma_coefficients(m, m).coeffs).touches
+            assert touches.size == m
+            assert np.max(np.abs(touches / roots_genlaguerre(m, 0)[0] - 1.0)) <= 2e-11, m
+
     @pytest.mark.parametrize("a", [1e-3, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0])
     def test_arc_touch(self, a):
         # extremal_arc_wigner's double root r**2 = 1 - sqrt((1 - a)/(1 + a))
@@ -145,7 +180,16 @@ class TestZeroBreakpoints:
 
     def test_no_touches_on_states_without_zeros(self, rng):
         states = [thermal_mixture(mean) for mean in (0.1, 0.5, 1.0, 2.0, 4.0, 8.0)]
-        states += [_random_passive(rng, 40) for _ in range(50)]
+        states += [VACUUM, *(extremal_passive(n) for n in (1, 2, 3, 10, 40, 100, 255, 256))]
+        states += [_random_passive(rng, N_MAX + 1) for _ in range(50)]
+        states += [PhotonMixture(rng.dirichlet(np.ones(n))) for n in rng.integers(1, N_MAX + 2, 100)]
+        # the vacuum with a ring of weight 1e-14 far out: every stationary point
+        # past the vacuum's lobe has 0 < W <= EPS_POS, the envelope tail, and
+        # the dips between the two are no touches
+        for n in (40, 100, 200):
+            probs = 1e-14 * sigma_coefficients(0, n).coeffs.probs
+            probs[0] += 1.0 - 1e-14
+            states.append(PhotonMixture(probs))
         for p in states:
             assert positivity_report(p).touches.size == 0, p.probs
 

@@ -8,6 +8,7 @@ from conftest import exact_sigma_probs
 from wigentropy.beamsplitter import fock_oracle_sigma
 from wigentropy.exceptions import NotPassiveError, TruncationError
 from wigentropy.fock import N_MAX
+from wigentropy.gaussian import GaussianState, SymplecticMap
 from wigentropy.mixtures import (
     THERMAL_MAX_MEAN,
     PassiveDecomposition,
@@ -21,6 +22,30 @@ from wigentropy.mixtures import (
     thermal_mixture,
 )
 from wigentropy.verification import _random_passive
+
+
+# each constructor takes its documented shape and real numbers only, so numpy
+# never reshapes or casts a malformed input into a state
+@pytest.mark.parametrize("make", [
+    lambda: PhotonMixture("1"),
+    lambda: PhotonMixture([True]),
+    lambda: PhotonMixture(["0.5", "0.5"]),
+    lambda: PhotonMixture([[0.5], [0.5]]),
+    lambda: PhotonMixture(1.0),
+    lambda: PhotonMixture([0.5 + 0j, 0.5]),
+    lambda: PassiveDecomposition([[1.0]]),
+    lambda: PassiveDecomposition([True]),
+    lambda: GaussianState([0, 0], [0.5, 0, 0, 0.5]),
+    lambda: GaussianState([[0], [0]], [[0.5, 0], [0, 0.5]]),
+    lambda: GaussianState(["0", "0"], [[0.5, 0], [0, 0.5]]),
+    lambda: GaussianState([0, 0], [[True, False], [False, True]]),
+    lambda: SymplecticMap([1.0, 0.0, 0.0, 1.0]),
+], ids=["string", "bool", "strings", "column", "scalar", "complex", "nested-weights",
+        "bool-weights", "flat-cov", "column-mean", "string-mean", "bool-cov", "flat-map"])
+def test_constructors_refuse_other_shapes_and_kinds(make):
+    with pytest.raises(ValueError):
+        make()
+
 
 
 class TestPhotonMixture:
