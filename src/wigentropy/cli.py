@@ -32,7 +32,7 @@ from .gaussian import (
     gaussian_wehrl_entropy,
 )
 from .mixtures import PhotonMixture, sigma_coefficients
-from .quadrature import QuadratureSpec
+from .quadrature import DEFAULT_QUADRATURE, QuadratureSpec
 from .verification import available_suites, run_suite
 
 EXIT_PARSE_ERROR = 2
@@ -58,11 +58,6 @@ def _header(tol: float) -> str:
     return f"# tol={_fmt(tol)}, version={__version__}"
 
 
-def _quadrature(quad_tol: float) -> QuadratureSpec:
-    """The spec behind --quad-tol: that absolute tolerance, relative no finer than 1e-12."""
-    return QuadratureSpec(abs_tol=quad_tol, rel_tol=max(quad_tol, 1e-12))
-
-
 class _PositiveFloat(click.FloatRange):
     """A float > 0; NaN, which passes every range comparison, is refused too."""
 
@@ -75,6 +70,11 @@ class _PositiveFloat(click.FloatRange):
 
 POSITIVE = _PositiveFloat(min=0, min_open=True)
 TOLERANCE = _PositiveFloat(min=0, max=math.inf, min_open=True, max_open=True)
+
+QUAD_TOL = click.option(
+    "--quad-tol", type=TOLERANCE, default=DEFAULT_QUADRATURE.tol, show_default=True,
+    help="Quadrature tolerance: each integral I within tol * max(1, |I|), "
+         "absolute below |I| = 1, relative above.")
 
 
 def _write_csv(lines: list[str], out_path) -> None:
@@ -122,7 +122,18 @@ def load_state(path: str):
     return GaussianState(mean, cov)
 
 
-@click.group()
+class _Commands(click.Group):
+    """Ends a command on a WigentropyError it leaves, with ``error: <message>`` and exit 1."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except WigentropyError as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(1)
+
+
+@click.group(cls=_Commands)
 @click.version_option(version=__version__)
 def main():
     """Phase-space entropies of single-mode bosonic states."""
@@ -132,8 +143,7 @@ def main():
 @click.argument("state_file", type=click.Path())
 @click.option("--renyi", "renyi_orders", type=POSITIVE, multiple=True,
               help="Also report the order-ALPHA entropy (repeatable).")
-@click.option("--quad-tol", type=TOLERANCE, default=1e-10, show_default=True,
-              help="Absolute quadrature tolerance.")
+@QUAD_TOL
 @click.option("--out", "out_path", type=click.Path(dir_okay=False), default=None,
               help="Also write the report as a key,value CSV.")
 def cmd_entropy(state_file, renyi_orders, quad_tol, out_path):
@@ -148,7 +158,7 @@ def cmd_entropy(state_file, renyi_orders, quad_tol, out_path):
         click.echo(f"error: cannot parse state file: {exc}", err=True)
         sys.exit(EXIT_PARSE_ERROR)
 
-    spec = _quadrature(quad_tol)
+    spec = QuadratureSpec(quad_tol)
     gaussian = isinstance(state, GaussianState)
     rows: list[tuple[str, float]] = []
     try:
@@ -164,9 +174,6 @@ def cmd_entropy(state_file, renyi_orders, quad_tol, out_path):
         click.echo(f"error: state is not Wigner positive: min W = {_fmt(exc.min_value)} "
                    f"at r = {_fmt(exc.argmin_r)}", err=True)
         sys.exit(EXIT_NOT_POSITIVE)
-    except WigentropyError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(1)
 
     rows.append(("margin_above_ln_pi_plus_1", rows[0][1] - MIN_WIGNER_ENTROPY))
     for key, value in rows:
@@ -185,7 +192,7 @@ def _sigma_cell(args: tuple[int, int, QuadratureSpec]) -> tuple[int, int, float]
 @click.option("--max", "max_photons", type=click.IntRange(0, 30), default=10, show_default=True,
               help="Largest photon number per input arm (guard: 30, which bounds "
                    "run time, not accuracy).")
-@click.option("--quad-tol", type=TOLERANCE, default=1e-10, show_default=True)
+@QUAD_TOL
 @click.option("--out", "out_path", type=click.Path(dir_okay=False), default=None,
               help="CSV destination (default: stdout).")
 def cmd_sigma_table(max_photons, quad_tol, out_path):
@@ -197,7 +204,7 @@ def cmd_sigma_table(max_photons, quad_tol, out_path):
     The cells run on one worker process per usable core (CPU affinity),
     or in-process on one core.
     """
-    spec = _quadrature(quad_tol)
+    spec = QuadratureSpec(quad_tol)
     cells = [(m, n, spec) for m in range(max_photons + 1)
              for n in range(m, max_photons + 1)]
     workers = beamsplitter._WORKERS
@@ -278,10 +285,10 @@ def cmd_region2(samples, out_path):
 @main.command("verify")
 @click.option("--suite", type=click.Choice(available_suites()), required=True)
 @click.option("--seed", type=click.IntRange(min=0), default=42, show_default=True)
-@click.option("--quad-tol", type=TOLERANCE, default=1e-10, show_default=True)
+@QUAD_TOL
 def cmd_verify(suite, seed, quad_tol):
     """Run one named verification suite (or all) and report pass/fail."""
-    results = run_suite(suite, seed=seed, spec=_quadrature(quad_tol))
+    results = run_suite(suite, seed=seed, spec=QuadratureSpec(quad_tol))
     for result in results:
         click.echo(result.report())
     if not all(r.passed for r in results):

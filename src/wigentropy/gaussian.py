@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import NonSymplecticError
+from .mixtures import _holds_bool
 
 __all__ = [
     "GaussianState",
@@ -41,8 +42,9 @@ MAX_DISPLACEMENT = 2.0
 
 def _frozen_array(values, shape) -> np.ndarray:
     arr = np.array(values)
-    if arr.shape != shape or arr.dtype.kind not in "iuf":
-        raise ValueError(f"expected real numbers in shape {shape}, got {arr.dtype} {arr.shape}")
+    if arr.shape != shape or arr.dtype.kind not in "iuf" or _holds_bool(values):
+        raise ValueError(f"expected real numbers, not booleans, in shape {shape}, "
+                         f"got {arr.dtype} {arr.shape}")
     arr = arr.astype(float)
     arr.flags.writeable = False
     return arr

@@ -45,11 +45,16 @@ THERMAL_TAIL_TOL = 1e-13
 THERMAL_MAX_MEAN = THERMAL_TAIL_TOL ** (1.0 / N_MAX) / (1.0 - THERMAL_TAIL_TOL ** (1.0 / N_MAX))
 
 
+def _holds_bool(values) -> bool:
+    """Whether any element is a boolean, which numpy casts to a number beside numbers."""
+    return any(isinstance(x, (bool, np.bool_)) for x in np.array(values, dtype=object).flat)
+
+
 def _real_vector(values, what: str) -> np.ndarray:
     """A float copy of a 1-D array of real numbers; bools, strings and nesting are refused."""
     arr = np.array(values)
-    if arr.ndim != 1 or arr.dtype.kind not in "iuf":
-        raise ValueError(f"{what} must be a flat sequence of real numbers, "
+    if arr.ndim != 1 or arr.dtype.kind not in "iuf" or _holds_bool(values):
+        raise ValueError(f"{what} must be a flat sequence of real numbers, not booleans, "
                          f"got {arr.dtype} {arr.shape}")
     return arr.astype(float)
 

@@ -7,12 +7,13 @@ mesh graded toward a, down to about unit width, and toward the caller's
 breakpoints: the panels that bisection of [a, b] would always reach.  Each
 round evaluates every open panel's nodes in one vectorized call and keeps
 its 32-node Gauss-Legendre value, with the 16-node difference as error
-estimate.  A panel is accepted when the estimate fits half the budget
-max(abs_tol, rel_tol * |I|) times the larger of its length share and
-1/MAX_SUBDIVISIONS, so the estimates sum to at most the budget; the rest
-are bisected.  The length share refines log singularities at zeros of a
-density; the count share stops panels whose estimate is negligible, such
-as those ruled by integrand roundoff.
+estimate.  The budget of an integral I is tol * max(1, |I|), absolute
+below |I| = 1 and relative above, with |I| read from the running sum.  A
+panel is accepted when the estimate fits half the budget times the larger
+of its length share and 1/MAX_SUBDIVISIONS, so the estimates sum to at
+most the budget; the rest are bisected.  The length share refines log
+singularities at zeros of a density; the count share stops panels whose
+estimate is negligible, such as those ruled by integrand roundoff.
 """
 
 from __future__ import annotations
@@ -55,14 +56,13 @@ _log = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Tolerance controls for the improper integrals."""
+    """Tolerance of the improper integrals: error budget tol * max(1, |I|)."""
 
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-9
+    tol: float = 1e-10
 
     def __post_init__(self):
-        if not (0 < self.abs_tol < math.inf and 0 < self.rel_tol < math.inf):
-            raise ValueError("quadrature tolerances must be positive and finite")
+        if not 0 < self.tol < math.inf:
+            raise ValueError(f"quadrature tolerance must be positive and finite, not {self.tol}")
 
 
 DEFAULT_QUADRATURE = QuadratureSpec()
@@ -83,7 +83,7 @@ def _panel_rules(func, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.n
 
 def integrate(func, a: float, b: float, spec: QuadratureSpec = DEFAULT_QUADRATURE,
               points=None) -> float:
-    """Adaptive panel quadrature of ``func`` over [a, b] at the spec's tolerances.
+    """Adaptive panel quadrature of ``func`` over [a, b] within spec.tol * max(1, |I|).
 
     ``func`` maps a 1-D array of abscissae to an array of values; each round
     calls it once per EVAL_CHUNK abscissae.  The initial panels end at
@@ -114,7 +114,7 @@ def integrate(func, a: float, b: float, spec: QuadratureSpec = DEFAULT_QUADRATUR
     while lo.size:
         fine, err = _panel_rules(func, lo, hi)
         evaluations += lo.size * _NODES.size
-        budget = max(spec.abs_tol, spec.rel_tol * abs(math.fsum(accepted + fine.tolist())))
+        budget = spec.tol * max(1.0, abs(math.fsum(accepted + fine.tolist())))
         share = 0.5 * budget * np.maximum((hi - lo) / (b - a), 1.0 / MAX_SUBDIVISIONS)
         done = err <= share
         accepted.extend(fine[done].tolist())

@@ -13,6 +13,9 @@ from conftest import outer_dip_mixture
 import wigentropy
 from wigentropy import beamsplitter, cli
 from wigentropy.cli import main
+from wigentropy.entropy import wigner_renyi
+from wigentropy.mixtures import PhotonMixture, sigma_coefficients
+from wigentropy.verification import run_suite
 
 LN_PI_PLUS_1 = math.log(math.pi) + 1.0
 
@@ -144,6 +147,18 @@ class TestEntropyCommand:
         assert result.exit_code == 2
         assert result.output.startswith("error: cannot parse state file: ")
         assert "h_wigner" not in result.output
+
+    # states whose printed digits move with any gap between the CLI's and the
+    # library's tolerance: the CLI prints what the library computes
+    @pytest.mark.parametrize("m, n", [(0, 1), (5, 10), (9, 10)])
+    def test_prints_the_library_values(self, runner, tmp_path, m, n):
+        probs = sigma_coefficients(m, n).coeffs.probs.tolist()
+        path = write_state(tmp_path, "s.json", {"fock_probs": probs})
+        result = runner.invoke(main, ["entropy", path, "--renyi", "0.5"])
+        assert result.exit_code == 0
+        lines = result.output.splitlines()
+        for key, alpha in (("h_wigner", 1.0), ("h_renyi_0.5", 0.5)):
+            assert f"{key} = {wigner_renyi(PhotonMixture(probs), alpha):.15g}" in lines
 
     def test_unwritable_out_is_one_line_error(self, runner, tmp_path):
         path = write_state(tmp_path, "vac.json", {"fock_probs": [1.0]})
@@ -299,6 +314,25 @@ class TestVerifyCommand:
         result = runner.invoke(main, ["verify", "--suite", "sigma-oracle"])
         assert result.exit_code == 0
         assert "[PASS] sigma-oracle" in result.output
+
+    def test_prints_the_library_report(self, runner):
+        result = runner.invoke(main, ["verify", "--suite", "wehrl-bridge"])
+        assert result.exit_code == 0
+        assert result.output == run_suite("wehrl-bridge")[0].report() + "\n"
+
+
+@pytest.mark.parametrize("command, workers", [
+    (["sigma-table", "--max", "2"], 1),
+    (["sigma-table", "--max", "2"], 2),
+    (["verify", "--suite", "wehrl-bridge"], 1),
+], ids=["sigma-table", "sigma-table-pool", "verify"])
+def test_unreachable_tolerance_is_one_line_error(runner, monkeypatch, command, workers):
+    monkeypatch.setattr(beamsplitter, "_WORKERS", workers)
+    result = runner.invoke(main, [*command, "--quad-tol", "1e-300"])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.output.startswith("error: ")
+    assert len(result.output.splitlines()) == 1
 
 
 def _run_python(*args):

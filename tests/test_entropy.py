@@ -41,7 +41,7 @@ from wigentropy.positivity import (
     positivity_report,
     two_photon_mixture,
 )
-from wigentropy.quadrature import DEFAULT_QUADRATURE, QuadratureSpec
+from wigentropy.quadrature import QuadratureSpec
 from wigentropy.verification import _random_passive, _random_wigner_positive
 
 VACUUM = PhotonMixture([1.0])
@@ -93,18 +93,13 @@ class TestRadialEntropy:
     def test_matches_mpmath_reference(self, make, expected):
         assert wigner_entropy_radial(make()) == pytest.approx(expected, abs=1e-11)
 
-    # measured worst errors: 6.7e-14 at the default tolerances, 5.4e-15 at
-    # the CLI's 1e-10
-    @pytest.mark.parametrize("spec, bound", [
-        (DEFAULT_QUADRATURE, 3e-13),
-        (QuadratureSpec(abs_tol=1e-10, rel_tol=1e-10), 5e-14),
-    ], ids=["default", "cli"])
-    def test_every_mpmath_reference_state(self, spec, bound):
+    # measured worst error at the default tolerance: 5.3e-15
+    def test_every_mpmath_reference_state(self):
         entries = json.loads(REFERENCE_PATH.read_text())["entries"]
         assert len(entries) == 70
         for entry in entries:
-            value = wigner_entropy_radial(PhotonMixture(entry["probs"]), spec)
-            assert abs(value - float(entry["h_wigner"])) <= bound, entry["name"]
+            value = wigner_entropy_radial(PhotonMixture(entry["probs"]))
+            assert abs(value - float(entry["h_wigner"])) <= 5e-14, entry["name"]
 
     # sigma(0, n) has pi W(u) = u**n exp(-u) / n!, a Gamma density in u = r**2,
     # so h = ln pi + ln n! - n psi(n+1) + n + 1 and h_alpha has Gamma functions
@@ -125,15 +120,14 @@ class TestRadialEntropy:
 
     # sigma(64,64): W = exp(-u) L_64(u)**2 / pi, in 30-digit mpmath split at
     # L_64's Newton-refined roots; the integrals split at every root only if
-    # the report finds the outermost ones.  Measured errors at the CLI's
+    # the report finds the outermost ones.  Measured errors at the default
     # tolerance: 8.9e-15 (order 1) and 8.9e-16 (order 0.5)
     @pytest.mark.parametrize("alpha, expected, bound", [
         (1.0, 6.2992279779496781874, 1.5e-14),
         (0.5, 6.4997044181388778003, 5e-15),
     ])
     def test_sigma_64_64_matches_mpmath(self, alpha, expected, bound):
-        spec = QuadratureSpec(abs_tol=1e-10, rel_tol=1e-10)
-        assert abs(wigner_renyi(sigma_coefficients(64, 64).coeffs, alpha, spec) - expected) <= bound
+        assert abs(wigner_renyi(sigma_coefficients(64, 64).coeffs, alpha) - expected) <= bound
 
     def test_vacuum_not_below_the_bound(self):
         assert wigner_entropy_radial(VACUUM) >= MIN_WIGNER_ENTROPY - 1e-15
@@ -250,13 +244,9 @@ class TestGridEntropy:
 
 class TestQuadratureControls:
     def test_invalid_spec_rejected(self):
-        from wigentropy.quadrature import QuadratureSpec
-
-        with pytest.raises(ValueError):
-            QuadratureSpec(abs_tol=0.0)
-        for bad in (math.nan, math.inf):
+        for bad in (0.0, -1e-10, math.nan, math.inf):
             with pytest.raises(ValueError):
-                QuadratureSpec(rel_tol=bad)
+                QuadratureSpec(bad)
 
 
 #: states for the single-path tests: smooth, touching and passive

@@ -23,7 +23,7 @@ H_RHO_0 = 0.5 * math.log(math.pi * math.e)                     # 1.0723649429247
 H_RHO_1 = math.log(2.0) + np.euler_gamma + 0.5 * math.log(math.pi) - 0.5
 # = 1.3427277883861781
 
-TIGHT = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-11)
+TIGHT = QuadratureSpec(1e-12)
 
 
 class TestWavefunction:
@@ -167,7 +167,7 @@ class TestMarginalEntropy:
             positive = rho > 0.0
             return np.where(positive, -rho * np.log(np.where(positive, rho, 1.0)), 0.0)
 
-        full_line = integrate(integrand, -cut, cut, QuadratureSpec(1e-15, 1e-15), points=nodes)
+        full_line = integrate(integrand, -cut, cut, QuadratureSpec(1e-15), points=nodes)
         assert density_entropy(probs) == pytest.approx(full_line, abs=bound)
 
     def test_one_photon_frozen_oracle(self):

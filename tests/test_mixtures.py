@@ -25,27 +25,35 @@ from wigentropy.verification import _random_passive
 
 
 # each constructor takes its documented shape and real numbers only, so numpy
-# never reshapes or casts a malformed input into a state
+# never reshapes or casts a malformed input into a state; booleans among
+# numbers are cast to numbers, [0, True] to the Fock state |1>
 @pytest.mark.parametrize("make", [
     lambda: PhotonMixture("1"),
     lambda: PhotonMixture([True]),
+    lambda: PhotonMixture([0, True]),
+    lambda: PhotonMixture([np.False_, 1.0]),
     lambda: PhotonMixture(["0.5", "0.5"]),
     lambda: PhotonMixture([[0.5], [0.5]]),
     lambda: PhotonMixture(1.0),
     lambda: PhotonMixture([0.5 + 0j, 0.5]),
     lambda: PassiveDecomposition([[1.0]]),
     lambda: PassiveDecomposition([True]),
+    lambda: PassiveDecomposition([0, True]),
     lambda: GaussianState([0, 0], [0.5, 0, 0, 0.5]),
     lambda: GaussianState([[0], [0]], [[0.5, 0], [0, 0.5]]),
     lambda: GaussianState(["0", "0"], [[0.5, 0], [0, 0.5]]),
     lambda: GaussianState([0, 0], [[True, False], [False, True]]),
+    lambda: GaussianState([0, True], [[0.5, 0], [0, 0.5]]),
+    lambda: GaussianState([0, 0], [[0.5, False], [0, 0.5]]),
     lambda: SymplecticMap([1.0, 0.0, 0.0, 1.0]),
-], ids=["string", "bool", "strings", "column", "scalar", "complex", "nested-weights",
-        "bool-weights", "flat-cov", "column-mean", "string-mean", "bool-cov", "flat-map"])
+    lambda: SymplecticMap([[True, 0], [0, 1]]),
+], ids=["string", "bool", "int-and-bool", "float-and-numpy-bool", "strings", "column",
+        "scalar", "complex", "nested-weights", "bool-weights", "int-and-bool-weights",
+        "flat-cov", "column-mean", "string-mean", "bool-cov", "int-and-bool-mean",
+        "float-and-bool-cov", "flat-map", "int-and-bool-map"])
 def test_constructors_refuse_other_shapes_and_kinds(make):
     with pytest.raises(ValueError):
         make()
-
 
 
 class TestPhotonMixture:

@@ -46,7 +46,7 @@ class TestEngine:
         assert inside == pytest.approx(math.e - 1.0, rel=1e-15)
 
     def test_unreachable_spec_raises(self):
-        spec = QuadratureSpec(abs_tol=1e-300, rel_tol=1e-300)
+        spec = QuadratureSpec(1e-300)
         with pytest.raises(QuadratureConvergenceError):
             entropy_integral(gamma3_density, 0.0, 80.0, spec)
 
@@ -115,8 +115,12 @@ class TestBatching:
                                 for a in np.linspace(0.1, 1.0, 10)],
                              ids=[f"sigma({n},{n})" for n in range(11)]
                              + [f"arc({a:.1f})" for a in np.linspace(0.1, 1.0, 10)])
+    # at the budget max(1e-10, 1e-9 |I|), |I| = h / pi >= 0.68; at the default
+    # tol 1e-10, sigma(n, n), n = 2, 7, 8, 9, and arc(0.9) take two rounds
     def test_touching_states_take_one_round(self, panel_rounds, p):
-        wigner_entropy_radial(p)
+        h = wigner_entropy_radial(p)
+        panel_rounds.clear()
+        wigner_entropy_radial(p, QuadratureSpec(1e-9 * min(1.0, h / math.pi)))
         assert len(panel_rounds) == 1
 
     def test_renyi_two_skips_the_touches(self, panel_rounds):
