@@ -5,10 +5,22 @@ dx dp = pi du, so the Shannon functional of a radial profile f is
 -pi * integral of f(u) ln f(u) du.  Distributions here decay under a
 Gaussian envelope, so radial integrals stop at positivity.radial_cutoff,
 where the envelope bounds the remainder far below tolerance.
+
+The Renyi and Shannon functionals need W >= 0.  Passive states, whose
+probabilities never increase, have it by construction: each is a convex
+mixture of the equiprobable mixtures of |0>..|n>
+(mixtures.passive_decompose), and each of those is positive by the Fock
+sum identity (fock_sum_identity_residual), with W > 0 for r > 0.  So at
+finite order such a state skips the stationary-point search; every other
+state, and order infinity, which reads max W from it, is gated by a
+positivity report.  The gate takes only exactly non-increasing
+probabilities: mixtures.PASSIVE_TOL also admits states whose
+probabilities rise by up to 1e-14, outside the theorem's hypothesis.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 
 import numpy as np
@@ -45,6 +57,8 @@ NEGATIVE_FLOOR = -1e-9
 #: above the ~1e-16 roundoff of a convolved grid, whose noise would
 #: otherwise enter through x ln x
 ENTROPY_CLIP = 1e-14
+
+_log = logging.getLogger(__name__)
 
 
 def wigner_entropy_radial(p: PhotonMixture,
@@ -84,21 +98,36 @@ def wigner_renyi(p: PhotonMixture, alpha: float,
     alpha = 0 is rejected because every Wigner function has unbounded
     support, making the order-0 entropy divergent.  Order 2 satisfies
     h_2 = ln(2 pi / purity).
+
+    At finite order a passive state, p_k >= p_{k+1} for every k exactly,
+    makes no positivity report: it is a convex mixture of equiprobable
+    mixtures (passive_decompose), each Wigner positive by the Fock sum
+    identity with W > 0 for r > 0, so it has no touch to split the integrals
+    at and the result is bit for bit the reported route's.  The condition is
+    exact, not is_passive's PASSIVE_TOL, which admits slightly rising
+    probabilities and so states outside the theorem.  Every other state, and
+    order inf, makes one report and raises NotWignerPositiveError when W < 0.
     """
     if not alpha > 0:
         raise ValueError("Renyi order must be positive (order 0 diverges)")
-    report = positivity_report(p)
-    if not report.is_positive:
-        raise NotWignerPositiveError(
-            f"Wigner function reaches {report.min_value:.6e} at r = {report.argmin_r:.6f}",
-            min_value=report.min_value,
-            argmin_r=report.argmin_r,
-        )
-    if math.isinf(alpha):
-        return -math.log(report.max_value)
+    probs = p.probs
+    if math.isfinite(alpha) and np.all(probs[:-1] >= probs[1:]):
+        _log.debug("order %g: passive, positive by construction", alpha)
+        points = None
+    else:
+        report = positivity_report(p)
+        _log.debug("order %g: gated by a positivity report", alpha)
+        if not report.is_positive:
+            raise NotWignerPositiveError(
+                f"Wigner function reaches {report.min_value:.6e} at r = {report.argmin_r:.6f}",
+                min_value=report.min_value,
+                argmin_r=report.argmin_r,
+            )
+        if math.isinf(alpha):
+            return -math.log(report.max_value)
+        # W ln W and W**alpha are singular at the touches only for alpha <= 1
+        points = report.touches if alpha <= 1.0 else None
     u_max = radial_cutoff(p) * max(1.0, 1.0 / alpha)
-    # W ln W and W**alpha are singular at the touches only for alpha <= 1
-    points = report.touches if alpha <= 1.0 else None
     if alpha == 1.0:
         return entropy_integral(lambda u: radial_wigner(p, np.sqrt(u)), 0.0, u_max, spec,
                                 weight=math.pi, points=points)

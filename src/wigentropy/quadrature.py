@@ -123,7 +123,8 @@ def integrate(func, a: float, b: float, spec: QuadratureSpec = DEFAULT_QUADRATUR
         panels += lo.size
         if panels > MAX_SUBDIVISIONS:
             raise QuadratureConvergenceError(
-                f"tolerance {budget:.3e} needs more than {MAX_SUBDIVISIONS} panels"
+                f"tolerance {spec.tol!r} (error budget {budget:.3e}) needs more than "
+                f"{MAX_SUBDIVISIONS} panels"
             )
         mid = 0.5 * (lo + hi)
         lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -14,7 +15,7 @@ import wigentropy
 from wigentropy import beamsplitter, cli
 from wigentropy.cli import main
 from wigentropy.entropy import wigner_renyi
-from wigentropy.mixtures import PhotonMixture, sigma_coefficients
+from wigentropy.mixtures import PhotonMixture, sigma_coefficients, thermal_mixture
 from wigentropy.verification import run_suite
 
 LN_PI_PLUS_1 = math.log(math.pi) + 1.0
@@ -281,6 +282,39 @@ class TestRegion2Command:
         assert result.exit_code != 0
 
 
+RENYI_FLAGS = ["--renyi", "2", "--renyi", "0.5", "--renyi", "inf"]
+
+#: sha256 of command outputs pinned byte for byte, CSV with its header; a
+#: change that moves a digit (or the version in the header) updates the
+#: digest and says why
+PINNED_OUTPUTS = {
+    "sigma-table --max 10":
+        "232f423d079e17c18245686bb2c2444fae3a89ffe23cd305f67e9a31442965f3",
+    "region2 --samples 128":
+        "ae57327c892d012fb574917f415f87188723d6594312501391c63a74ba2f2bf4",
+    "entropy thermal(2)":
+        "8c958e2d6b26a41d1fc1f13a195c73917aa25c483cca9625efe2cbba9a5f5bd3",
+    "entropy sigma(5,7)":
+        "8e2b1da5e7cb71c4995d535769797875c7d0ad3976316b701245bdc014137c94",
+}
+
+
+@pytest.mark.parametrize("name", PINNED_OUTPUTS)
+def test_output_is_byte_identical(runner, tmp_path, in_process, name):
+    if name.startswith("entropy"):
+        state = {"entropy thermal(2)": thermal_mixture(2.0),
+                 "entropy sigma(5,7)": sigma_coefficients(5, 7).coeffs}[name]
+        path = write_state(tmp_path, "state.json", {"fock_probs": state.probs.tolist()})
+        out = tmp_path / "report.csv"
+        result = runner.invoke(main, ["entropy", path, *RENYI_FLAGS, "--out", str(out)])
+        output = out.read_bytes()
+    else:
+        result = runner.invoke(main, name.split())
+        output = result.stdout.encode()
+    assert result.exit_code == 0
+    assert hashlib.sha256(output).hexdigest() == PINNED_OUTPUTS[name]
+
+
 @pytest.mark.parametrize("command", [
     ["entropy", "STATE", "--quad-tol", "0"],
     ["entropy", "STATE", "--quad-tol", "nan"],
@@ -331,7 +365,7 @@ def test_unreachable_tolerance_is_one_line_error(runner, monkeypatch, command, w
     result = runner.invoke(main, [*command, "--quad-tol", "1e-300"])
     assert result.exit_code == 1
     assert isinstance(result.exception, SystemExit)
-    assert result.output.startswith("error: ")
+    assert result.output.startswith("error: tolerance 1e-300 (error budget ")
     assert len(result.output.splitlines()) == 1
 
 

@@ -1,4 +1,5 @@
 import json
+import logging
 import math
 from pathlib import Path
 
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.special import digamma, eval_genlaguerre, gammaln, roots_genlaguerre
 
-from conftest import TINY_TOP_MIXTURES, fock_mixture, outer_dip_mixture
+from conftest import TINY_TOP_MIXTURES, bitwise_corpus, fock_mixture, outer_dip_mixture
 from wigentropy.beamsplitter import fock_oracle_sigma, grid_from_mixture
 from wigentropy.entropy import (
     MIN_WIGNER_ENTROPY,
@@ -31,17 +32,20 @@ from wigentropy.mixtures import (
     THERMAL_MAX_MEAN,
     PhotonMixture,
     extremal_passive,
+    is_passive,
     sigma_coefficients,
     thermal_mixture,
 )
-from wigentropy import positivity
+from wigentropy import entropy, positivity
 from wigentropy.positivity import (
     EPS_POS,
     extremal_arc_point,
     positivity_report,
+    radial_cutoff,
+    radial_wigner,
     two_photon_mixture,
 )
-from wigentropy.quadrature import QuadratureSpec
+from wigentropy.quadrature import QuadratureSpec, entropy_integral, integrate
 from wigentropy.verification import _random_passive, _random_wigner_positive
 
 VACUUM = PhotonMixture([1.0])
@@ -282,8 +286,12 @@ class TestRenyi:
         for p in (SIGMA_B, *SINGLE_PATH_STATES.values()):
             assert wigner_renyi(p, 1.0) == wigner_entropy_radial(p), p.probs
 
-    @pytest.mark.parametrize("p", SINGLE_PATH_STATES.values(), ids=SINGLE_PATH_STATES.keys())
-    def test_one_positivity_report_per_call(self, p, monkeypatch):
+    @pytest.mark.parametrize("name", SINGLE_PATH_STATES)
+    def test_one_positivity_report_per_call(self, name, monkeypatch):
+        # at most one: none at finite order where positivity holds by
+        # construction, one at order inf, which reads max W from the report
+        p = SINGLE_PATH_STATES[name]
+        finite = 0 if name in ("vacuum", "thermal(1)", "passive(3)") else 1
         calls = []
         roots = positivity._laguerre_roots
 
@@ -292,12 +300,13 @@ class TestRenyi:
             return roots(c)
 
         monkeypatch.setattr(positivity, "_laguerre_roots", counted)
-        functionals = [lambda: wigner_entropy_radial(p)]
-        functionals += [lambda a=a: wigner_renyi(p, a) for a in (0.5, 1.0, 2.0, math.inf)]
-        for f in functionals:
+        functionals = [(lambda: wigner_entropy_radial(p), finite)]
+        functionals += [(lambda a=a: wigner_renyi(p, a), finite) for a in (0.5, 1.0, 2.0)]
+        functionals += [(lambda: wigner_renyi(p, math.inf), 1)]
+        for f, reports in functionals:
             calls.clear()
             f()
-            assert len(calls) == 1
+            assert len(calls) == reports
 
     def test_continuity_near_one(self):
         h = wigner_entropy_radial(SIGMA_B)
@@ -321,6 +330,76 @@ class TestRenyi:
     def test_low_order_on_lopsided_touching_state(self, m, n, alpha):
         h = wigner_renyi(sigma_coefficients(m, n).coeffs, alpha)
         assert h >= MIN_WIGNER_ENTROPY
+
+
+def reported_renyi(p: PhotonMixture, alpha: float, report) -> float:
+    """wigner_renyi at a finite order as it runs behind p's positivity report,
+    with the integrals split at the report's touches for alpha <= 1."""
+    u_max = radial_cutoff(p) * max(1.0, 1.0 / alpha)
+    points = report.touches if alpha <= 1.0 else None
+    if alpha == 1.0:
+        return entropy_integral(lambda u: radial_wigner(p, np.sqrt(u)), 0.0, u_max,
+                                weight=math.pi, points=points)
+    norm = math.pi * integrate(
+        lambda u: np.maximum(radial_wigner(p, np.sqrt(u)), 0.0) ** alpha, 0.0, u_max,
+        points=points)
+    return math.log(norm) / (1.0 - alpha)
+
+
+def exactly_passive_states() -> list[PhotonMixture]:
+    """Every state with p_k >= p_{k+1} exactly in the positivity corpus, the
+    extremal passive states up to N_MAX photons and thermal states up to
+    THERMAL_MAX_MEAN."""
+    states = [p for p in bitwise_corpus() if np.all(p.probs[:-1] >= p.probs[1:])]
+    states += [extremal_passive(n) for n in range(N_MAX + 1)]
+    states += [thermal_mixture(mean) for mean in np.linspace(0.0, THERMAL_MAX_MEAN, 65)]
+    return states
+
+
+class TestPassiveGate:
+    """Passive states skip the positivity report at finite order; the
+    result must stay bit for bit that of the reported route."""
+
+    def test_gate_is_bit_for_bit(self):
+        # positive without touches is what lets the gate skip the report
+        for p in exactly_passive_states():
+            report = positivity_report(p)
+            assert report.is_positive and report.touches.size == 0, p.probs
+            for alpha in (0.5, 1.0, 2.0):
+                assert wigner_renyi(p, alpha) == reported_renyi(p, alpha, report), (p.probs, alpha)
+
+    def test_passive_within_tolerance_is_reported(self, monkeypatch):
+        # PASSIVE_TOL admits this rise; the theorem does not
+        p = PhotonMixture([0.5 - 5e-15, 0.5 + 5e-15])
+        assert is_passive(p)
+        calls = []
+
+        def counted(q):
+            calls.append(q)
+            return positivity_report(q)
+
+        monkeypatch.setattr(entropy, "positivity_report", counted)
+        for alpha in (0.5, 1.0, 2.0):
+            wigner_renyi(p, alpha)
+        assert len(calls) == 3
+
+    def test_debug_record_names_the_gate(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="wigentropy.entropy"):
+            wigner_renyi(thermal_mixture(1.0), 2.0)
+            wigner_renyi(thermal_mixture(1.0), math.inf)
+            wigner_renyi(sigma_coefficients(5, 7).coeffs, 0.5)
+        assert [(r.levelno, r.getMessage()) for r in caplog.records
+                if r.name == "wigentropy.entropy"] == [
+            (logging.DEBUG, "order 2: passive, positive by construction"),
+            (logging.DEBUG, "order inf: gated by a positivity report"),
+            (logging.DEBUG, "order 0.5: gated by a positivity report"),
+        ]
+
+    def test_quiet_by_default(self, caplog):
+        with caplog.at_level(logging.INFO, logger="wigentropy.entropy"):
+            wigner_renyi(thermal_mixture(1.0), 2.0)
+            wigner_renyi(SIGMA_B, 1.0)
+        assert caplog.records == []
 
 
 class TestWehrl:
