@@ -67,7 +67,6 @@ _log = logging.getLogger(__name__)
 #: rows per block of the convolution's FFT passes
 _BLOCK_ROWS = 64
 #: usable cores (CPU affinity, else the core count): the convolution's threads
-#: and the worker processes of the CLI's sigma-table
 _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
 _pool = None  # ThreadPoolExecutor of _WORKERS threads, made by the first pooled call

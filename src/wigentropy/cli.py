@@ -18,7 +18,7 @@ import sys
 import click
 import numpy as np
 
-from . import __version__, beamsplitter
+from . import __version__
 from .entropy import (
     MIN_WIGNER_ENTROPY,
     wehrl_entropy,
@@ -38,16 +38,6 @@ from .verification import available_suites, run_suite
 EXIT_PARSE_ERROR = 2
 EXIT_NOT_POSITIVE = 3
 EXIT_BOUND_VIOLATION = 4
-
-
-def __getattr__(name):
-    # ProcessPoolExecutor stays a module attribute that callers may replace,
-    # but its module loads multiprocessing, which only sigma-table needs
-    if name == "ProcessPoolExecutor":
-        from concurrent.futures import ProcessPoolExecutor
-
-        return ProcessPoolExecutor
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _fmt(value: float) -> str:
@@ -183,11 +173,6 @@ def cmd_entropy(state_file, renyi_orders, quad_tol, out_path):
                     *(f"{key},{_fmt(value)}" for key, value in rows)], out_path)
 
 
-def _sigma_cell(args: tuple[int, int, QuadratureSpec]) -> tuple[int, int, float]:
-    m, n, spec = args
-    return m, n, wigner_entropy_radial(sigma_coefficients(m, n).coeffs, spec)
-
-
 @main.command("sigma-table")
 @click.option("--max", "max_photons", type=click.IntRange(0, 30), default=10, show_default=True,
               help="Largest photon number per input arm (guard: 30, which bounds "
@@ -201,20 +186,12 @@ def cmd_sigma_table(max_photons, quad_tol, out_path):
     Every entry must stay above ln(pi) + 1; a violation would be a
     counterexample to the conjectured bound and exits with code 4.
     Monotonicity along rows and columns is reported as warnings only.
-    The cells run on one worker process per usable core (CPU affinity),
-    or in-process on one core.
     """
     spec = QuadratureSpec(quad_tol)
-    cells = [(m, n, spec) for m in range(max_photons + 1)
-             for n in range(m, max_photons + 1)]
-    workers = beamsplitter._WORKERS
-    if workers > 1 and len(cells) > 1:
-        with sys.modules[__name__].ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_sigma_cell, cells, chunksize=4))
-    else:
-        results = [_sigma_cell(cell) for cell in cells]
-
-    table = {key: value for m, n, value in results for key in ((m, n), (n, m))}
+    table = {}
+    for m in range(max_photons + 1):
+        for n in range(m, max_photons + 1):
+            table[m, n] = table[n, m] = wigner_entropy_radial(sigma_coefficients(m, n), spec)
 
     lines = [_header(quad_tol), "m,n,entropy"]
     for m in range(max_photons + 1):

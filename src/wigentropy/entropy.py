@@ -6,16 +6,16 @@ dx dp = pi du, so the Shannon functional of a radial profile f is
 Gaussian envelope, so radial integrals stop at positivity.radial_cutoff,
 where the envelope bounds the remainder far below tolerance.
 
-The Renyi and Shannon functionals need W >= 0.  Passive states, whose
-probabilities never increase, have it by construction: each is a convex
-mixture of the equiprobable mixtures of |0>..|n>
-(mixtures.passive_decompose), and each of those is positive by the Fock
-sum identity (fock_sum_identity_residual), with W > 0 for r > 0.  So at
-finite order such a state skips the stationary-point search; every other
-state, and order infinity, which reads max W from it, is gated by a
-positivity report.  The gate takes only exactly non-increasing
-probabilities: mixtures.PASSIVE_TOL also admits states whose
-probabilities rise by up to 1e-14, outside the theorem's hypothesis.
+The Renyi and Shannon functionals need W >= 0.  Two kinds of state have
+it by construction, so at finite order they skip the stationary-point
+search.  A beam-splitter output sigma(m, n), given as its SigmaState, has
+W = lo!/(pi hi!) exp(-u) u**d L_lo^(d)(u)**2 with lo = min(m, n),
+hi = max(m, n) and d = |m - n|, and its touches are the roots of
+L_lo^(d).  A passive state (mixtures.is_passive) is a convex mixture of
+the equiprobable mixtures of |0>..|n> (mixtures.passive_decompose), each
+positive by the Fock sum identity (fock_sum_identity_residual), with
+W > 0 for r > 0.  Every other state, and order infinity, which reads
+max W from it, is gated by a positivity report.
 """
 
 from __future__ import annotations
@@ -27,8 +27,8 @@ import numpy as np
 
 from .beamsplitter import WignerGrid, husimi_phase_invariant, mix_through_beamsplitter
 from .exceptions import NegativeGridError, NotPassiveError, NotWignerPositiveError
-from .fock import density_entropy, marginal_entropy, wavefunction_table
-from .mixtures import PhotonMixture, extremal_passive, is_passive
+from .fock import density_entropy, laguerre_scaled_all, marginal_entropy, wavefunction_table
+from .mixtures import PhotonMixture, SigmaState, extremal_passive, is_passive
 from .positivity import positivity_report, radial_cutoff, radial_wigner
 from .quadrature import DEFAULT_QUADRATURE, QuadratureSpec, entropy_integral, integrate
 
@@ -61,7 +61,7 @@ ENTROPY_CLIP = 1e-14
 _log = logging.getLogger(__name__)
 
 
-def wigner_entropy_radial(p: PhotonMixture,
+def wigner_entropy_radial(p: PhotonMixture | SigmaState,
                           spec: QuadratureSpec = DEFAULT_QUADRATURE) -> float:
     """Shannon entropy of the Wigner function of a Wigner-positive Fock mixture.
 
@@ -90,7 +90,30 @@ def wigner_entropy_grid(grid: WignerGrid) -> float:
     return float(-np.sum(positive * np.log(positive)) * cell)
 
 
-def wigner_renyi(p: PhotonMixture, alpha: float,
+def _sigma_profile(s: SigmaState):
+    """W(u) of sigma(m, n) in factored form, u = r**2, and its touches.
+
+    pi W is the square of L_lo^(d)(u) exp(-u/2) times sqrt(u / (lo + j)),
+    j = 1..d: each factor rounds on its own, where ln(lo!/hi!) + d ln u
+    would cancel terms of size d ln u, and the product starts from the
+    damped polynomial, so it never overflows.  The touches are the roots of
+    L_lo^(d), eigenvalues of its Jacobi matrix (Golub & Welsch 1969).
+    """
+    lo, d = min(s.m, s.n), abs(s.m - s.n)
+
+    def wigner(u):
+        root = laguerre_scaled_all(lo, u, d)[lo]
+        for j in range(lo + 1, lo + d + 1):
+            root *= np.sqrt(u / j)
+        return root * root / math.pi
+
+    k = np.arange(lo)
+    jacobi = np.diag(2.0 * k + 1.0 + d)
+    jacobi[k[1:], k[:-1]] = -np.sqrt(k[1:] * (k[1:] + d))
+    return wigner, np.linalg.eigvalsh(jacobi)
+
+
+def wigner_renyi(p: PhotonMixture | SigmaState, alpha: float,
                  spec: QuadratureSpec = DEFAULT_QUADRATURE) -> float:
     """Order-alpha entropy of the Wigner function of a Wigner-positive mixture.
 
@@ -99,41 +122,45 @@ def wigner_renyi(p: PhotonMixture, alpha: float,
     support, making the order-0 entropy divergent.  Order 2 satisfies
     h_2 = ln(2 pi / purity).
 
-    At finite order a passive state, p_k >= p_{k+1} for every k exactly,
-    makes no positivity report: it is a convex mixture of equiprobable
-    mixtures (passive_decompose), each Wigner positive by the Fock sum
-    identity with W > 0 for r > 0, so it has no touch to split the integrals
-    at and the result is bit for bit the reported route's.  The condition is
-    exact, not is_passive's PASSIVE_TOL, which admits slightly rising
-    probabilities and so states outside the theorem.  Every other state, and
-    order inf, makes one report and raises NotWignerPositiveError when W < 0.
+    At finite order a SigmaState, in factored form, and a passive state are
+    positive by construction (module docstring) and make no positivity
+    report.  Every other state, and order inf, which reads max W from the
+    report (of the coeffs for a SigmaState), makes one and raises
+    NotWignerPositiveError when W < 0.  Orders up to 1 split the integrals
+    at the touches, where W ln W and W**alpha are singular.
     """
     if not alpha > 0:
         raise ValueError("Renyi order must be positive (order 0 diverges)")
-    probs = p.probs
-    if math.isfinite(alpha) and np.all(probs[:-1] >= probs[1:]):
-        _log.debug("order %g: passive, positive by construction", alpha)
-        points = None
+    sigma, p = (p, p.coeffs) if isinstance(p, SigmaState) else (None, p)
+    if sigma and math.isfinite(alpha):
+        _log.debug("order %g: sigma(m, n), positive by construction", alpha)
+        wigner, touches = _sigma_profile(sigma)
     else:
-        report = positivity_report(p)
-        _log.debug("order %g: gated by a positivity report", alpha)
-        if not report.is_positive:
-            raise NotWignerPositiveError(
-                f"Wigner function reaches {report.min_value:.6e} at r = {report.argmin_r:.6f}",
-                min_value=report.min_value,
-                argmin_r=report.argmin_r,
-            )
-        if math.isinf(alpha):
-            return -math.log(report.max_value)
-        # W ln W and W**alpha are singular at the touches only for alpha <= 1
-        points = report.touches if alpha <= 1.0 else None
+        def wigner(u):
+            return radial_wigner(p, np.sqrt(u))
+
+        if math.isfinite(alpha) and is_passive(p):
+            _log.debug("order %g: passive, positive by construction", alpha)
+            touches = None
+        else:
+            report = positivity_report(p)
+            _log.debug("order %g: gated by a positivity report", alpha)
+            if not report.is_positive:
+                raise NotWignerPositiveError(
+                    f"Wigner function reaches {report.min_value:.6e} at r = {report.argmin_r:.6f}",
+                    min_value=report.min_value,
+                    argmin_r=report.argmin_r,
+                )
+            if math.isinf(alpha):
+                return -math.log(report.max_value)
+            touches = report.touches
+    points = touches if alpha <= 1.0 else None
     u_max = radial_cutoff(p) * max(1.0, 1.0 / alpha)
     if alpha == 1.0:
-        return entropy_integral(lambda u: radial_wigner(p, np.sqrt(u)), 0.0, u_max, spec,
-                                weight=math.pi, points=points)
+        return entropy_integral(wigner, 0.0, u_max, spec, weight=math.pi, points=points)
 
     def integrand(u):
-        return np.maximum(radial_wigner(p, np.sqrt(u)), 0.0) ** alpha
+        return np.maximum(wigner(u), 0.0) ** alpha
 
     norm = math.pi * integrate(integrand, 0.0, u_max, spec, points=points)
     return math.log(norm) / (1.0 - alpha)

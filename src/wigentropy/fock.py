@@ -59,21 +59,22 @@ def tail_cutoff(n: int) -> float:
     return math.sqrt(2 * n + 1) + 12.0
 
 
-def laguerre_scaled_all(nmax: int, t) -> np.ndarray:
-    """Gaussian-damped Laguerre values  L_k(t) exp(-t/2)  for k = 0..nmax.
+def laguerre_scaled_all(nmax: int, t, d: int = 0) -> np.ndarray:
+    """Gaussian-damped Laguerre values  L_k^(d)(t) exp(-t/2)  for k = 0..nmax.
 
-    These satisfy the same recurrence as L_k and are bounded by 1 for
-    t >= 0, which keeps radial Wigner evaluations overflow-free at photon
-    numbers where the raw polynomials would exceed double range.
+    These satisfy the same recurrence as L_k^(d) and are bounded by
+    C(k + d, k) for t >= 0 (by 1 for the ordinary polynomials, d = 0),
+    which keeps radial Wigner evaluations overflow-free at photon numbers
+    where the raw polynomials would exceed double range.
     """
     t = np.asarray(t, dtype=float)
     envelope = np.exp(-0.5 * t)
     out = np.empty((nmax + 1,) + t.shape)
     out[0] = envelope
     if nmax >= 1:
-        out[1] = (1.0 - t) * envelope
+        out[1] = (1.0 + d - t) * envelope
     for k in range(1, nmax):
-        out[k + 1] = ((2 * k + 1 - t) * out[k] - k * out[k - 1]) / (k + 1)
+        out[k + 1] = ((2 * k + 1 + d - t) * out[k] - (k + d) * out[k - 1]) / (k + 1)
     return out
 
 

@@ -36,9 +36,6 @@ __all__ = [
 #: than silently renormalized
 NORMALIZATION_TOL = 1e-12
 
-#: slack on each step p_k >= p_{k+1} of a passive (non-increasing) vector
-PASSIVE_TOL = 1e-14
-
 #: tail mass a truncated thermal distribution may leave out
 THERMAL_TAIL_TOL = 1e-13
 #: largest thermal mean whose THERMAL_TAIL_TOL cut ends within N_MAX photons
@@ -50,13 +47,26 @@ def _holds_bool(values) -> bool:
     return any(isinstance(x, (bool, np.bool_)) for x in np.array(values, dtype=object).flat)
 
 
-def _real_vector(values, what: str) -> np.ndarray:
-    """A float copy of a 1-D array of real numbers; bools, strings and nesting are refused."""
+def _distribution(values, what: str) -> np.ndarray:
+    """A read-only float copy of a probability vector: a non-empty 1-D array of
+    finite, non-negative real numbers summing to 1 within NORMALIZATION_TOL.
+    Bools, strings and nesting are refused."""
     arr = np.array(values)
     if arr.ndim != 1 or arr.dtype.kind not in "iuf" or _holds_bool(values):
         raise ValueError(f"{what} must be a flat sequence of real numbers, not booleans, "
                          f"got {arr.dtype} {arr.shape}")
-    return arr.astype(float)
+    arr = arr.astype(float)
+    if arr.size == 0:
+        raise ValueError(f"{what} must not be empty")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{what} must be finite")
+    if np.any(arr < 0.0):
+        raise ValueError(f"{what} must be non-negative")
+    total = math.fsum(arr.tolist())
+    if abs(total - 1.0) > NORMALIZATION_TOL:
+        raise ValueError(f"{what} sum to {total!r}, more than {NORMALIZATION_TOL} away from 1")
+    arr.flags.writeable = False
+    return arr
 
 
 @dataclass(frozen=True)
@@ -66,23 +76,11 @@ class PhotonMixture:
     probs: np.ndarray
 
     def __init__(self, probs):
-        arr = _real_vector(probs, "photon-number probabilities")
-        if arr.size == 0:
-            raise ValueError("probability vector must not be empty")
+        arr = _distribution(probs, "photon-number probabilities")
         if arr.size - 1 > N_MAX:
             raise ValueError(
                 f"largest photon number {arr.size - 1} exceeds N_MAX = {N_MAX}"
             )
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("photon-number probabilities must be finite")
-        if np.any(arr < 0.0):
-            raise ValueError("photon-number probabilities must be non-negative")
-        total = math.fsum(arr.tolist())
-        if abs(total - 1.0) > NORMALIZATION_TOL:
-            raise ValueError(
-                f"probabilities sum to {total!r}, more than {NORMALIZATION_TOL} away from 1"
-            )
-        arr.flags.writeable = False
         object.__setattr__(self, "probs", arr)
 
     def __len__(self) -> int:
@@ -113,16 +111,7 @@ class PassiveDecomposition:
     weights: np.ndarray
 
     def __init__(self, weights):
-        arr = _real_vector(weights, "decomposition weights")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("decomposition weights must be finite")
-        if np.any(arr < 0.0):
-            raise ValueError("decomposition weights must be non-negative")
-        total = math.fsum(arr.tolist())
-        if abs(total - 1.0) > NORMALIZATION_TOL:
-            raise ValueError(f"decomposition weights sum to {total!r}, not 1")
-        arr.flags.writeable = False
-        object.__setattr__(self, "weights", arr)
+        object.__setattr__(self, "weights", _distribution(weights, "decomposition weights"))
 
     def __len__(self) -> int:
         return int(self.weights.size)
@@ -138,9 +127,9 @@ class SigmaState:
 
 
 def is_passive(p: PhotonMixture) -> bool:
-    """True when the probabilities are non-increasing (within PASSIVE_TOL)."""
+    """True when the probabilities never increase, p_k >= p_{k+1} exactly."""
     probs = p.probs
-    return bool(np.all(probs[:-1] >= probs[1:] - PASSIVE_TOL))
+    return bool(np.all(probs[:-1] >= probs[1:]))
 
 
 def extremal_passive(n: int) -> PhotonMixture:
@@ -154,14 +143,13 @@ def passive_decompose(p: PhotonMixture) -> PassiveDecomposition:
     """Weights e_k = (k+1)(p_k - p_{k+1}) over the equiprobable mixtures.
 
     Exact inverse of :func:`compose_passive`; raises NotPassiveError when
-    any probability increases beyond PASSIVE_TOL.
+    any probability increases.
     """
     if not is_passive(p):
         raise NotPassiveError("probabilities increase somewhere; state is not passive")
     probs = np.append(p.probs, 0.0)
     ks = np.arange(len(p), dtype=float)
-    weights = np.clip((ks + 1.0) * (probs[:-1] - probs[1:]), 0.0, None)
-    return PassiveDecomposition(weights)
+    return PassiveDecomposition((ks + 1.0) * (probs[:-1] - probs[1:]))
 
 
 def compose_passive(d: PassiveDecomposition) -> PhotonMixture:

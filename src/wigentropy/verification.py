@@ -228,7 +228,7 @@ def suite_conjecture_scan(rng, spec) -> SuiteResult:
     reported loudly.
     """
     h = entropy.wigner_entropy_radial
-    scanned = [(f"sigma({m},{n})", h(mixtures.sigma_coefficients(m, n).coeffs, spec))
+    scanned = [(f"sigma({m},{n})", h(mixtures.sigma_coefficients(m, n), spec))
                for m in range(11) for n in range(m, 11)]
     scanned += [(f"passive#{k}", h(_random_passive(rng, 20), spec)) for k in range(30)]
     for a in np.linspace(0.0, 1.0, 11):

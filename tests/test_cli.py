@@ -4,7 +4,6 @@ import math
 import os
 import subprocess
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -12,7 +11,7 @@ from click.testing import CliRunner
 
 from conftest import outer_dip_mixture
 import wigentropy
-from wigentropy import beamsplitter, cli
+from wigentropy import cli
 from wigentropy.cli import main
 from wigentropy.entropy import wigner_renyi
 from wigentropy.mixtures import PhotonMixture, sigma_coefficients, thermal_mixture
@@ -171,12 +170,6 @@ class TestEntropyCommand:
         assert isinstance(result.exception, SystemExit)
 
 
-@pytest.fixture
-def in_process(monkeypatch):
-    """sigma-table sizes its pool by the usable cores; one core runs the cells in-process."""
-    monkeypatch.setattr(beamsplitter, "_WORKERS", 1)
-
-
 class TestSigmaTableCommand:
     def test_single_cell(self, runner):
         result = runner.invoke(main, ["sigma-table", "--max", "0"])
@@ -187,7 +180,7 @@ class TestSigmaTableCommand:
         assert (m, n) == ("0", "0")
         assert float(entropy) == pytest.approx(LN_PI_PLUS_1, abs=1e-9)
 
-    def test_three_by_three(self, runner, in_process):
+    def test_three_by_three(self, runner):
         result = runner.invoke(main, ["sigma-table", "--max", "2"])
         assert result.exit_code == 0
         rows = [l for l in result.output.splitlines() if not l.startswith(("#", "m,"))]
@@ -201,38 +194,16 @@ class TestSigmaTableCommand:
             assert h == table[(n, m)]
             assert h >= LN_PI_PLUS_1 - 1e-7
 
-    def test_deterministic_output(self, runner, tmp_path, in_process):
+    def test_deterministic_output(self, runner, tmp_path):
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
         for out in (out1, out2):
             result = runner.invoke(main, ["sigma-table", "--max", "2", "--out", str(out)])
             assert result.exit_code == 0
         assert out1.read_bytes() == out2.read_bytes()
 
-    def test_jobs_do_not_change_output(self, runner, tmp_path, monkeypatch):
-        serial, parallel = tmp_path / "s.csv", tmp_path / "p.csv"
-        outputs = []
-        for workers, out in ((1, serial), (2, parallel)):
-            monkeypatch.setattr(beamsplitter, "_WORKERS", workers)
-            outputs.append(runner.invoke(main, ["sigma-table", "--max", "2", "--out", str(out)]))
-        assert [r.exit_code for r in outputs] == [0, 0]
-        assert serial.read_bytes() == parallel.read_bytes()
-
-    def test_pool_sized_by_usable_cores(self, runner, monkeypatch):
-        sizes = []
-
-        def pool(max_workers):
-            sizes.append(max_workers)
-            return ThreadPoolExecutor(max_workers)
-
-        monkeypatch.setattr(beamsplitter, "_WORKERS", 3)
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", pool)
-        for top in ("1", "0"):
-            assert runner.invoke(main, ["sigma-table", "--max", top]).exit_code == 0
-        assert sizes == [3]  # a single cell runs in-process
-
-    def test_directory_out_is_a_usage_error(self, runner, tmp_path, in_process, monkeypatch):
+    def test_directory_out_is_a_usage_error(self, runner, tmp_path, monkeypatch):
         cells = []
-        monkeypatch.setattr(cli, "_sigma_cell", cells.append)
+        monkeypatch.setattr(cli, "wigner_entropy_radial", lambda *args: cells.append(args))
         result = runner.invoke(main, ["sigma-table", "--max", "2", "--out", str(tmp_path)])
         assert result.exit_code == 2
         assert "is a directory" in result.output
@@ -289,7 +260,7 @@ RENYI_FLAGS = ["--renyi", "2", "--renyi", "0.5", "--renyi", "inf"]
 #: digest and says why
 PINNED_OUTPUTS = {
     "sigma-table --max 10":
-        "232f423d079e17c18245686bb2c2444fae3a89ffe23cd305f67e9a31442965f3",
+        "f5b9e8c9bae4aed50eb9e96f2eb2b114a6e6cdc6dac14e37af9ebf122a3cb538",
     "region2 --samples 128":
         "ae57327c892d012fb574917f415f87188723d6594312501391c63a74ba2f2bf4",
     "entropy thermal(2)":
@@ -300,7 +271,7 @@ PINNED_OUTPUTS = {
 
 
 @pytest.mark.parametrize("name", PINNED_OUTPUTS)
-def test_output_is_byte_identical(runner, tmp_path, in_process, name):
+def test_output_is_byte_identical(runner, tmp_path, name):
     if name.startswith("entropy"):
         state = {"entropy thermal(2)": thermal_mixture(2.0),
                  "entropy sigma(5,7)": sigma_coefficients(5, 7).coeffs}[name]
@@ -355,13 +326,11 @@ class TestVerifyCommand:
         assert result.output == run_suite("wehrl-bridge")[0].report() + "\n"
 
 
-@pytest.mark.parametrize("command, workers", [
-    (["sigma-table", "--max", "2"], 1),
-    (["sigma-table", "--max", "2"], 2),
-    (["verify", "--suite", "wehrl-bridge"], 1),
-], ids=["sigma-table", "sigma-table-pool", "verify"])
-def test_unreachable_tolerance_is_one_line_error(runner, monkeypatch, command, workers):
-    monkeypatch.setattr(beamsplitter, "_WORKERS", workers)
+@pytest.mark.parametrize("command", [
+    ["sigma-table", "--max", "2"],
+    ["verify", "--suite", "wehrl-bridge"],
+], ids=["sigma-table", "verify"])
+def test_unreachable_tolerance_is_one_line_error(runner, command):
     result = runner.invoke(main, [*command, "--quad-tol", "1e-300"])
     assert result.exit_code == 1
     assert isinstance(result.exception, SystemExit)
@@ -412,7 +381,7 @@ def test_import_does_not_start_thread_pool():
 
 
 def test_import_does_not_load_process_pool():
-    # concurrent.futures.process loads multiprocessing; only sigma-table's pool needs it
+    # concurrent.futures.process loads multiprocessing, which nothing here needs
     probe = _run_python("-c", "import sys, wigentropy, wigentropy.cli; "
                         "print('concurrent.futures.process' in sys.modules)")
     assert probe.returncode == 0, probe.stderr
