@@ -250,8 +250,7 @@ def cmd_region2(samples, out_path):
         lines.append(f"facet,,{_fmt(0.5)},{_fmt(p2)},{_fmt(0.0)},,,")
     # tangent family W(r) = 0; the anchors r = 1/sqrt(2), 1, sqrt(2) give the
     # lines through the named boundary points and are always included
-    radii = np.union1d(np.linspace(0.0, 2.0, samples),
-                       [2.0 ** -0.5, 1.0, 2.0 ** 0.5])
+    radii = sorted({*np.linspace(0.0, 2.0, samples).tolist(), 2.0 ** -0.5, 1.0, 2.0 ** 0.5})
     for r in radii:
         coef_p1 = 2.0 * r * r - 2.0
         coef_p2 = 2.0 * r**4 - 4.0 * r * r

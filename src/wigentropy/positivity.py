@@ -85,13 +85,16 @@ class PositivityReport:
     @property
     def touches(self) -> np.ndarray:
         """u = r**2 at the touches, the interior candidates with |W| <= EPS_POS no
-        larger than either neighbour and before the envelope tail, which starts
-        after the last |W| > EPS_POS: W's double roots, simple roots of Q."""
+        larger than either neighbour, after the zero at the origin, which runs
+        to the first |W| > EPS_POS, and before the envelope tail, which starts
+        after the last: W's double roots, simple roots of Q."""
         rs, ws = self.candidates
         mid = ws[1:-1]
-        last = np.flatnonzero(np.abs(ws) > EPS_POS).max(initial=0)
+        (clear,) = np.nonzero(np.abs(ws) > EPS_POS)
+        first, last = (clear[0], clear[-1]) if clear.size else (0, 0)
+        index = np.arange(1, len(ws) - 1)
         return rs[1:-1][(np.abs(mid) <= EPS_POS) & (mid <= ws[:-2]) & (mid <= ws[2:])
-                        & (np.arange(1, len(ws) - 1) < last)] ** 2
+                        & (first < index) & (index < last)] ** 2
 
     @property
     def touches_zero(self) -> bool:

@@ -11,9 +11,13 @@ estimate.  The budget of an integral I is tol * max(1, |I|), absolute
 below |I| = 1 and relative above, with |I| read from the running sum.  A
 panel is accepted when the estimate fits half the budget times the larger
 of its length share and 1/MAX_SUBDIVISIONS, so the estimates sum to at
-most the budget; the rest are bisected.  The length share refines log
-singularities at zeros of a density; the count share stops panels whose
-estimate is negligible, such as those ruled by integrand roundoff.
+most the budget; the rest are bisected, except the panel [a, a + w],
+which is cut at a + w 2**-k, k <= POINT_DEPTH, in one round: a density
+that vanishes at a (W at the origin for sigma(m, n), m != n) makes
+x ln x behave like u**d ln u there, which halving refines one level a round.
+The length share refines log singularities at zeros of a density; the
+count share stops panels whose estimate is negligible, such as those
+ruled by integrand roundoff.
 """
 
 from __future__ import annotations
@@ -43,8 +47,9 @@ ROUNDOFF = np.finfo(float).eps
 #: fock.N_MAX + 1 rows of this many doubles (8.4 MB)
 EVAL_CHUNK = 4096
 
-#: halvings toward each caller's point on both sides, as bisection toward a
-#: log singularity makes them; at 6, sigma(n, n), n = 7..9, took two rounds
+#: halvings toward each caller's point on both sides, and toward a, as
+#: bisection toward a log singularity makes them; at 6, sigma(n, n),
+#: n = 7..9, took two rounds
 POINT_DEPTH = 7
 
 _COARSE_NODES, _COARSE_WEIGHTS = np.polynomial.legendre.leggauss(16)
@@ -66,6 +71,13 @@ class QuadratureSpec:
 
 
 DEFAULT_QUADRATURE = QuadratureSpec()
+
+
+def _distinct(x: np.ndarray) -> np.ndarray:
+    """x sorted, without repeats: np.unique's values, without the numpy.ma
+    import (~5 ms) np.unique makes on its first call."""
+    x = np.sort(x)
+    return x[np.concatenate(([True], x[1:] != x[:-1]))]
 
 
 def _panel_rules(func, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -92,7 +104,9 @@ def integrate(func, a: float, b: float, spec: QuadratureSpec = DEFAULT_QUADRATUR
     around each such c, g being its gap to the next edge on that side.  The
     mesh assumes that ``func`` carries its mass under a unit-scale envelope
     starting at a; other integrands stay correct but may take extra rounds.
-    Raises QuadratureConvergenceError past MAX_SUBDIVISIONS panels.
+    A failing panel [a, a + w] is cut at a + w 2**-k, k <= POINT_DEPTH, the
+    others are halved.  Raises QuadratureConvergenceError past
+    MAX_SUBDIVISIONS panels.
     """
     if not (math.isfinite(a) and math.isfinite(b) and a < b):
         raise ValueError(f"integration needs finite limits a < b, got [{a}, {b}]")
@@ -101,18 +115,19 @@ def integrate(func, a: float, b: float, spec: QuadratureSpec = DEFAULT_QUADRATUR
     inner = np.ravel(points if points is not None else ())
     inner = inner[(inner > a) & (inner < b)]
     if inner.size:
-        edges = np.unique(np.concatenate([edges, inner]))
+        edges = _distinct(np.concatenate([edges, inner]))
         at = np.searchsorted(edges, inner)
         gaps = np.stack([edges[at - 1], edges[at + 1]]) - inner
         graded = inner[:, None] + gaps[..., None] * np.exp2(-np.arange(1, POINT_DEPTH + 1))
-        edges = np.unique(np.concatenate([edges, graded.ravel()]))
+        edges = _distinct(np.concatenate([edges, graded.ravel()]))
     lo, hi = edges[:-1], edges[1:]
     panels = lo.size
-    evaluations = 0
+    rounds = evaluations = 0
     accepted: list[float] = []
     error = 0.0
     while lo.size:
         fine, err = _panel_rules(func, lo, hi)
+        rounds += 1
         evaluations += lo.size * _NODES.size
         budget = spec.tol * max(1.0, abs(math.fsum(accepted + fine.tolist())))
         share = 0.5 * budget * np.maximum((hi - lo) / (b - a), 1.0 / MAX_SUBDIVISIONS)
@@ -120,17 +135,23 @@ def integrate(func, a: float, b: float, spec: QuadratureSpec = DEFAULT_QUADRATUR
         accepted.extend(fine[done].tolist())
         error += float(np.sum(err[done]))
         lo, hi = lo[~done], hi[~done]
-        panels += lo.size
+        failed = lo.size
+        mid = 0.5 * (lo + hi)
+        if failed and lo[0] == a:  # the panel at a is always first
+            cuts = a + (hi[0] - a) * np.exp2(-np.arange(POINT_DEPTH, 0, -1))
+            lo = np.concatenate([[a], cuts, lo[1:], mid[1:]])
+            hi = np.concatenate([cuts, hi[:1], mid[1:], hi[1:]])
+        else:
+            lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
+        panels += lo.size - failed
         if panels > MAX_SUBDIVISIONS:
             raise QuadratureConvergenceError(
                 f"tolerance {spec.tol!r} (error budget {budget:.3e}) needs more than "
                 f"{MAX_SUBDIVISIONS} panels"
             )
-        mid = 0.5 * (lo + hi)
-        lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
     if _log.isEnabledFor(logging.DEBUG):
-        _log.debug("integral over [%g, %g]: %d panels, %d evaluations, "
-                   "error estimate %.3e", a, b, panels, evaluations, error)
+        _log.debug("integral over [%g, %g]: %d rounds, %d panels, %d evaluations, "
+                   "error estimate %.3e", a, b, rounds, panels, evaluations, error)
     return math.fsum(accepted)
 
 

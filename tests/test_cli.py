@@ -260,7 +260,7 @@ RENYI_FLAGS = ["--renyi", "2", "--renyi", "0.5", "--renyi", "inf"]
 #: digest and says why
 PINNED_OUTPUTS = {
     "sigma-table --max 10":
-        "f5b9e8c9bae4aed50eb9e96f2eb2b114a6e6cdc6dac14e37af9ebf122a3cb538",
+        "a43ceada7dbe4e61b8fac340463f351550a6220b0f96ab30853d0eb697f1f366",
     "region2 --samples 128":
         "ae57327c892d012fb574917f415f87188723d6594312501391c63a74ba2f2bf4",
     "entropy thermal(2)":
@@ -370,6 +370,24 @@ def test_command_does_not_load_scipy(tmp_path, command):
                         *[path if arg == "STATE" else arg for arg in command])
     assert probe.returncode == 0, probe.stderr
     assert probe.stdout.splitlines()[-1] == "[]"
+
+
+@pytest.mark.parametrize("command", [
+    ["entropy", "STATE"],
+    ["sigma-table", "--max", "1"],
+    ["region2", "--samples", "16"],
+])
+def test_command_does_not_load_numpy_ma(tmp_path, command):
+    # np.unique and np.union1d import numpy.ma on their first call, 5-15 ms of
+    # start-up; sigma(5,7) has touches, so its integrals sort their breakpoints
+    path = write_state(tmp_path, "sigma.json",
+                       {"fock_probs": sigma_coefficients(5, 7).coeffs.probs.tolist()})
+    probe = _run_python("-c", "import sys; from wigentropy.cli import main; "
+                        "main(sys.argv[1:], standalone_mode=False); "
+                        "print('numpy.ma' in sys.modules)",
+                        *[path if arg == "STATE" else arg for arg in command])
+    assert probe.returncode == 0, probe.stderr
+    assert probe.stdout.splitlines()[-1] == "False"
 
 
 def test_import_does_not_start_thread_pool():

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import fock_mixture
 from wigentropy import entropy, quadrature
 from wigentropy.entropy import (
     mixture_marginal_entropy,
@@ -81,17 +82,55 @@ def integrand_calls(monkeypatch):
 
 @pytest.fixture
 def panel_rounds(monkeypatch):
-    """Panel count of every round of every integral: one round may span
-    several integrand calls of at most EVAL_CHUNK abscissae."""
+    """Lower ends of the panels of every round of every integral: one round
+    may span several integrand calls of at most EVAL_CHUNK abscissae."""
     rounds = []
     rules = quadrature._panel_rules
 
     def counting_rules(func, lo, hi):
-        rounds.append(lo.size)
+        rounds.append(lo.copy())
         return rules(func, lo, hi)
 
     monkeypatch.setattr(quadrature, "_panel_rules", counting_rules)
     return rounds
+
+
+class TestZeroAtTheLowerLimit:
+    """Where a density vanishes at the lower limit, rho ln rho behaves like
+    u**d ln u there.  The panel at the limit is cut at a + w 2**-k, k <=
+    POINT_DEPTH, in one round; halving alone refines one level a round."""
+
+    # measured: 3 rounds at d = 1 and 2 to 4 at d = 2; halving alone takes
+    # 13-15 and up to 8
+    @pytest.mark.parametrize("d, most", [(1, 3), (2, 4)])
+    @pytest.mark.parametrize("route", ["sigma", "coeffs"])
+    def test_lopsided_sigma_states(self, panel_rounds, d, most, route):
+        for m in range(11):
+            state = sigma_coefficients(m, m + d)
+            panel_rounds.clear()
+            wigner_entropy_radial(state if route == "sigma" else state.coeffs)
+            assert len(panel_rounds) <= most, (m, m + d)
+
+    # the extremal passive state 1/2 |0> + 1/2 |1>, W = u exp(-u) / pi;
+    # halving alone takes 14 rounds at order 1 and 20 at order 1/2
+    @pytest.mark.parametrize("alpha, most", [(1.0, 3), (0.5, 4)])
+    def test_half_vacuum_half_one_photon(self, panel_rounds, alpha, most):
+        wigner_renyi(PhotonMixture([0.5, 0.5]), alpha)
+        assert len(panel_rounds) <= most
+
+    def test_odd_fock_marginals(self, panel_rounds):
+        # psi_n(0) = 0 for odd n: measured, the panel at 0 is in 2 rounds, 3
+        # for n = 5, and at most 3 for n < 256; halving alone takes 6 to 9
+        for n in range(1, 40, 2):
+            panel_rounds.clear()
+            mixture_marginal_entropy(fock_mixture(n))
+            assert sum(bool(np.any(lo == 0.0)) for lo in panel_rounds) <= 3, n
+
+    @pytest.mark.parametrize("n", [1, 3, 9])
+    def test_odd_fock_marginals_take_two_rounds(self, panel_rounds, n):
+        # halving alone takes 8 rounds each
+        mixture_marginal_entropy(fock_mixture(n))
+        assert len(panel_rounds) <= 2
 
 
 class TestBatching:
@@ -133,7 +172,7 @@ class TestBatching:
         # alone, where grading toward the ten touches makes it 157 panels
         wigner_renyi(sigma_coefficients(10, 10).coeffs, 2.0)
         assert 0 < len(panel_rounds) <= 2
-        assert panel_rounds[0] < 20
+        assert panel_rounds[0].size < 20
 
     def test_debug_record_per_integral(self, caplog):
         with caplog.at_level(logging.DEBUG, logger="wigentropy.quadrature"):
@@ -141,7 +180,7 @@ class TestBatching:
         (record,) = caplog.records
         assert record.levelno == logging.DEBUG
         message = record.getMessage()
-        for word in ("panels", "evaluations", "error estimate"):
+        for word in ("rounds", "panels", "evaluations", "error estimate"):
             assert word in message
 
     def test_quiet_by_default(self, caplog):
