@@ -125,9 +125,10 @@ def wigner_renyi(p: PhotonMixture | SigmaState, alpha: float,
     At finite order a SigmaState, in factored form, and a passive state are
     positive by construction (module docstring) and make no positivity
     report.  Every other state, and order inf, which reads max W from the
-    report (of the coeffs for a SigmaState), makes one and raises
-    NotWignerPositiveError when W < 0.  Orders up to 1 split the integrals
-    at the touches, where W ln W and W**alpha are singular.
+    report (of the coeffs for a SigmaState), makes one, or reuses the last
+    one made for the same probabilities, and raises NotWignerPositiveError
+    when W < 0.  Orders up to 1 split the integrals at the touches, where
+    W ln W and W**alpha are singular.
     """
     if not alpha > 0:
         raise ValueError("Renyi order must be positive (order 0 diverges)")

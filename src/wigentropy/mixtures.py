@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -161,15 +160,13 @@ def compose_passive(d: PassiveDecomposition) -> PhotonMixture:
     return PhotonMixture(probs)
 
 
-def _sigma_fraction(m: int, n: int, z: int) -> Fraction:
+def _sigma_numerator(m: int, n: int, z: int) -> int:
     # alternating binomial sum, squared: always a non-negative integer
     s = sum(
         (-1) ** i * math.comb(m, i) * math.comb(n, z - i)
         for i in range(max(0, z - n), min(z, m) + 1)
     )
-    num = math.factorial(z) * math.factorial(m + n - z) * s * s
-    den = math.factorial(m) * math.factorial(n) * (1 << (m + n))
-    return Fraction(num, den)
+    return math.factorial(z) * math.factorial(m + n - z) * s * s
 
 
 def sigma_coefficients(m: int, n: int) -> SigmaState:
@@ -182,18 +179,17 @@ def sigma_coefficients(m: int, n: int) -> SigmaState:
         z! (m+n-z)! / (m! n! 2**(m+n)) * (sum_i (-1)**i C(m,i) C(n,z-i))**2.
 
     The combinatorics are carried out in exact integer arithmetic and each
-    coefficient is rounded once to double precision, so the vector is
-    correctly rounded at any m+n up to fock.N_MAX.  Symmetric in (m, n) by
-    construction.
+    coefficient is one int true division, which Python rounds correctly, so
+    the vector is correctly rounded at any m+n up to fock.N_MAX.  Symmetric
+    in (m, n) by construction.
     """
     if m < 0 or n < 0:
         raise ValueError("photon numbers must be non-negative")
     if m + n > N_MAX:
         raise TruncationError(f"total photon number {m + n} exceeds fock.N_MAX = {N_MAX}")
     lo, hi = (m, n) if m <= n else (n, m)
-    coeffs = np.array(
-        [float(_sigma_fraction(lo, hi, z)) for z in range(m + n + 1)]
-    )
+    den = math.factorial(m) * math.factorial(n) << (m + n)
+    coeffs = np.array([_sigma_numerator(lo, hi, z) / den for z in range(m + n + 1)])
     return SigmaState(m, n, PhotonMixture(coeffs))
 
 

@@ -14,8 +14,12 @@ the Laguerre comrade matrix) and the tail end of radial_cutoff, the one
 range the entropy integrals cover too, evaluated in one call; there is no
 grid for a narrow dip to slip through.  The extrema, and the one touch rule
 that detects tangency with zero (the signature of extremal states), are
-read from those values.  The module also carries the exact closed-form
-description of the positive region for mixtures of up to two photons.
+read from those values.  The last report is kept, keyed by the state's
+probabilities as bytes (which fix the length, and with it radial_cutoff),
+so back-to-back questions about one state, a decision and then its
+entropies, share one report; any other state replaces it.  The module also
+carries the exact closed-form description of the positive region for
+mixtures of up to two photons.
 """
 
 from __future__ import annotations
@@ -56,6 +60,10 @@ _SIGNS.flags.writeable = False
 #: top coefficients this small are dropped before root finding: the comrade
 #: matrix divides by the leading one, and they cannot move W measurably
 _TRIM_TOL = 1e-300
+
+#: (p.probs.tobytes(), report) of the last report made; replaced whole by one
+#: tuple assignment, so a thread reads a matching pair, and a race only recomputes
+_last = (None, None)
 
 
 @dataclass(frozen=True)
@@ -161,7 +169,17 @@ def positivity_report(p: PhotonMixture) -> PositivityReport:
     touches from those values.  Real parts of complex roots only add
     candidates, so a double root that roundoff splits into a near-real pair
     is still found: sigma(m, m)'s touches are all m roots of L_m.
+
+    A call about the same probabilities as the last one, bit for bit and
+    of the same length, returns that call's report; its candidates are
+    read-only, so no caller can change what the next one gets.
     """
+    global _last
+    key = p.probs.tobytes()
+    last_key, last_report = _last
+    if key == last_key:
+        _log.debug("report reused: same probabilities as the last call")
+        return last_report
     u_max = radial_cutoff(p)
     signed = _signed_coeffs(p)
     # Q_k = -s_k/2 - (s_{k+1} + ... + s_n), the suffix sums accumulated
@@ -174,11 +192,14 @@ def positivity_report(p: PhotonMixture) -> PositivityReport:
     # radial_wigner's dot product can change its last bit
     ts = np.concatenate((ts[:1], ts[1:][ts[1:] != ts[:-1]]))
     rs = np.concatenate(([0.0], np.sqrt(0.5 * ts), [math.sqrt(u_max)]))
-    report = PositivityReport((rs, radial_wigner(p, rs)))
+    ws = radial_wigner(p, rs)
+    rs.flags.writeable = ws.flags.writeable = False
+    report = PositivityReport((rs, ws))
     if _log.isEnabledFor(logging.DEBUG):
         _log.debug("%d stationary points in 0 < u < u_max = %.6g, %d touches: min W %.6e at "
                    "r = %.6g, max W %.6e at r = %.6g", len(ts), u_max, len(report.touches),
                    report.min_value, report.argmin_r, report.max_value, report.argmax_r)
+    _last = key, report
     return report
 
 

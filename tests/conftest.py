@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from numpy.polynomial.laguerre import lagder, lagroots, lagsub, lagtrim
 
+from wigentropy import positivity
 from wigentropy.fock import N_MAX, laguerre_scaled_all
 from wigentropy.mixtures import (
     PhotonMixture,
@@ -171,6 +172,27 @@ def bitwise_corpus() -> list[PhotonMixture]:
     states += [thermal_mixture(mean) for mean in (0.05, 0.5, 1.0, 2.0, 4.0, 8.0)]
     states += [extremal_passive(n) for n in (1, 2, 3, 10, 40, 100, 255, 256)]
     return states
+
+
+@pytest.fixture(autouse=True)
+def no_kept_report():
+    """Start every test without positivity_report's kept entry, so no test
+    reads a report that an earlier test made."""
+    positivity._last = (None, None)
+
+
+@pytest.fixture
+def reports_made(monkeypatch):
+    """One entry per positivity report computed, not reused, during the test."""
+    calls = []
+    roots = positivity._laguerre_roots
+
+    def counted(c):
+        calls.append(c)
+        return roots(c)
+
+    monkeypatch.setattr(positivity, "_laguerre_roots", counted)
+    return calls
 
 
 @pytest.fixture

@@ -160,6 +160,16 @@ class TestEntropyCommand:
         for key, alpha in (("h_wigner", 1.0), ("h_renyi_0.5", 0.5)):
             assert f"{key} = {wigner_renyi(PhotonMixture(probs), alpha):.15g}" in lines
 
+    def test_renyi_rows_share_one_positivity_report(self, runner, tmp_path, reports_made):
+        # sigma(5,7) in Fock form is neither passive nor a SigmaState, so every
+        # Wigner row is gated, each by the report the first row made
+        path = write_state(tmp_path, "s.json",
+                           {"fock_probs": sigma_coefficients(5, 7).coeffs.probs.tolist()})
+        result = runner.invoke(main, ["entropy", path, "--renyi", "2", "--renyi", "0.5",
+                                      "--renyi", "inf"])
+        assert result.exit_code == 0
+        assert len(reports_made) == 1
+
     def test_unwritable_out_is_one_line_error(self, runner, tmp_path):
         path = write_state(tmp_path, "vac.json", {"fock_probs": [1.0]})
         out = tmp_path / "missing" / "report.csv"
@@ -388,6 +398,15 @@ def test_command_does_not_load_numpy_ma(tmp_path, command):
                         *[path if arg == "STATE" else arg for arg in command])
     assert probe.returncode == 0, probe.stderr
     assert probe.stdout.splitlines()[-1] == "False"
+
+
+def test_import_does_not_load_fractions():
+    # sigma coefficients divide exact integers directly; fractions and the
+    # decimal module it imports cost ~1 ms of every start
+    probe = _run_python("-c", "import sys, wigentropy, wigentropy.cli; "
+                        "print('fractions' in sys.modules)")
+    assert probe.returncode == 0, probe.stderr
+    assert probe.stdout.strip() == "False"
 
 
 def test_import_does_not_start_thread_pool():

@@ -306,26 +306,25 @@ class TestRenyi:
             assert wigner_renyi(p, 1.0) == wigner_entropy_radial(p), p
 
     @pytest.mark.parametrize("name", SINGLE_PATH_STATES)
-    def test_one_positivity_report_per_call(self, name, monkeypatch):
-        # at most one: none at finite order where positivity holds by
-        # construction, one at order inf, which reads max W from the report
+    def test_one_positivity_report_per_call(self, name, reports_made):
+        # on a cleared entry at most one: none at finite order where positivity
+        # holds by construction, one at order inf, which reads max W from the
+        # report; in sequence the calls share one report of the state
         p = SINGLE_PATH_STATES[name]
         finite = 0 if name in ("vacuum", "thermal(1)", "passive(3)", "SigmaState(5,7)") else 1
-        calls = []
-        roots = positivity._laguerre_roots
-
-        def counted(c):
-            calls.append(c)
-            return roots(c)
-
-        monkeypatch.setattr(positivity, "_laguerre_roots", counted)
         functionals = [(lambda: wigner_entropy_radial(p), finite)]
         functionals += [(lambda a=a: wigner_renyi(p, a), finite) for a in (0.5, 1.0, 2.0)]
         functionals += [(lambda: wigner_renyi(p, math.inf), 1)]
         for f, reports in functionals:
-            calls.clear()
+            positivity._last = (None, None)
+            reports_made.clear()
             f()
-            assert len(calls) == reports
+            assert len(reports_made) == reports
+        positivity._last = (None, None)
+        reports_made.clear()
+        for f, _ in functionals:
+            f()
+        assert len(reports_made) == 1
 
     def test_continuity_near_one(self):
         h = wigner_entropy_radial(SIGMA_B)
@@ -422,20 +421,24 @@ class TestPassiveGate:
         assert len(calls) == 3
 
     def test_debug_record_names_the_gate(self, caplog):
-        with caplog.at_level(logging.DEBUG, logger="wigentropy.entropy"):
+        # the last call reads the report of the coeffs that order 0.5 made
+        reused = (logging.DEBUG, "report reused: same probabilities as the last call")
+        with caplog.at_level(logging.DEBUG, logger="wigentropy"):
             wigner_renyi(thermal_mixture(1.0), 2.0)
             wigner_renyi(thermal_mixture(1.0), math.inf)
             wigner_renyi(sigma_coefficients(5, 7).coeffs, 0.5)
             wigner_renyi(sigma_coefficients(5, 7), 0.5)
             wigner_renyi(sigma_coefficients(5, 7), math.inf)
-        assert [(r.levelno, r.getMessage()) for r in caplog.records
-                if r.name == "wigentropy.entropy"] == [
+        records = [(r.levelno, r.getMessage()) for r in caplog.records]
+        assert [record for record in records if record[1].startswith("order")] == [
             (logging.DEBUG, "order 2: passive, positive by construction"),
             (logging.DEBUG, "order inf: gated by a positivity report"),
             (logging.DEBUG, "order 0.5: gated by a positivity report"),
             (logging.DEBUG, "order 0.5: sigma(m, n), positive by construction"),
             (logging.DEBUG, "order inf: gated by a positivity report"),
         ]
+        assert records.count(reused) == 1 and records[-2:] == [
+            reused, (logging.DEBUG, "order inf: gated by a positivity report")]
 
     def test_quiet_by_default(self, caplog):
         with caplog.at_level(logging.INFO, logger="wigentropy.entropy"):

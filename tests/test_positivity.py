@@ -1,5 +1,7 @@
 import logging
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -274,6 +276,62 @@ class TestOnePass:
         monkeypatch.setattr(entropy, "positivity_report", counting)
         entropy.wigner_renyi(sigma_coefficients(0, 40).coeffs, math.inf)
         assert len(calls) == 1
+
+
+class TestReportReuse:
+    """The last report is kept for its probabilities, bit for bit, and only it."""
+
+    def test_equal_content_hits(self, reports_made):
+        p, q = two_photon_mixture(0.3, 0.2), two_photon_mixture(0.3, 0.2)
+        assert p is not q and positivity_report(q) is positivity_report(p)
+        assert len(reports_made) == 1
+
+    def test_one_ulp_or_trailing_zero_misses(self, reports_made):
+        base = sigma_coefficients(5, 7).coeffs.probs
+        bumped = base.copy()
+        bumped[3] = np.nextafter(bumped[3], 1.0)
+        first = positivity_report(PhotonMixture(base))
+        assert positivity_report(PhotonMixture(bumped)) is not first
+        assert positivity_report(PhotonMixture(np.append(bumped, 0.0))) is not first
+        assert len(reports_made) == 3
+
+    def test_only_the_last_state_is_kept(self, reports_made):
+        for p in (SIGMA_B, SIGMA_C, SIGMA_B):
+            positivity_report(p)
+        assert len(reports_made) == 3
+
+    def test_candidates_refuse_writes(self):
+        rs, ws = positivity_report(SIGMA_C).candidates
+        with pytest.raises(ValueError):
+            rs[0] = 1.0
+        with pytest.raises(ValueError):
+            ws[0] = 1.0
+
+    def test_threads_alternating_two_states_get_the_serial_reports(self):
+        # four threads on two cores, switching every microsecond, so each one
+        # runs between another's read of the entry and its write
+        states = (two_photon_mixture(0.3, 0.2), two_photon_mixture(0.2, 0.6))
+        serial = [positivity_report(p) for p in states]
+        wrong = []
+
+        def alternate(first):
+            for i in range(1000):
+                j = (first + i) % 2
+                if positivity_report(states[j]) != serial[j]:
+                    wrong.append(j)
+
+        threads = [threading.Thread(target=alternate, args=(j % 2,)) for j in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
 
 
 class TestBitwiseReference:
