@@ -15,9 +15,14 @@ to Wehrl entropies of the inputs.
 The gridded convolution is spectral, with no real-space interpolation.
 Four chirp-z transforms (Bluestein's algorithm on numpy.fft, no scipy)
 evaluate the Hermitian half k_p <= 0 of each input's characteristic
-function on a rescaled 2x-oversampled frequency lattice, and one exact
-real inverse FFT brings the product back, done as its two steps with only
-the columns the output keeps.  Every pass runs in blocks of _BLOCK_ROWS
+function on a rescaled frequency lattice of m points per axis, and one
+exact real inverse FFT brings the product back, done as its two steps with
+only the columns the output keeps.  The lattice is as coarse as aliasing
+allows: the rescaled inputs lie in sqrt(eta) [-E, E] and sqrt(1-eta)
+[-E, E], so their convolution lies in (sqrt(eta) + sqrt(1-eta)) [-E, E],
+within sqrt(2) [-E, E], and its images a period P = m h apart miss the
+output window [-E, E] when P >= (1 + sqrt(2)) E, i.e. when
+m >= (1 + sqrt(2)) (n - 1) / 2.  Every pass runs in blocks of _BLOCK_ROWS
 rows, on a thread pool sized by the usable cores and made on first use;
 each row meets the same numpy call in any block, so the output bits do not
 depend on the worker count.  For the smooth, Gaussian-damped fields a
@@ -183,6 +188,12 @@ def _fast_len(n: int) -> int:
     return best
 
 
+def _lattice_size(n: int) -> int:
+    """Frequency points per axis of an n x n convolution: the smallest even,
+    5-smooth m >= (1 + sqrt(2)) (n - 1) / 2, at least n for n >= 2."""
+    return 2 * _fast_len(math.ceil((1.0 + math.sqrt(2.0)) * (n - 1) / 4))
+
+
 def _for_blocks(fn, rows: int) -> None:
     """Call fn(start) for start = 0, _BLOCK_ROWS, 2 _BLOCK_ROWS, ... below rows.
 
@@ -244,25 +255,29 @@ def _lattice_dft(x: np.ndarray, x0: float, h: float, k0: float, dk: float,
 
 
 def _half_lattice_dft(x: np.ndarray, x0: float, h: float, k0: float,
-                      dk: float, into: np.ndarray | None = None) -> np.ndarray:
+                      dk: float, m: int, into: np.ndarray | None = None) -> np.ndarray:
     """sum_g x[g] exp(-i (x0 + g h) . k) at k_j = k0 + j dk, out[j_p, j_x].
 
-    j_x < 2n and j_p <= n: for a real n x n array and k0 = -n dk, the rows j_p > n
-    are conjugates, as k_{2n-j} = -k_j.  The pass along x reads the columns of
-    the pass along p by blocks.  Given ``into``, out is multiplied into it.
+    j_x < m and j_p <= m/2 for an even m: for a real array and k0 = -(m/2) dk,
+    the rows j_p > m/2 are conjugates, as k_{m-j} = -k_j.  The pass along x
+    reads the columns of the pass along p by blocks.  Given ``into``, out is
+    multiplied into it.
     """
-    n = x.shape[-1]
-    t = _lattice_dft(x, x0, h, k0, dk, n + 1, -1)
-    return _lattice_dft(t.T, x0, h, k0, dk, 2 * n, -1, into)
+    t = _lattice_dft(x, x0, h, k0, dk, m // 2 + 1, -1)
+    return _lattice_dft(t.T, x0, h, k0, dk, m, -1, into)
 
 
 def convolve_beamsplitter(wa: WignerGrid, wb: WignerGrid, eta: float) -> WignerGrid:
     """Output Wigner grid of a transmittance-eta beam splitter on a product input.
 
     The product of the rescaled characteristic functions
-    chi_A(sqrt(eta) k) chi_B(sqrt(1-eta) k) is formed on half of a
-    2x-oversampled frequency lattice and transformed back to the input grid
-    by one real inverse 2-D FFT.  Output mass is validated within 1e-5.
+    chi_A(sqrt(eta) k) chi_B(sqrt(1-eta) k) is formed on half of an m x m
+    frequency lattice over the band |k| <= pi / h and transformed back to the
+    input grid by one real inverse 2-D FFT.  The real-space period m h must
+    hold the output window and one image of the output's support
+    (sqrt(eta) + sqrt(1-eta) <= sqrt(2) times the window) without overlap:
+    m >= (1 + sqrt(2)) (n - 1) / 2, taken even and 5-smooth.  Output mass is
+    validated within 1e-5.
     """
     if not 0.0 < eta < 1.0:
         raise ValueError("beam-splitter transmittance must lie strictly between 0 and 1")
@@ -273,15 +288,15 @@ def convolve_beamsplitter(wa: WignerGrid, wb: WignerGrid, eta: float) -> WignerG
         )
     n = wa.resolution
     h = wa.step
-    m = 2 * n
+    m = _lattice_size(n)
     k_nyquist = math.pi / h
     dk = 2.0 * k_nyquist / m
     sa, sb = math.sqrt(eta), math.sqrt(1.0 - eta)
 
     # sum over the grid of values * exp(-i scale k . xi), k_j = -k_nyquist + j dk;
     # B's spectrum is multiplied into A's block by block, never held whole
-    product = _half_lattice_dft(wa.values, -wa.extent, h, -sa * k_nyquist, sa * dk)
-    _half_lattice_dft(wb.values, -wa.extent, h, -sb * k_nyquist, sb * dk, product)
+    product = _half_lattice_dft(wa.values, -wa.extent, h, -sa * k_nyquist, sa * dk, m)
+    _half_lattice_dft(wb.values, -wa.extent, h, -sb * k_nyquist, sb * dk, m, product)
     # back to [x, p]: as dk h = 2 pi / m, exp(i k_j x_a) = exp(-i k_j extent)
     # (-1)**a exp(2 pi i j a / m), a length-m inverse DFT of a Hermitian array
     phase = np.exp(-1j * wa.extent * (-k_nyquist + dk * np.arange(m)))
@@ -294,20 +309,20 @@ def convolve_beamsplitter(wa: WignerGrid, wb: WignerGrid, eta: float) -> WignerG
 
     def inverse_rows(s):
         rows = product[s:s + _BLOCK_ROWS]
-        rows *= phase[: n + 1][s:s + _BLOCK_ROWS, None] * phase
+        rows *= phase[: m // 2 + 1][s:s + _BLOCK_ROWS, None] * phase
         np.fft.ifft(rows, axis=1, out=rows)
 
     def inverse_columns(s):
         np.multiply(np.fft.irfft(kept[:, s:s + _BLOCK_ROWS], m, axis=0)[:n],
                     sign[:, None] * sign[s:s + _BLOCK_ROWS], out=values[:, s:s + _BLOCK_ROWS])
 
-    _for_blocks(inverse_rows, n + 1)
+    _for_blocks(inverse_rows, m // 2 + 1)
     _for_blocks(inverse_columns, n)
     values = values.T
     if _log.isEnabledFor(logging.DEBUG):
-        _log.debug("convolved %dx%d grid at eta %.6g: FFT lengths %d and %d, %d workers, "
-                   "blocks of %d rows, mass %.15g, min W %.6e", n, n, eta, _fast_len(m),
-                   _fast_len(n + m - 1), _WORKERS, _BLOCK_ROWS,
+        _log.debug("convolved %dx%d grid at eta %.6g: lattice %d, FFT lengths %d and %d, "
+                   "%d workers, blocks of %d rows, mass %.15g, min W %.6e", n, n, eta, m,
+                   _fast_len(n + m // 2), _fast_len(n + m - 1), _WORKERS, _BLOCK_ROWS,
                    float(values.sum()) * h * h, float(values.min()))
     return WignerGrid(values, wa.extent, mass_tol=1e-5)
 

@@ -17,6 +17,7 @@ from wigentropy.beamsplitter import (
     _fast_len,
     _half_lattice_dft,
     _lattice_dft,
+    _lattice_size,
     convolve_beamsplitter,
     fock_oracle_sigma,
     grid_from_gaussian,
@@ -181,19 +182,29 @@ class TestLatticeDFT:
 
     @pytest.mark.parametrize("n", [7, 12])
     def test_half_lattice_matches_direct_sum(self, rng, n):
+        # m = 2n, the convolution's lattice (8 and 16) and 2n - 4 (10 and 20)
         x0, h = -1.3, 0.21
-        dk = math.pi / (n * h)
-        k0 = -n * dk
         x = rng.normal(size=(n, n))
         xi = x0 + np.arange(n) * h
-        k = k0 + np.arange(2 * n) * dk
-        # direct[j1, j0] = sum_{g0, g1} x[g0, g1] exp(-i (xi_g0 k_j0 + xi_g1 k_j1))
-        phase = np.exp(-1j * (xi[:, None, None, None] * k[None, None, None, :]
-                              + xi[None, :, None, None] * k[None, None, : n + 1, None]))
-        direct = np.einsum("ab,abjk->jk", x, phase)
-        out = _half_lattice_dft(x, x0, h, k0, dk)
-        assert out.shape == (n + 1, 2 * n)
-        assert np.max(np.abs(out - direct)) <= 1e-12 * np.max(np.abs(direct))
+        for m in (2 * n, _lattice_size(n), 2 * n - 4):
+            dk = 2.0 * math.pi / (m * h)
+            k0 = -(m // 2) * dk
+            k = k0 + np.arange(m) * dk
+            # direct[j1, j0] = sum_{g0, g1} x[g0, g1] exp(-i (xi_g0 k_j0 + xi_g1 k_j1))
+            phase = np.exp(-1j * (xi[:, None, None, None] * k[None, None, None, :]
+                                  + xi[None, :, None, None] * k[None, None, : m // 2 + 1, None]))
+            direct = np.einsum("ab,abjk->jk", x, phase)
+            out = _half_lattice_dft(x, x0, h, k0, dk, m)
+            assert out.shape == (m // 2 + 1, m)
+            assert np.max(np.abs(out - direct)) <= 1e-12 * np.max(np.abs(direct))
+
+    def test_lattice_size_is_alias_free_even_and_holds_the_crop(self):
+        for n in range(2, 5001):
+            m = _lattice_size(n)
+            assert m % 2 == 0 and m >= n
+            assert m >= (1.0 + math.sqrt(2.0)) * (n - 1) / 2
+            assert _fast_len(m // 2) == m // 2
+        assert [_lattice_size(n) for n in (64, 256, 512)] == [80, 320, 640]
 
     def test_fast_len_is_smallest_5_smooth(self):
         smooth = sorted(
@@ -281,6 +292,43 @@ class TestConvolution:
         assert np.max(np.abs(out.values - expected)) <= 1e-7
         assert np.max(np.abs(out.values.T - expected)) > 1e-3
 
+    @pytest.mark.parametrize("eta", [0.25, 0.5, 0.75])
+    @pytest.mark.parametrize("n", [128, 256])
+    def test_no_image_wraps_into_the_window(self, n, eta):
+        # equal inputs put the output at x = 6, past which its tail meets the
+        # edge at 8; a period under (1 + sqrt(2)) extent wraps an image of the
+        # inputs' tails back into the window.  Measured 1.7e-13 to 3.0e-13 on
+        # the 2n lattice and the alias-free one, 3.9e-6 to 7.6e-6 with m ~ n
+        cov = np.diag([0.2, 1.25])
+        state = GaussianState([6.0 / (math.sqrt(eta) + math.sqrt(1.0 - eta)), 0.0], cov)
+        grid = grid_from_gaussian(state, 8.0, n)
+        out = convolve_beamsplitter(grid, grid, eta)
+        axis = out.axis()
+        expected = gaussian_wigner(GaussianState([6.0, 0.0], cov), axis[:, None], axis[None, :])
+        assert np.max(np.abs(out.values - expected)) <= 1e-9
+
+    @pytest.mark.parametrize("eta", [0.25, 0.5, 0.75])
+    def test_benchmark_size_pairs_match_exact_outputs(self, rng, eta):
+        # 256**2 at extent 8, as the benchmark convolves.  Measured on the 2n
+        # lattice and the alias-free one: Fock pairs 5.4e-15 and 2.1e-14 from
+        # the Fock-basis output, Gaussian pairs 7.1e-13 on both from the analytic
+        pairs = [(fock_mixture(7), fock_mixture(7))]
+        pairs += [tuple(PhotonMixture(rng.dirichlet(np.ones(k))) for k in rng.integers(1, 9, 2))
+                  for _ in range(3)]
+        for pa, pb in pairs:
+            out = convolve_beamsplitter(grid_from_mixture(pa, 8.0, 256),
+                                        grid_from_mixture(pb, 8.0, 256), eta)
+            expected = grid_from_mixture(mix_through_beamsplitter(pa, pb, eta), 8.0, 256).values
+            assert np.max(np.abs(out.values - expected)) <= 5e-14
+        for _ in range(4):
+            a, b = displaced_squeezed_gaussian(rng), displaced_squeezed_gaussian(rng)
+            out = convolve_beamsplitter(grid_from_gaussian(a, 8.0, 256),
+                                        grid_from_gaussian(b, 8.0, 256), eta)
+            mixed = GaussianState(math.sqrt(eta) * a.mean + math.sqrt(1.0 - eta) * b.mean,
+                                  eta * a.cov + (1.0 - eta) * b.cov)
+            expected = grid_from_gaussian(mixed, 8.0, 256).values
+            assert np.max(np.abs(out.values - expected)) <= 1.5e-12
+
     def test_rejects_mismatched_grids(self):
         ga = grid_from_mixture(VACUUM, 8.0, 128)
         gb = grid_from_mixture(VACUUM, 8.0, 64)
@@ -296,8 +344,9 @@ class TestConvolution:
 
     def test_transient_memory(self, monkeypatch):
         # one held spectrum, one pass-1 output, one block's workspace: measured
-        # 15.6 MB on one worker at 512**2, where both spectra, a transposed copy
-        # and the full phase product took 27.4 MB
+        # 8.1 MB on one worker at 512**2 on the alias-free 640-point lattice,
+        # 15.6 MB on the 2n lattice, where both spectra, a transposed copy and
+        # the full phase product took 27.4 MB
         monkeypatch.setattr(beamsplitter, "_WORKERS", 1)
         ga = grid_from_mixture(PhotonMixture([0.2, 0.5, 0.3]), 8.0, 512)
         gb = grid_from_mixture(VACUUM, 8.0, 512)
@@ -384,7 +433,7 @@ class TestLogging:
         record = caplog.records[0]
         assert record.levelno == logging.DEBUG
         message = record.getMessage()
-        for word in ("64x64", "eta 0.3", "FFT lengths 128 and 192", "mass", "min W",
+        for word in ("64x64", "eta 0.3", "lattice 80", "FFT lengths 108 and 144", "mass", "min W",
                      f"{beamsplitter._WORKERS} workers", "blocks of 64 rows"):
             assert word in message
 
