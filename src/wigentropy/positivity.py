@@ -145,11 +145,16 @@ def radial_wigner(p: PhotonMixture, r):
     r = np.asarray(r, dtype=float)
     if not (r >= 0).all():
         raise ValueError("radius must be non-negative")
-    n = len(p)
-    scaled = laguerre_scaled_all(n - 1, 2.0 * r * r)
-    values = np.dot(_signed_coeffs(p)[None, :], scaled.reshape(n, r.size))
-    values = values.reshape(r.shape) / math.pi
+    values = _radial_values(_signed_coeffs(p), r)
     return float(values) if values.ndim == 0 else values
+
+
+def _radial_values(signed: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """radial_wigner's array for the signed coefficients of a mixture, at an
+    array r >= 0 that the caller has checked."""
+    n = signed.size
+    scaled = laguerre_scaled_all(n - 1, 2.0 * r * r)
+    return np.dot(signed[None, :], scaled.reshape(n, r.size)).reshape(r.shape) / math.pi
 
 
 def radial_cutoff(p: PhotonMixture) -> float:

@@ -85,8 +85,9 @@ def _panel_rules(func, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.n
     half = 0.5 * (hi - lo)
     x = 0.5 * (hi + lo)[:, None] + half[:, None] * _NODES
     flat = x.ravel()
-    f = np.concatenate([np.asarray(func(flat[i:i + EVAL_CHUNK]), dtype=float)
-                        for i in range(0, flat.size, EVAL_CHUNK)]).reshape(x.shape)
+    chunks = [np.asarray(func(flat[i:i + EVAL_CHUNK]), dtype=float)
+              for i in range(0, flat.size, EVAL_CHUNK)]
+    f = (chunks[0] if len(chunks) == 1 else np.concatenate(chunks)).reshape(x.shape)
     coarse = half * (f[:, :_COARSE_NODES.size] @ _COARSE_WEIGHTS)
     fine = half * (f[:, _COARSE_NODES.size:] @ _FINE_WEIGHTS)
     roundoff = ROUNDOFF * half * (np.abs(f[:, _COARSE_NODES.size:]) @ _FINE_WEIGHTS)
@@ -132,6 +133,10 @@ def integrate(func, a: float, b: float, spec: QuadratureSpec = DEFAULT_QUADRATUR
         budget = spec.tol * max(1.0, abs(math.fsum(accepted + fine.tolist())))
         share = 0.5 * budget * np.maximum((hi - lo) / (b - a), 1.0 / MAX_SUBDIVISIONS)
         done = err <= share
+        if done.all():  # nothing left to split
+            accepted.extend(fine.tolist())
+            error += float(np.sum(err))
+            break
         accepted.extend(fine[done].tolist())
         error += float(np.sum(err[done]))
         lo, hi = lo[~done], hi[~done]

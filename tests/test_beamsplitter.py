@@ -51,6 +51,40 @@ def radial_values(p, extent, resolution):
     return radial_wigner(p, np.sqrt(x * x + q * q))
 
 
+def mirrored(x):
+    """x with row n-1-a a copy of row a, for a < n/2."""
+    n = x.shape[0]
+    return np.concatenate([x[: n - n // 2], x[: n // 2][::-1]])
+
+
+def half_lattice_direct(x, x0, h, m):
+    """(direct, k0, dk): the half-lattice sum _half_lattice_dft evaluates, summed
+    directly on the convolution's k grid for m points per axis."""
+    n = x.shape[0]
+    xi = x0 + np.arange(n) * h
+    dk = 2.0 * math.pi / (m * h)
+    k0 = -(m // 2) * dk
+    k = k0 + np.arange(m) * dk
+    # direct[j1, j0] = sum_{g0, g1} x[g0, g1] exp(-i (xi_g0 k_j0 + xi_g1 k_j1))
+    phase = np.exp(-1j * (xi[:, None, None, None] * k[None, None, None, :]
+                          + xi[None, :, None, None] * k[None, None, : m // 2 + 1, None]))
+    return np.einsum("ab,abjk->jk", x, phase), k0, dk
+
+
+@pytest.fixture
+def dft_rows(monkeypatch):
+    """Row count of each _lattice_dft call the module makes, in call order."""
+    rows = []
+    real = beamsplitter._lattice_dft
+
+    def counting(x, *args, **kwargs):
+        rows.append(x.shape[0])
+        return real(x, *args, **kwargs)
+
+    monkeypatch.setattr(beamsplitter, "_lattice_dft", counting)
+    return rows
+
+
 def displaced_squeezed_gaussian(rng):
     """Gaussian with mean (+, -) and a squeezed covariance rotated off the diagonals."""
     theta, s = rng.uniform(0.1, 0.6), rng.uniform(0.2, 0.4)
@@ -185,18 +219,46 @@ class TestLatticeDFT:
         # m = 2n, the convolution's lattice (8 and 16) and 2n - 4 (10 and 20)
         x0, h = -1.3, 0.21
         x = rng.normal(size=(n, n))
-        xi = x0 + np.arange(n) * h
         for m in (2 * n, _lattice_size(n), 2 * n - 4):
-            dk = 2.0 * math.pi / (m * h)
-            k0 = -(m // 2) * dk
-            k = k0 + np.arange(m) * dk
-            # direct[j1, j0] = sum_{g0, g1} x[g0, g1] exp(-i (xi_g0 k_j0 + xi_g1 k_j1))
-            phase = np.exp(-1j * (xi[:, None, None, None] * k[None, None, None, :]
-                                  + xi[None, :, None, None] * k[None, None, : m // 2 + 1, None]))
-            direct = np.einsum("ab,abjk->jk", x, phase)
+            direct, k0, dk = half_lattice_direct(x, x0, h, m)
             out = _half_lattice_dft(x, x0, h, k0, dk, m)
             assert out.shape == (m // 2 + 1, m)
             assert np.max(np.abs(out - direct)) <= 1e-12 * np.max(np.abs(direct))
+
+    @pytest.mark.parametrize("n", [2, 3, 64, 65, 256])
+    def test_mirrored_rows_match_all_rows(self, rng, dft_rows, n):
+        x0, h, m = -1.3, 0.21, _lattice_size(n)
+        dk = 2.0 * math.pi / (m * h)
+        k0 = -(m // 2) * dk
+        x = mirrored(rng.normal(size=(n, n)))
+        out = _half_lattice_dft(x, x0, h, k0, dk, m)
+        assert dft_rows == [n - n // 2, m // 2 + 1]
+        all_rows = _lattice_dft(_lattice_dft(x, x0, h, k0, dk, m // 2 + 1, -1).T,
+                                x0, h, k0, dk, m, -1)
+        assert np.array_equal(out, all_rows)
+
+    @pytest.mark.parametrize("n", [7, 12])
+    def test_one_cell_off_the_mirror_takes_all_rows(self, rng, dft_rows, n):
+        x0, h = -1.3, 0.21
+        x = mirrored(rng.normal(size=(n, n)))
+        x[n - 1, 1] = np.nextafter(x[n - 1, 1], np.inf)
+        m = _lattice_size(n)
+        direct, k0, dk = half_lattice_direct(x, x0, h, m)
+        out = _half_lattice_dft(x, x0, h, k0, dk, m)
+        assert dft_rows == [n, m // 2 + 1]
+        assert np.max(np.abs(out - direct)) <= 1e-12 * np.max(np.abs(direct))
+
+    @pytest.mark.parametrize("n", [64, 65])
+    def test_phase_invariant_and_centred_grids_take_half_the_rows(self, rng, dft_rows, n):
+        m = _lattice_size(n)
+        skewed = grid_from_gaussian(displaced_squeezed_gaussian(rng), 8.0, n)
+        centred = GaussianState([0.0, 0.0], np.diag([0.3, 1.2]))
+        for grid in (grid_from_mixture(VACUUM, 8.0, n), grid_from_mixture(fock_mixture(3), 8.0, n),
+                     grid_from_mixture(thermal_mixture(1.0), 8.0, n),
+                     grid_from_gaussian(centred, 8.0, n)):
+            dft_rows.clear()
+            convolve_beamsplitter(grid, skewed, 0.5)
+            assert dft_rows == [n - n // 2, m // 2 + 1, n, m // 2 + 1]
 
     def test_lattice_size_is_alias_free_even_and_holds_the_crop(self):
         for n in range(2, 5001):
@@ -365,19 +427,44 @@ def _convolve_in_child(queue, grid):
 
 
 class TestBlockedPasses:
-    @pytest.mark.parametrize("n", [2, 3, 63, 64, 65, 127, 129, 256])
+    # 256 and 512 make the passes of 161 and 321 rows along x
+    @pytest.mark.parametrize("n", [2, 3, 63, 64, 65, 127, 129, 256, 512])
     def test_bits_independent_of_blocks_and_workers(self, rng, monkeypatch, n):
         h = 2.0 * 8.0 / (n - 1)
-        a, b = (WignerGrid(r / (r.sum() * h * h), 8.0) for r in rng.random((2, n, n)))
+        # a takes the mirrored pass along p, b every row
+        a, b = (WignerGrid(r / (r.sum() * h * h), 8.0)
+                for r in (mirrored(rng.random((n, n))), rng.random((n, n))))
         # compare the bare output values: random grids miss the output mass check
         monkeypatch.setattr(beamsplitter, "WignerGrid", lambda values, *args, **kwargs: values)
         etas = (0.25, 0.5, 0.75)
         pooled = [convolve_beamsplitter(a, b, eta) for eta in etas]
-        monkeypatch.setattr(beamsplitter, "_WORKERS", 1)
-        for rows in (1, 7, 2 * n):
-            monkeypatch.setattr(beamsplitter, "_BLOCK_ROWS", rows)
-            for eta, expected in zip(etas, pooled):
-                assert np.array_equal(convolve_beamsplitter(a, b, eta), expected)
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(beamsplitter, "_WORKERS", workers)
+            for rows in (1, 7, 2 * n):
+                monkeypatch.setattr(beamsplitter, "_BLOCK_ROWS", rows)
+                for eta, expected in zip(etas, pooled):
+                    assert np.array_equal(convolve_beamsplitter(a, b, eta), expected)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("block_rows", [1, 7, 64])
+    def test_spans_tile_the_rows_evenly(self, monkeypatch, workers, block_rows):
+        monkeypatch.setattr(beamsplitter, "_WORKERS", workers)
+        monkeypatch.setattr(beamsplitter, "_BLOCK_ROWS", block_rows)
+        for rows in range(1, 700):
+            spans = beamsplitter._spans(rows)
+            starts, stops = zip(*spans)
+            assert starts == (0,) + stops[:-1] and stops[-1] == rows
+            sizes = [stop - start for start, stop in spans]
+            assert 1 <= min(sizes) and max(sizes) <= block_rows and max(sizes) - min(sizes) <= 1
+            if workers > 1 and len(spans) > 1:
+                assert len(spans) % workers == 0 or len(spans) == rows
+
+    def test_spans_of_the_benchmark_passes(self, monkeypatch):
+        monkeypatch.setattr(beamsplitter, "_WORKERS", 2)
+        sizes = {rows: [stop - start for start, stop in beamsplitter._spans(rows)]
+                 for rows in (128, 161, 256, 321, 512)}
+        assert sizes == {128: [64, 64], 161: [40, 40, 40, 41], 256: [64] * 4,
+                         321: [53, 54, 53, 54, 53, 54], 512: [64] * 8}
 
     def test_concurrent_callers_share_the_pool(self):
         grids = [grid_from_mixture(fock_mixture(k), 8.0, 128) for k in range(4)]
@@ -434,8 +521,21 @@ class TestLogging:
         assert record.levelno == logging.DEBUG
         message = record.getMessage()
         for word in ("64x64", "eta 0.3", "lattice 80", "FFT lengths 108 and 144", "mass", "min W",
-                     f"{beamsplitter._WORKERS} workers", "blocks of 64 rows"):
+                     f"{beamsplitter._WORKERS} workers", "rows along p 32 and 32"):
             assert word in message
+
+    def test_debug_record_counts_rows_and_blocks(self, caplog, rng, monkeypatch):
+        monkeypatch.setattr(beamsplitter, "_WORKERS", 2)
+        vacuum = grid_from_mixture(VACUUM, 8.0, 256)
+        skewed = grid_from_gaussian(displaced_squeezed_gaussian(rng), 8.0, 256)
+        with caplog.at_level(logging.DEBUG, logger="wigentropy.beamsplitter"):
+            convolve_beamsplitter(vacuum, skewed, 0.5)
+        (record,) = caplog.records
+        message = record.getMessage()
+        for words in ("2 workers", "rows along p 128 and 256 in 2 and 4 blocks",
+                      "161 rows along x and back in 4 blocks", "256 columns back in 4 blocks"):
+            assert words in message
+        assert "blocks of" not in message
 
     def test_quiet_by_default(self, caplog):
         grid = grid_from_mixture(VACUUM, 8.0, 64)
