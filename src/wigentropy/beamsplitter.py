@@ -38,7 +38,9 @@ distribution is a column of the squared Wigner d-matrix |d^{N/2}|**2
 (Campos, Saleh & Teich, PRA 40, 1371 (1989)).  One sweep builds the real
 amplitudes of every total from those of the total below, by Risbo's
 two-sided recursion (J. Geodesy 70, 383 (1996)), keeping only the columns
-the inputs weight.  Totals above fock.N_MAX raise TruncationError.
+the inputs weight.  Photon numbers and totals pass fock.check_photon_number,
+the package's one guard of its limit, so those above fock.N_MAX raise
+TruncationError, which is a ValueError.
 """
 
 from __future__ import annotations
@@ -51,8 +53,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import GridMismatchError, TruncationError
-from .fock import N_MAX
+from .exceptions import GridMismatchError
+from .fock import check_photon_number
 from .gaussian import GaussianState, gaussian_wigner
 from .mixtures import PhotonMixture
 from .positivity import radial_wigner
@@ -238,13 +240,13 @@ def _for_blocks(fn, rows: int) -> None:
 
 
 def _lattice_dft(x: np.ndarray, x0: float, h: float, k0: float, dk: float,
-                 m: int, sign: int, into: np.ndarray | None = None,
+                 m: int, into: np.ndarray | None = None,
                  out: np.ndarray | None = None) -> np.ndarray:
-    """out[..., j] = sum_g x[..., g] exp(sign i (x0 + g h)(k0 + j dk)), j < m.
+    """out[..., j] = sum_g x[..., g] exp(-i (x0 + g h)(k0 + j dk)), j < m.
 
     Bluestein's algorithm along the last axis: g j = (g**2 + j**2 - (j-g)**2) / 2
     turns the sum into a linear convolution with the chirp
-    exp(-sign i h dk t**2 / 2), done by FFT at a 5-smooth length; every
+    exp(i h dk t**2 / 2), done by FFT at a 5-smooth length; every
     other phase is folded into the chirps applied before and after.  x may be
     a strided view: each block's pre-chirp product is made C-ordered.  Given
     ``into``, the rows of out are multiplied into it, which is returned;
@@ -255,11 +257,11 @@ def _lattice_dft(x: np.ndarray, x0: float, h: float, k0: float, dk: float,
     half = 0.5 * h * dk
     g = np.arange(n)
     j = np.arange(m)
-    pre = np.exp(sign * 1j * g * (h * k0 + half * g))
-    post = np.exp(sign * 1j * (x0 * k0 + j * (x0 * dk + half * j)))
+    pre = np.exp(-1j * g * (h * k0 + half * g))
+    post = np.exp(-1j * (x0 * k0 + j * (x0 * dk + half * j)))
     # chirp at lags 0..m-1, then at lags -(n-1)..-1 wrapped to the end
     lags = np.concatenate([j, np.zeros(size - m - n + 1), np.arange(n - 1, 0, -1)])
-    kernel = np.fft.fft(np.exp(-sign * 1j * half * lags * lags))
+    kernel = np.fft.fft(np.exp(1j * half * lags * lags))
     rows = x.reshape(-1, n)
     if out is None:
         out = np.empty(x.shape[:-1] + (m,), dtype=complex) if into is None else into
@@ -305,9 +307,9 @@ def _half_lattice_dft(x: np.ndarray, x0: float, h: float, k0: float,
     n = x.shape[0]
     rows = _rows_along_p(x)
     t = np.empty((n, m // 2 + 1), dtype=complex)
-    _lattice_dft(x[:rows], x0, h, k0, dk, m // 2 + 1, -1, out=t[:rows])
+    _lattice_dft(x[:rows], x0, h, k0, dk, m // 2 + 1, out=t[:rows])
     t[rows:] = t[: n - rows][::-1]
-    return _lattice_dft(t.T, x0, h, k0, dk, m, -1, into)
+    return _lattice_dft(t.T, x0, h, k0, dk, m, into)
 
 
 def convolve_beamsplitter(wa: WignerGrid, wb: WignerGrid, eta: float) -> WignerGrid:
@@ -439,10 +441,8 @@ def fock_oracle_sigma(m: int, n: int, eta: float) -> PhotonMixture:
     for m + n photons.  The sign convention is pinned by eta -> 1 sending the
     first input to the surviving mode.
     """
-    if m < 0 or n < 0:
-        raise ValueError("photon numbers must be non-negative")
-    if m + n > N_MAX:
-        raise TruncationError(f"total photon number {m + n} exceeds fock.N_MAX = {N_MAX}")
+    check_photon_number(m)
+    check_photon_number(n)
     pa, pb = (PhotonMixture(np.eye(1, k + 1, k)[0]) for k in (m, n))
     return mix_through_beamsplitter(pa, pb, eta)
 
@@ -462,8 +462,7 @@ def mix_through_beamsplitter(pa: PhotonMixture, pb: PhotonMixture,
     if not 0.0 <= eta <= 1.0:
         raise ValueError("transmittance must lie in [0, 1]")
     total = len(pa) + len(pb) - 2
-    if total > N_MAX:
-        raise TruncationError(f"total photon number {total} exceeds fock.N_MAX = {N_MAX}")
+    check_photon_number(total)
     u, v = math.sqrt(eta), math.sqrt(1.0 - eta)
     acc = np.zeros(total + 1)
     amplitudes = np.ones((1, 1))

@@ -81,17 +81,12 @@ def _write_csv(lines: list[str], out_path) -> None:
         sys.exit(1)
 
 
-def _numbers(value, length: int = 0) -> bool:
-    """Whether value is a non-empty JSON list of numbers, not booleans, of that length (0: any)."""
-    return (isinstance(value, list) and len(value) > 0 and length in (0, len(value))
-            and all(type(x) in (int, float) for x in value))
-
-
 def load_state(path: str):
     """Parse a state file into a PhotonMixture or GaussianState.
 
-    The numbers must come in the documented shapes: no strings, booleans or
-    flattened matrices.
+    The constructors refuse numbers outside the documented shapes: strings,
+    booleans, nesting, ragged or flattened lists, empty lists and non-finite
+    values, each with a ValueError.
     """
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
@@ -101,15 +96,8 @@ def load_state(path: str):
     if len(keys) != 1:
         raise ValueError("state file must contain exactly one of 'fock_probs' or 'gaussian'")
     if "fock_probs" in doc:
-        if not _numbers(doc["fock_probs"]):
-            raise ValueError("'fock_probs' must be a non-empty list of numbers")
         return PhotonMixture(doc["fock_probs"])
-    mean, cov = doc["gaussian"]["mean"], doc["gaussian"]["cov"]
-    if not (_numbers(mean, 2) and isinstance(cov, list) and len(cov) == 2
-            and all(_numbers(row, 2) for row in cov)):
-        raise ValueError("'gaussian' must hold 'mean' as 2 numbers and 'cov' as a "
-                         "2x2 list of lists of numbers")
-    return GaussianState(mean, cov)
+    return GaussianState(doc["gaussian"]["mean"], doc["gaussian"]["cov"])
 
 
 class _Commands(click.Group):

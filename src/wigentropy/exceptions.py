@@ -38,5 +38,5 @@ class NegativeGridError(WigentropyError):
     """Grid values are too negative to be treated as a probability density."""
 
 
-class TruncationError(WigentropyError):
-    """Requested photon numbers exceed the validated truncation range."""
+class TruncationError(WigentropyError, ValueError):
+    """A photon number above fock.N_MAX; a ValueError too, like other bad input."""

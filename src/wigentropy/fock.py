@@ -24,10 +24,12 @@ from functools import lru_cache
 
 import numpy as np
 
+from .exceptions import TruncationError
 from .quadrature import DEFAULT_QUADRATURE, QuadratureSpec, entropy_integral
 
 __all__ = [
     "N_MAX",
+    "check_photon_number",
     "laguerre_scaled_all",
     "wavefunction",
     "wavefunction_table",
@@ -38,16 +40,18 @@ __all__ = [
     "tail_cutoff",
 ]
 
-#: largest photon number accepted by this module (normalization factors for
-#: larger n are handled in log space nowhere else, so keep a hard guard)
+#: largest photon number the package accepts (normalization factors for
+#: larger n are handled in log space nowhere, so keep a hard guard)
 N_MAX = 256
 
 
-def _check_index(n: int) -> None:
+def check_photon_number(n: int) -> None:
+    """The one guard of the photon-number limit: ValueError below 0,
+    TruncationError above N_MAX."""
     if n < 0:
-        raise ValueError("photon number must be non-negative")
+        raise ValueError(f"photon number {n} must be non-negative")
     if n > N_MAX:
-        raise ValueError(f"photon number {n} exceeds the supported maximum {N_MAX}")
+        raise TruncationError(f"photon number {n} exceeds N_MAX = {N_MAX}")
 
 
 def tail_cutoff(n: int) -> float:
@@ -80,7 +84,7 @@ def laguerre_scaled_all(nmax: int, t, d: int = 0) -> np.ndarray:
 
 def wavefunction_table(nmax: int, x) -> np.ndarray:
     """psi_0(x) ... psi_nmax(x) stacked along axis 0 for scalar or array x."""
-    _check_index(nmax)
+    check_photon_number(nmax)
     x = np.asarray(x, dtype=float)
     out = np.empty((nmax + 1,) + x.shape)
     out[0] = math.pi ** -0.25 * np.exp(-0.5 * x * x)
@@ -93,7 +97,6 @@ def wavefunction_table(nmax: int, x) -> np.ndarray:
 
 def wavefunction(n: int, x):
     """Wave function psi_n(x) of the n-th Fock state."""
-    _check_index(n)
     values = wavefunction_table(n, x)[n]
     return float(values) if np.isscalar(x) or np.asarray(x).ndim == 0 else values
 
@@ -103,7 +106,7 @@ def wigner_fock(n: int, x, p):
 
     Rotation invariant: depends on x, p only through x**2 + p**2.
     """
-    _check_index(n)
+    check_photon_number(n)
     x = np.asarray(x, dtype=float)
     p = np.asarray(p, dtype=float)
     t = 2.0 * (x * x + p * p)
@@ -147,5 +150,5 @@ def marginal_entropy(n: int, spec: QuadratureSpec = DEFAULT_QUADRATURE) -> float
     Satisfies the entropic uncertainty bound 2 h(rho_n) >= ln(pi) + 1; the
     vacuum saturates it with h(rho_0) = ln(pi e) / 2.
     """
-    _check_index(n)
+    check_photon_number(n)
     return density_entropy(np.eye(n + 1)[n], spec)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import NotPassiveError, TruncationError
-from .fock import N_MAX
+from .fock import N_MAX, check_photon_number
 
 __all__ = [
     "PhotonMixture",
@@ -76,10 +76,7 @@ class PhotonMixture:
 
     def __init__(self, probs):
         arr = _distribution(probs, "photon-number probabilities")
-        if arr.size - 1 > N_MAX:
-            raise ValueError(
-                f"largest photon number {arr.size - 1} exceeds N_MAX = {N_MAX}"
-            )
+        check_photon_number(arr.size - 1)
         object.__setattr__(self, "probs", arr)
 
     def __len__(self) -> int:
@@ -133,8 +130,7 @@ def is_passive(p: PhotonMixture) -> bool:
 
 def extremal_passive(n: int) -> PhotonMixture:
     """Equiprobable mixture of the Fock states 0..n."""
-    if n < 0:
-        raise ValueError("photon number must be non-negative")
+    check_photon_number(n)
     return PhotonMixture(np.full(n + 1, 1.0 / (n + 1)))
 
 
@@ -183,10 +179,8 @@ def sigma_coefficients(m: int, n: int) -> SigmaState:
     the vector is correctly rounded at any m+n up to fock.N_MAX.  Symmetric
     in (m, n) by construction.
     """
-    if m < 0 or n < 0:
-        raise ValueError("photon numbers must be non-negative")
-    if m + n > N_MAX:
-        raise TruncationError(f"total photon number {m + n} exceeds fock.N_MAX = {N_MAX}")
+    for k in (m, n, m + n):
+        check_photon_number(k)
     lo, hi = (m, n) if m <= n else (n, m)
     den = math.factorial(m) * math.factorial(n) << (m + n)
     coeffs = np.array([_sigma_numerator(lo, hi, z) / den for z in range(m + n + 1)])
@@ -199,8 +193,7 @@ def extremal_passive_from_sigmas(n: int) -> PhotonMixture:
     Averaging sigma(k, n-k) over k = 0..n reproduces the equiprobable
     mixture of the Fock states 0..n.
     """
-    if n < 0:
-        raise ValueError("photon number must be non-negative")
+    check_photon_number(n)
     acc = np.zeros(n + 1)
     for k in range(n + 1):
         acc += sigma_coefficients(k, n - k).coeffs.probs
@@ -220,8 +213,8 @@ def thermal_mixture(mean_photons: float) -> PhotonMixture:
     if not mean_photons >= 0:
         raise ValueError("mean photon number must be non-negative")
     if mean_photons > THERMAL_MAX_MEAN:
-        raise ValueError(f"mean photon number {mean_photons!r} exceeds the largest "
-                         f"supported {THERMAL_MAX_MEAN!r} (N_MAX = {N_MAX})")
+        raise TruncationError(f"mean photon number {mean_photons!r} exceeds the largest "
+                              f"supported {THERMAL_MAX_MEAN!r} (N_MAX = {N_MAX})")
     if mean_photons == 0:
         return PhotonMixture([1.0])
     q = mean_photons / (mean_photons + 1.0)

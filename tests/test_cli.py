@@ -14,6 +14,7 @@ import wigentropy
 from wigentropy import cli
 from wigentropy.cli import main
 from wigentropy.entropy import wigner_renyi
+from wigentropy.fock import N_MAX
 from wigentropy.mixtures import PhotonMixture, sigma_coefficients, thermal_mixture
 from wigentropy.verification import run_suite
 
@@ -141,12 +142,24 @@ class TestEntropyCommand:
         {"gaussian": {"mean": [0, 0, 0], "cov": [[0.5, 0.0], [0.0, 0.5]]}},
         {"gaussian": {"mean": [0, 0], "cov": [[0.5, "0"], [0.0, 0.5]]}},
         {"gaussian": {"mean": [0, 0], "cov": [0.5, 0.0, 0.0, 0.5]}},
-    ], ids=["str", "empty", "bool", "strs", "nested", "mean-str", "mean-3", "cov-str", "cov-flat"])
+        {"fock_probs": [0.5, [0.5]]}, {"fock_probs": [None, 1.0]},
+        {"gaussian": [1]}, {"gaussian": {"mean": [0, 0]}},
+    ], ids=["str", "empty", "bool", "strs", "nested", "mean-str", "mean-3", "cov-str", "cov-flat",
+            "ragged", "null", "gaussian-list", "no-cov"])
     def test_numbers_outside_documented_shapes_exit_2(self, runner, tmp_path, doc):
         result = runner.invoke(main, ["entropy", write_state(tmp_path, "bad.json", doc)])
         assert result.exit_code == 2
         assert result.output.startswith("error: cannot parse state file: ")
         assert "h_wigner" not in result.output
+
+    def test_photon_numbers_past_the_limit_exit_2(self, runner, tmp_path):
+        # PhotonMixture's TruncationError is a ValueError, which load_state's callers catch
+        length = N_MAX + 2
+        path = write_state(tmp_path, "long.json", {"fock_probs": [1.0 / length] * length})
+        result = runner.invoke(main, ["entropy", path])
+        assert result.exit_code == 2
+        assert result.output.startswith("error: cannot parse state file: ")
+        assert "N_MAX" in result.output
 
     # states whose printed digits move with any gap between the CLI's and the
     # library's tolerance: the CLI prints what the library computes

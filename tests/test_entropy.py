@@ -349,6 +349,16 @@ class TestRenyi:
         h = wigner_renyi(sigma_coefficients(m, n).coeffs, alpha)
         assert h >= MIN_WIGNER_ENTROPY
 
+    # Known defect: radial_wigner damps its Laguerre table with exp(-u),
+    # which is subnormal past u ~ 708 and 0 past ~ 745, while an order-0.05
+    # integral of this long state runs well beyond; W**alpha drops from
+    # ~5e-3 to 0 there and no panel split converges.  Order 0.1 returns.
+    # Remove the mark once the damping keeps its range to the cutoff.
+    @pytest.mark.xfail(raises=QuadratureConvergenceError, strict=True)
+    def test_low_order_past_the_damping_range(self):
+        h = wigner_renyi(extremal_passive(N_MAX), 0.05)
+        assert h >= MIN_WIGNER_ENTROPY
+
 
 class TestSigmaRoute:
     """A SigmaState takes W in factored form, positive by construction."""

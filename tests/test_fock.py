@@ -1,12 +1,16 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.special import eval_hermite
 
+from wigentropy.beamsplitter import fock_oracle_sigma, mix_through_beamsplitter
+from wigentropy.exceptions import TruncationError
 from wigentropy.fock import (
     N_MAX,
+    check_photon_number,
     density_entropy,
     marginal_density,
     marginal_entropy,
@@ -14,6 +18,14 @@ from wigentropy.fock import (
     wavefunction,
     wavefunction_table,
     wigner_fock,
+)
+from wigentropy.mixtures import (
+    THERMAL_MAX_MEAN,
+    PhotonMixture,
+    extremal_passive,
+    extremal_passive_from_sigmas,
+    sigma_coefficients,
+    thermal_mixture,
 )
 from wigentropy.quadrature import QuadratureSpec, integrate
 
@@ -181,3 +193,48 @@ class TestMarginalEntropy:
     def test_monotone_in_n_observed(self):
         values = [marginal_entropy(n) for n in range(8)]
         assert all(b > a for a, b in zip(values, values[1:]))
+
+
+# every route that takes a photon number n; each refuses N_MAX + 1 before any work
+PHOTON_NUMBER_ROUTES = {
+    "check_photon_number": check_photon_number,
+    "extremal_passive": extremal_passive,
+    "extremal_passive_from_sigmas": extremal_passive_from_sigmas,
+    "sigma_coefficients-m": lambda n: sigma_coefficients(n, 0),
+    "sigma_coefficients-n": lambda n: sigma_coefficients(0, n),
+    "fock_oracle_sigma-m": lambda n: fock_oracle_sigma(n, 0, 0.5),
+    "fock_oracle_sigma-n": lambda n: fock_oracle_sigma(0, n, 0.5),
+    "wavefunction": lambda n: wavefunction(n, 0.0),
+    "wavefunction_table": lambda n: wavefunction_table(n, 0.0),
+    "wigner_fock": lambda n: wigner_fock(n, 0.0, 0.0),
+    "marginal_entropy": marginal_entropy,
+}
+
+# each route past the limit: photon numbers, vectors and totals one above it,
+# and a thermal mean whose tail cut would end past it
+PAST_THE_LIMIT = {
+    **{name: partial(route, N_MAX + 1) for name, route in PHOTON_NUMBER_ROUTES.items()},
+    "PhotonMixture": lambda: PhotonMixture(np.full(N_MAX + 2, 1.0 / (N_MAX + 2))),
+    "sigma_coefficients-total": lambda: sigma_coefficients(128, 129),
+    "mix_through_beamsplitter": lambda: mix_through_beamsplitter(
+        PhotonMixture(np.eye(1, N_MAX + 1, N_MAX)[0]), PhotonMixture([0.0, 1.0]), 0.5),
+    "thermal_mixture": lambda: thermal_mixture(THERMAL_MAX_MEAN * (1.0 + 1e-9)),
+}
+
+
+class TestPhotonNumberLimit:
+    """One guard holds N_MAX for every route, with one error type."""
+
+    def test_truncation_error_is_a_value_error(self):
+        assert issubclass(TruncationError, ValueError)
+
+    @pytest.mark.parametrize("name", PAST_THE_LIMIT)
+    def test_past_the_limit_raises_truncation_error(self, name):
+        with pytest.raises(TruncationError, match="N_MAX"):
+            PAST_THE_LIMIT[name]()
+
+    @pytest.mark.parametrize("name", PHOTON_NUMBER_ROUTES)
+    def test_negative_raises_plain_value_error(self, name):
+        with pytest.raises(ValueError, match="non-negative") as info:
+            PHOTON_NUMBER_ROUTES[name](-1)
+        assert not isinstance(info.value, TruncationError)

@@ -229,7 +229,7 @@ class TestThermalMixture:
 
     @pytest.mark.parametrize("mean", [THERMAL_MAX_MEAN * (1.0 + 1e-9), 10.0, math.inf])
     def test_mean_beyond_n_max_raises(self, mean):
-        with pytest.raises(ValueError) as info:
+        with pytest.raises(TruncationError) as info:
             thermal_mixture(mean)
         message = str(info.value)
         for part in (repr(mean), repr(THERMAL_MAX_MEAN), f"N_MAX = {N_MAX}"):
