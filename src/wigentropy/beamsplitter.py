@@ -22,15 +22,23 @@ allows: the rescaled inputs lie in sqrt(eta) [-E, E] and sqrt(1-eta)
 [-E, E], so their convolution lies in (sqrt(eta) + sqrt(1-eta)) [-E, E],
 within sqrt(2) [-E, E], and its images a period P = m h apart miss the
 output window [-E, E] when P >= (1 + sqrt(2)) E, i.e. when
-m >= (1 + sqrt(2)) (n - 1) / 2.  A grid whose row n-1-a equals its row a,
-as every grid of a phase-invariant state does, transforms only its first
-ceil(n/2) rows along p and copies the rest.  Every pass splits its rows
-into near-equal blocks of at most _BLOCK_ROWS, as many as a multiple of the
+m >= (1 + sqrt(2)) (n - 1) / 2.  A grid whose row n-1-a equals its row a
+transforms only its first ceil(n/2) rows along p and copies the rest, with
+the bits of a transform of every row.  A grid even in p as well, as every
+grid of a phase-invariant state is, has on the centred window a real
+spectrum, even in k_x and in k_p: its pass along p takes those rows two to
+a complex FFT row, as its real and imaginary parts, and its pass along x
+takes two columns to an FFT row and computes only k_x <= 0, a real quarter
+lattice.  When both inputs are doubly even, so is the output, and the way
+back computes only its first ceil(n/2) columns in x.  At 128**2 to 512**2
+such outputs lie within 7.1e-15 of the exact ones, Fock-basis or Gaussian,
+and within 1.6e-14 of the general path's.  Every pass splits its rows into
+near-equal blocks of at most _BLOCK_ROWS, as many as a multiple of the
 workers, and runs them on a thread pool sized by the usable cores and made
-on first use; each row meets the same numpy call in any block, so the
-output bits depend neither on the worker count nor on the mirror.  For the
-smooth, Gaussian-damped fields a Wigner grid holds, the discretization
-error is far below the grid normalization tolerance.
+on first use; each FFT row meets the same numpy call in any block, so the
+output bits do not depend on the worker count.  For the smooth,
+Gaussian-damped fields a Wigner grid holds, the discretization error is far
+below the grid normalization tolerance.
 
 Fock-diagonal inputs cross the splitter exactly in the Fock basis: on the
 N-photon subspace it is a spin-N/2 rotation, so each output photon
@@ -179,7 +187,16 @@ def grid_from_mixture(p: PhotonMixture, extent: float = 8.0,
 
 def grid_from_gaussian(state: GaussianState, extent: float = 8.0,
                        resolution: int = 512) -> WignerGrid:
-    """Sample a Gaussian state's Wigner function on a grid."""
+    """Sample a Gaussian state's Wigner function on a grid.
+
+    The window [-extent, extent] must hold all but GRID_MASS_TOL of the
+    mass, else WignerGrid refuses the grid: a standard deviation sigma along
+    an axis needs about extent >= 4.9 sigma, as erfc(3.46) = 1e-6.  At the
+    default extent 8 a squeezed vacuum (sigma = exp(|s|) / sqrt(2)) is
+    taken up to |s| = 0.84 and refused from 0.85, mass 0.9999988 at 256**2
+    and 512**2, although gaussian.MAX_SQUEEZE is 2; more squeezing needs a
+    larger extent.
+    """
     _check_grid(extent, resolution)
     axis = _axis(extent, resolution)
     return WignerGrid(gaussian_wigner(state, axis[:, None], axis[None, :]), extent)
@@ -241,7 +258,7 @@ def _for_blocks(fn, rows: int) -> None:
 
 def _lattice_dft(x: np.ndarray, x0: float, h: float, k0: float, dk: float,
                  m: int, into: np.ndarray | None = None,
-                 out: np.ndarray | None = None) -> np.ndarray:
+                 out: np.ndarray | None = None, pairs: bool = False) -> np.ndarray:
     """out[..., j] = sum_g x[..., g] exp(-i (x0 + g h)(k0 + j dk)), j < m.
 
     Bluestein's algorithm along the last axis: g j = (g**2 + j**2 - (j-g)**2) / 2
@@ -250,7 +267,10 @@ def _lattice_dft(x: np.ndarray, x0: float, h: float, k0: float, dk: float,
     other phase is folded into the chirps applied before and after.  x may be
     a strided view: each block's pre-chirp product is made C-ordered.  Given
     ``into``, the rows of out are multiplied into it, which is returned;
-    given ``out``, they are written into it.
+    given ``out``, they are written into it.  With ``pairs``, x is real and
+    so is every row's sum: rows 2q and 2q + 1 enter one FFT row as its real
+    and imaginary parts, and by linearity the real and imaginary parts of
+    that row's sum are their sums; out is real.
     """
     n = x.shape[-1]
     size = _fast_len(n + m - 1)
@@ -264,19 +284,37 @@ def _lattice_dft(x: np.ndarray, x0: float, h: float, k0: float, dk: float,
     kernel = np.fft.fft(np.exp(1j * half * lags * lags))
     rows = x.reshape(-1, n)
     if out is None:
-        out = np.empty(x.shape[:-1] + (m,), dtype=complex) if into is None else into
+        out = (np.empty(x.shape[:-1] + (m,), dtype=float if pairs else complex)
+               if into is None else into)
     flat = out.reshape(-1, m)
 
     def block(s, e):
-        spectrum = np.fft.fft(np.multiply(rows[s:e], pre, order="C"), size)
+        if pairs:
+            odd = rows[2 * s + 1:2 * e:2]
+            z = np.zeros((e - s, n), dtype=complex)
+            z.real = rows[2 * s:2 * e:2]
+            z.imag[:len(odd)] = odd
+            z *= pre
+        else:
+            z = np.multiply(rows[s:e], pre, order="C")
+        spectrum = np.fft.fft(z, size)
+        del z  # not held through the rest of the block
         spectrum *= kernel
         spectrum = np.fft.ifft(spectrum, out=spectrum)[:, :m]
-        if into is None:
+        if pairs:
+            spectrum *= post
+            for dest, part in ((flat[2 * s:2 * e:2], spectrum.real),
+                               (flat[2 * s + 1:2 * e:2], spectrum.imag[:len(odd)])):
+                if into is None:
+                    dest[...] = part
+                else:
+                    dest *= part
+        elif into is None:
             np.multiply(spectrum, post, out=flat[s:e])
         else:
             flat[s:e] *= spectrum * post
 
-    _for_blocks(block, rows.shape[0])
+    _for_blocks(block, -(-rows.shape[0] // 2) if pairs else rows.shape[0])
     return out
 
 
@@ -312,12 +350,49 @@ def _half_lattice_dft(x: np.ndarray, x0: float, h: float, k0: float,
     return _lattice_dft(t.T, x0, h, k0, dk, m, into)
 
 
+def _path(x: np.ndarray) -> str:
+    """How convolve_beamsplitter transforms x: "doubly even" when x is even
+    in both axes, x[a] == x[n-1-a] and x[a, b] == x[a, n-1-b], as every grid
+    of a phase-invariant state is; else "mirrored rows" or "all rows", by
+    _rows_along_p.  Past the mirrored rows, only the left half of the first
+    ceil(n/2) rows is compared with their mirrored columns."""
+    n = x.shape[0]
+    rows = _rows_along_p(x)
+    if rows == n:
+        return "all rows"
+    if np.array_equal(x[:rows, : n // 2], x[:rows, ::-1][:, : n // 2]):
+        return "doubly even"
+    return "mirrored rows"
+
+
+def _quarter_lattice_dft(x: np.ndarray, x0: float, h: float, k0: float,
+                         dk: float, m: int, into: np.ndarray | None = None) -> np.ndarray:
+    """sum_g x[g] exp(-i (x0 + g h) . k) at k_j = k0 + j dk, out[j_p, j_x],
+    for j_p, j_x <= m/2, of a doubly even x on a centred window and lattice.
+
+    With x0 = -(n-1) h / 2 and k0 = -(m/2) dk, each sum is real and even in
+    each k, as k_{m-j} = -k_j: out is real, and column j_x > m/2 of the half
+    lattice is column m - j_x.  The pass along p transforms the first
+    ceil(n/2) rows two to an FFT row and copies the rest; the pass along x
+    takes the columns two to an FFT row and computes only j_x <= m/2, at
+    FFT length _fast_len(n + m//2).  Given ``into``, out is multiplied into it.
+    """
+    n = x.shape[0]
+    half = m // 2 + 1
+    rows = n - n // 2
+    t = np.empty((n, half))
+    _lattice_dft(x[:rows], x0, h, k0, dk, half, out=t[:rows], pairs=True)
+    t[rows:] = t[: n - rows][::-1]
+    return _lattice_dft(t.T, x0, h, k0, dk, half, into, pairs=True)
+
+
 def convolve_beamsplitter(wa: WignerGrid, wb: WignerGrid, eta: float) -> WignerGrid:
     """Output Wigner grid of a transmittance-eta beam splitter on a product input.
 
     The product of the rescaled characteristic functions
     chi_A(sqrt(eta) k) chi_B(sqrt(1-eta) k) is formed on half of an m x m
-    frequency lattice over the band |k| <= pi / h and transformed back to the
+    frequency lattice over the band |k| <= pi / h, a doubly even input's
+    factor on a real quarter of it (see _path), and transformed back to the
     input grid by one real inverse 2-D FFT.  The real-space period m h must
     hold the output window and one image of the output's support
     (sqrt(eta) + sqrt(1-eta) <= sqrt(2) times the window) without overlap:
@@ -342,41 +417,76 @@ def convolve_beamsplitter(wa: WignerGrid, wb: WignerGrid, eta: float) -> WignerG
     dk = 2.0 * k_nyquist / m
     sa, sb = math.sqrt(eta), math.sqrt(1.0 - eta)
 
-    # sum over the grid of values * exp(-i scale k . xi), k_j = -k_nyquist + j dk;
-    # B's spectrum is multiplied into A's block by block, never held whole
-    product = _half_lattice_dft(wa.values, -wa.extent, h, -sa * k_nyquist, sa * dk, m)
-    _half_lattice_dft(wb.values, -wa.extent, h, -sb * k_nyquist, sb * dk, m, product)
+    # sum over the grid of values * exp(-i scale k . xi), k_j = -k_nyquist + j dk:
+    # a real quarter lattice for a doubly even input, as the window is centred,
+    # else a half lattice.  A second one of a kind is multiplied into the first
+    # block by block, and half lattices go first, so that no lattice is held
+    # while a half lattice's larger pass along p runs
+    paths = [_path(w.values) for w in (wa, wb)]
+    product = quarter = None
+    inputs = zip(paths, (wa, wb), (sa, sb))
+    for path, w, scale in sorted(inputs, key=lambda i: i[0] == "doubly even"):
+        args = (w.values, -wa.extent, h, -scale * k_nyquist, scale * dk, m)
+        if path == "doubly even":
+            quarter = _quarter_lattice_dft(*args, quarter)
+        else:
+            product = _half_lattice_dft(*args, product)
+    half = m // 2 + 1
+    held = product is not None  # a half lattice holds the product so far
+    if not held:
+        product = np.empty((half, m), dtype=complex)
+    # column j_x > m/2 of a quarter lattice is its column m - j_x
+    mirror = np.r_[:half, m // 2 - 1:0:-1]
     # back to [x, p]: as dk h = 2 pi / m, exp(i k_j x_a) = exp(-i k_j extent)
     # (-1)**a exp(2 pi i j a / m), a length-m inverse DFT of a Hermitian array
     phase = np.exp(-1j * wa.extent * (-k_nyquist + dk * np.arange(m)))
     # irfft2(product, s=(m, m), axes=(1, 0))[:n, :n] as its two steps: ifft
     # along j_x, then irfft along j_p of only the n columns the crop keeps
-    values = np.empty((n, n))
     kept = product[:, :n]
     # h**2 per forward sum, (dk / 2 pi)**2 back, and the m**2 the inverse divides by
     sign = (m * h * h * dk / (2.0 * math.pi)) * (-1.0) ** np.arange(n)
 
+    def factor(s, e, out=None):
+        rows = np.multiply(phase[s:e, None], phase, out=out)
+        if quarter is not None:
+            rows *= quarter[s:e, mirror]
+        return rows
+
     def inverse_rows(s, e):
         rows = product[s:e]
-        rows *= phase[s:e, None] * phase
+        if held:
+            rows *= factor(s, e)
+        else:
+            factor(s, e, out=rows)
         np.fft.ifft(rows, axis=1, out=rows)
 
     def inverse_columns(s, e):
         np.multiply(np.fft.irfft(kept[:, s:e], m, axis=0)[:n],
                     sign[:, None] * sign[s:e], out=values[:, s:e])
 
-    _for_blocks(inverse_rows, m // 2 + 1)
-    _for_blocks(inverse_columns, n)
+    # the output of two doubly even inputs is even in x: column n-1-a is column a
+    columns = n if held else n - n // 2
+    _for_blocks(inverse_rows, half)
+    quarter = None  # its last use: not held beside the output
+    values = np.empty((n, n))
+    _for_blocks(inverse_columns, columns)
+    values[:, columns:] = values[:, : n - columns][:, ::-1]
     values = values.T
     if _log.isEnabledFor(logging.DEBUG):
-        rows = [_rows_along_p(w.values) for w in (wa, wb)]
-        _log.debug("convolved %dx%d grid at eta %.6g: lattice %d, FFT lengths %d and %d, "
-                   "%d workers, rows along p %d and %d in %d and %d blocks, %d rows along x "
-                   "and back in %d blocks, %d columns back in %d blocks, mass %.15g, "
-                   "min W %.6e", n, n, eta, m,
-                   _fast_len(n + m // 2), _fast_len(n + m - 1), _WORKERS, *rows,
-                   *(len(_spans(r)) for r in rows), m // 2 + 1, len(_spans(m // 2 + 1)),
-                   n, len(_spans(n)), float(values.sum()) * h * h, float(values.min()))
+        passes = []
+        for name, path, w in zip("AB", paths, (wa, wb)):
+            even = path == "doubly even"
+            lengths = (_fast_len(n + m // 2), _fast_len(n + (m // 2 if even else m - 1)))
+            rows = ((-(-(n - n // 2) // 2), -(-half // 2)) if even
+                    else (_rows_along_p(w.values), half))
+            passes.append("%s %s: FFT lengths %d and %d, %d rows along p and %d along x "
+                          "in %d and %d blocks" % (name, path, *lengths, *rows,
+                                                   *(len(_spans(r)) for r in rows)))
+        _log.debug("convolved %dx%d grid at eta %.6g: lattice %d, %d workers; %s; %s; "
+                   "%d rows back along x in %d blocks, %d columns back in %d blocks, "
+                   "mass %.15g, min W %.6e", n, n, eta, m, _WORKERS, *passes,
+                   half, len(_spans(half)), columns, len(_spans(columns)),
+                   float(values.sum()) * h * h, float(values.min()))
     return WignerGrid(values, wa.extent, mass_tol=1e-5)
 
 

@@ -84,9 +84,11 @@ def _write_csv(lines: list[str], out_path) -> None:
 def load_state(path: str):
     """Parse a state file into a PhotonMixture or GaussianState.
 
-    The constructors refuse numbers outside the documented shapes: strings,
-    booleans, nesting, ragged or flattened lists, empty lists and non-finite
-    values, each with a ValueError.
+    A key besides the one state key, or besides ``mean`` and ``cov`` in
+    ``gaussian``, is refused with a ValueError that names it, so a misspelt
+    field is never dropped.  The constructors refuse numbers outside the
+    documented shapes: strings, booleans, nesting, ragged or flattened
+    lists, empty lists and non-finite values, each with a ValueError.
     """
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
@@ -95,9 +97,20 @@ def load_state(path: str):
     keys = {"fock_probs", "gaussian"} & set(doc)
     if len(keys) != 1:
         raise ValueError("state file must contain exactly one of 'fock_probs' or 'gaussian'")
+    _refuse_keys(doc, keys, "state file")
     if "fock_probs" in doc:
         return PhotonMixture(doc["fock_probs"])
-    return GaussianState(doc["gaussian"]["mean"], doc["gaussian"]["cov"])
+    gaussian = doc["gaussian"]
+    if not isinstance(gaussian, dict):
+        raise ValueError("'gaussian' must be a JSON object with 'mean' and 'cov'")
+    _refuse_keys(gaussian, {"mean", "cov"}, "'gaussian'")
+    return GaussianState(gaussian["mean"], gaussian["cov"])
+
+
+def _refuse_keys(obj: dict, allowed: set, where: str) -> None:
+    for key in obj:
+        if key not in allowed:
+            raise ValueError(f"unknown key {key!r} in {where}")
 
 
 class _Commands(click.Group):

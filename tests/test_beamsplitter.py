@@ -13,11 +13,14 @@ from scipy.signal import fftconvolve
 from conftest import exact_split_probs, fock_mixture, reference_split_probabilities
 from wigentropy import beamsplitter
 from wigentropy.beamsplitter import (
+    GRID_MASS_TOL,
     WignerGrid,
     _fast_len,
     _half_lattice_dft,
     _lattice_dft,
     _lattice_size,
+    _path,
+    _quarter_lattice_dft,
     convolve_beamsplitter,
     fock_oracle_sigma,
     grid_from_gaussian,
@@ -28,7 +31,7 @@ from wigentropy.beamsplitter import (
 from wigentropy.entropy import wehrl_bridge_check
 from wigentropy.exceptions import GridMismatchError, TruncationError
 from wigentropy.fock import N_MAX
-from wigentropy.gaussian import GaussianState, gaussian_wigner
+from wigentropy.gaussian import GaussianState, gaussian_wigner, squeezed_vacuum
 from wigentropy.mixtures import PhotonMixture, sigma_coefficients, thermal_mixture
 from wigentropy.positivity import radial_wigner
 
@@ -57,6 +60,11 @@ def mirrored(x):
     return np.concatenate([x[: n - n // 2], x[: n // 2][::-1]])
 
 
+def doubly_mirrored(x):
+    """x even in both axes: mirrored rows, then mirrored columns."""
+    return np.ascontiguousarray(mirrored(mirrored(x).T).T)
+
+
 def half_lattice_direct(x, x0, h, m):
     """(direct, k0, dk): the half-lattice sum _half_lattice_dft evaluates, summed
     directly on the convolution's k grid for m points per axis."""
@@ -73,12 +81,13 @@ def half_lattice_direct(x, x0, h, m):
 
 @pytest.fixture
 def dft_rows(monkeypatch):
-    """Row count of each _lattice_dft call the module makes, in call order."""
+    """FFT rows of each _lattice_dft call the module makes, in call order:
+    one per row of x, or one per two with ``pairs``."""
     rows = []
     real = beamsplitter._lattice_dft
 
     def counting(x, *args, **kwargs):
-        rows.append(x.shape[0])
+        rows.append(-(-x.shape[0] // 2) if kwargs.get("pairs") else x.shape[0])
         return real(x, *args, **kwargs)
 
     monkeypatch.setattr(beamsplitter, "_lattice_dft", counting)
@@ -189,6 +198,16 @@ class TestGridFromGaussian:
         got = grid_from_gaussian(state, 8.0, resolution).values
         assert np.array_equal(got, gaussian_wigner(state, x, q))
 
+    def test_extent_8_holds_squeezing_up_to_0_84(self):
+        # the window cuts the stretched axis's tail: 9.4e-7 of the mass at
+        # |s| = 0.84, 1.2e-6 at 0.85, though gaussian.MAX_SQUEEZE is 2
+        for s in (0.84, -0.84):
+            grid = grid_from_gaussian(squeezed_vacuum(s), 8.0, 256)
+            assert 1.0 - GRID_MASS_TOL < np.sum(grid.values) * grid.step ** 2 < 1.0
+        for s in (0.85, -0.85):
+            with pytest.raises(ValueError, match=r"grid mass 0\.9999987\d* deviates"):
+                grid_from_gaussian(squeezed_vacuum(s), 8.0, 256)
+
     def test_memory(self):
         # a 512**2 grid is 2.1 MB; measured peak 6.3 MB (the quadratic form,
         # the values and WignerGrid's copy), 14.7 MB from two meshgrids
@@ -224,6 +243,22 @@ class TestLatticeDFT:
             assert out.shape == (m // 2 + 1, m)
             assert np.max(np.abs(out - direct)) <= 1e-12 * np.max(np.abs(direct))
 
+    @pytest.mark.parametrize("n", [2, 3, 7, 8, 12])
+    def test_quarter_lattice_matches_direct_sum(self, rng, dft_rows, n):
+        # a doubly even x on a centred window: the half lattice is real and
+        # even in k_x, so its columns j_x <= m/2 hold all of it
+        h = 0.21
+        x0 = -(n - 1) * h / 2
+        x = doubly_mirrored(rng.normal(size=(n, n)))
+        for m in (2 * n, _lattice_size(n), max(2, 2 * n - 4)):
+            dft_rows.clear()
+            direct, k0, dk = half_lattice_direct(x, x0, h, m)
+            out = _quarter_lattice_dft(x, x0, h, k0, dk, m)
+            assert dft_rows == [-(-(n - n // 2) // 2), -(-(m // 2 + 1) // 2)]
+            assert out.dtype == float and out.shape == (m // 2 + 1, m // 2 + 1)
+            mirror = np.r_[: m // 2 + 1, m // 2 - 1 : 0 : -1]
+            assert np.max(np.abs(out[:, mirror] - direct)) <= 1e-12 * np.max(np.abs(direct))
+
     @pytest.mark.parametrize("n", [2, 3, 64, 65, 256])
     def test_mirrored_rows_match_all_rows(self, rng, dft_rows, n):
         x0, h, m = -1.3, 0.21, _lattice_size(n)
@@ -248,6 +283,8 @@ class TestLatticeDFT:
 
     @pytest.mark.parametrize("n", [64, 65])
     def test_phase_invariant_and_centred_grids_take_half_the_rows(self, rng, dft_rows, n):
+        # doubly even, after the other input: half the rows, two to an FFT
+        # row, then half the frequencies along x, two columns to an FFT row
         m = _lattice_size(n)
         skewed = grid_from_gaussian(displaced_squeezed_gaussian(rng), 8.0, n)
         centred = GaussianState([0.0, 0.0], np.diag([0.3, 1.2]))
@@ -256,7 +293,34 @@ class TestLatticeDFT:
                      grid_from_gaussian(centred, 8.0, n)):
             dft_rows.clear()
             convolve_beamsplitter(grid, skewed, 0.5)
-            assert dft_rows == [n - n // 2, m // 2 + 1, n, m // 2 + 1]
+            assert dft_rows == [n, m // 2 + 1, -(-(n - n // 2) // 2), -(-(m // 2 + 1) // 2)]
+        # even in x only: the mirrored rows along p, every frequency along x
+        dft_rows.clear()
+        convolve_beamsplitter(grid_from_gaussian(GaussianState([0.0, 0.7], np.diag([0.3, 1.2])),
+                                                 8.0, n), skewed, 0.5)
+        assert dft_rows == [n - n // 2, m // 2 + 1, n, m // 2 + 1]
+
+    @pytest.mark.parametrize("n", [65, 128])
+    @pytest.mark.parametrize("mirror_row", [True, False], ids=["p-ulp", "x-ulp"])
+    def test_one_ulp_off_doubly_even_takes_the_general_path(self, dft_rows, n, mirror_row):
+        # one ulp up at (1, n-1): even in x still, with the same ulp in row
+        # n-2, but not in p; without it, not in x either.  Measured 1.1e-15
+        # at 65**2 and 2.5e-15 at 128**2 from the doubly even pair; at 64**2
+        # the general path keeps an odd part in x of 4.7e-11, from the
+        # unpaired k = -k_nyq column, which the doubly even path drops
+        grid = grid_from_mixture(fock_mixture(3), 8.0, n)
+        values = grid.values.copy()
+        for a in (1, n - 2) if mirror_row else (1,):
+            values[a, n - 1] = np.nextafter(values[a, n - 1], np.inf)
+        broken = WignerGrid(values, 8.0)
+        assert [_path(grid.values), _path(values)] == [
+            "doubly even", "mirrored rows" if mirror_row else "all rows"]
+        m = _lattice_size(n)
+        out = convolve_beamsplitter(broken, grid, 0.5)
+        rows = n - n // 2 if mirror_row else n
+        assert dft_rows == [rows, m // 2 + 1, -(-(n - n // 2) // 2), -(-(m // 2 + 1) // 2)]
+        expected = convolve_beamsplitter(grid, grid, 0.5).values
+        assert np.max(np.abs(out.values - expected)) <= 5e-15
 
     def test_lattice_size_is_alias_free_even_and_holds_the_crop(self):
         for n in range(2, 5001):
@@ -389,6 +453,31 @@ class TestConvolution:
             expected = grid_from_gaussian(mixed, 8.0, 256).values
             assert np.max(np.abs(out.values - expected)) <= 1.5e-12
 
+    @pytest.mark.parametrize("n", [128, 256, 512])
+    def test_doubly_even_pairs_match_the_general_path_and_exact_outputs(self, rng, monkeypatch, n):
+        # measured over 8 Fock and 8 centred Gaussian pairs per size: at most
+        # 7.1e-15 from the exact output grids (the mirrored-rows path 1.8e-14)
+        # and 1.6e-14 from the mirrored-rows path
+        pairs = [(fock_mixture(7), fock_mixture(7)), (fock_mixture(3), VACUUM),
+                 tuple(PhotonMixture(rng.dirichlet(np.ones(k))) for k in rng.integers(1, 9, 2))]
+        inputs, exact = [], []
+        for (pa, pb), eta in zip(pairs, (0.25, 0.5, 0.75)):
+            inputs.append((grid_from_mixture(pa, 8.0, n), grid_from_mixture(pb, 8.0, n), eta))
+            exact.append(grid_from_mixture(mix_through_beamsplitter(pa, pb, eta), 8.0, n).values)
+        ca, cb = (0.5 * np.diag([math.exp(s), math.exp(-s)]) for s in rng.uniform(-0.6, 0.6, 2))
+        centred = [GaussianState([0.0, 0.0], c) for c in (ca, cb, 0.3 * ca + 0.7 * cb)]
+        inputs.append((grid_from_gaussian(centred[0], 8.0, n),
+                       grid_from_gaussian(centred[1], 8.0, n), 0.3))
+        exact.append(grid_from_gaussian(centred[2], 8.0, n).values)
+        assert all(_path(g.values) == "doubly even" for ga, gb, _ in inputs for g in (ga, gb))
+        even = [convolve_beamsplitter(*args).values for args in inputs]
+        monkeypatch.setattr(beamsplitter, "_path", lambda x: "mirrored rows")
+        general = [convolve_beamsplitter(*args).values for args in inputs]
+        for got, other, want in zip(even, general, exact):
+            assert np.array_equal(got, got[::-1])
+            assert np.max(np.abs(got - want)) <= 1.5e-14
+            assert np.max(np.abs(got - other)) <= 3e-14
+
     def test_rejects_mismatched_grids(self):
         ga = grid_from_mixture(VACUUM, 8.0, 128)
         gb = grid_from_mixture(VACUUM, 8.0, 64)
@@ -429,19 +518,25 @@ class TestBlockedPasses:
     @pytest.mark.parametrize("n", [2, 3, 63, 64, 65, 127, 129, 256, 512])
     def test_bits_independent_of_blocks_and_workers(self, rng, monkeypatch, n):
         h = 2.0 * 8.0 / (n - 1)
-        # a takes the mirrored pass along p, b every row
-        a, b = (WignerGrid(r / (r.sum() * h * h), 8.0)
-                for r in (mirrored(rng.random((n, n))), rng.random((n, n))))
+        shapes = {"mirrored rows": mirrored, "all rows": np.asarray,
+                  "doubly even": doubly_mirrored}
+        # each path on its own and a doubly even input against either other
+        paths = [("mirrored rows", "all rows"), ("doubly even", "doubly even"),
+                 ("all rows", "doubly even")]
+        pairs = [[WignerGrid(r / (r.sum() * h * h), 8.0) for r in
+                  (shapes[path](rng.random((n, n))) for path in pair)] for pair in paths]
+        assert [[_path(g.values) for g in pair] for pair in pairs] == [list(p) for p in paths]
         # compare the bare output values: random grids miss the output mass check
         monkeypatch.setattr(beamsplitter, "WignerGrid", lambda values, *args, **kwargs: values)
-        etas = (0.25, 0.5, 0.75)
-        pooled = [convolve_beamsplitter(a, b, eta) for eta in etas]
+        calls = [(*pairs[0], eta) for eta in (0.25, 0.5, 0.75)]
+        calls += [(*pairs[1], 0.25), (*pairs[2], 0.75)]
+        pooled = [convolve_beamsplitter(*call) for call in calls]
         for workers in (1, 2, 3):
             monkeypatch.setattr(beamsplitter, "_WORKERS", workers)
             for rows in (1, 7, 2 * n):
                 monkeypatch.setattr(beamsplitter, "_BLOCK_ROWS", rows)
-                for eta, expected in zip(etas, pooled):
-                    assert np.array_equal(convolve_beamsplitter(a, b, eta), expected)
+                for call, expected in zip(calls, pooled):
+                    assert np.array_equal(convolve_beamsplitter(*call), expected)
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("block_rows", [1, 7, 64])
@@ -518,22 +613,37 @@ class TestLogging:
         record = caplog.records[0]
         assert record.levelno == logging.DEBUG
         message = record.getMessage()
-        for word in ("64x64", "eta 0.3", "lattice 80", "FFT lengths 108 and 144", "mass", "min W",
-                     f"{beamsplitter._WORKERS} workers", "rows along p 32 and 32"):
+        for word in ("64x64", "eta 0.3", "lattice 80", "mass", "min W",
+                     f"{beamsplitter._WORKERS} workers",
+                     "A doubly even: FFT lengths 108 and 108, 16 rows along p and 21 along x",
+                     "B doubly even: FFT lengths 108 and 108", "41 rows back along x",
+                     "32 columns back"):
             assert word in message
 
     def test_debug_record_counts_rows_and_blocks(self, caplog, rng, monkeypatch):
         monkeypatch.setattr(beamsplitter, "_WORKERS", 2)
         vacuum = grid_from_mixture(VACUUM, 8.0, 256)
         skewed = grid_from_gaussian(displaced_squeezed_gaussian(rng), 8.0, 256)
+        even_in_x = grid_from_gaussian(GaussianState([0.0, 0.7], np.diag([0.3, 1.2])), 8.0, 256)
         with caplog.at_level(logging.DEBUG, logger="wigentropy.beamsplitter"):
             convolve_beamsplitter(vacuum, skewed, 0.5)
-        (record,) = caplog.records
-        message = record.getMessage()
-        for words in ("2 workers", "rows along p 128 and 256 in 2 and 4 blocks",
-                      "161 rows along x and back in 4 blocks", "256 columns back in 4 blocks"):
-            assert words in message
-        assert "blocks of" not in message
+            convolve_beamsplitter(even_in_x, vacuum, 0.5)
+            convolve_beamsplitter(vacuum, vacuum, 0.5)
+        messages = [record.getMessage() for record in caplog.records]
+        even = ("doubly even: FFT lengths 432 and 432, 64 rows along p and 81 along x "
+                "in 1 and 2 blocks")
+        expected = [
+            ("A " + even, "B all rows: FFT lengths 432 and 576, 256 rows along p and 161 along x "
+             "in 4 and 4 blocks", "256 columns back in 4 blocks"),
+            ("A mirrored rows: FFT lengths 432 and 576, 128 rows along p and 161 along x in 2 and "
+             "4 blocks", "B " + even, "256 columns back in 4 blocks"),
+            ("A " + even, "B " + even, "128 columns back in 2 blocks"),
+        ]
+        assert len(messages) == len(expected)
+        for message, words in zip(messages, expected):
+            for word in words + ("2 workers", "161 rows back along x in 4 blocks"):
+                assert word in message
+            assert "blocks of" not in message
 
     def test_quiet_by_default(self, caplog):
         grid = grid_from_mixture(VACUUM, 8.0, 64)

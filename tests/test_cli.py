@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -19,6 +20,7 @@ from wigentropy.mixtures import PhotonMixture, sigma_coefficients, thermal_mixtu
 from wigentropy.verification import run_suite
 
 LN_PI_PLUS_1 = math.log(math.pi) + 1.0
+VACUUM_GAUSSIAN = {"mean": [0.0, 0.0], "cov": [[0.5, 0.0], [0.0, 0.5]]}
 
 
 @pytest.fixture
@@ -160,6 +162,27 @@ class TestEntropyCommand:
         assert result.exit_code == 2
         assert result.output.startswith("error: cannot parse state file: ")
         assert "N_MAX" in result.output
+
+    @pytest.mark.parametrize("doc, key", [
+        ({"fock_probs": [1.0], "extra": 1}, "'extra'"),
+        ({"fock_probs": [1.0], "Gaussian": VACUUM_GAUSSIAN}, "'Gaussian'"),
+        ({"gaussian": VACUUM_GAUSSIAN, "gaussian ": VACUUM_GAUSSIAN}, "'gaussian '"),
+        ({"gaussian": {**VACUUM_GAUSSIAN, "x": 1}}, "'x'"),
+        ({"gaussian": {**VACUUM_GAUSSIAN, "covariance": [[1, 0], [0, 1]]}}, "'covariance'"),
+        ({"gaussian": "vacuum"}, "'gaussian'"),
+        ({"gaussian": None}, "'gaussian'"),
+        ({"gaussian": [VACUUM_GAUSSIAN]}, "'gaussian'"),
+    ], ids=["top-level", "misspelt-state", "trailing-space", "in-gaussian", "long-name",
+            "gaussian-str", "gaussian-null", "gaussian-list"])
+    def test_unknown_keys_exit_2_naming_the_key(self, runner, tmp_path, doc, key):
+        path = write_state(tmp_path, "keys.json", doc)
+        with pytest.raises(ValueError, match=re.escape(key)):
+            cli.load_state(path)
+        result = runner.invoke(main, ["entropy", path])
+        assert result.exit_code == 2
+        assert result.output.startswith("error: cannot parse state file: ")
+        assert key in result.output
+        assert "h_wigner" not in result.output
 
     # states whose printed digits move with any gap between the CLI's and the
     # library's tolerance: the CLI prints what the library computes
