@@ -22,14 +22,13 @@ allows: the rescaled inputs lie in sqrt(eta) [-E, E] and sqrt(1-eta)
 [-E, E], so their convolution lies in (sqrt(eta) + sqrt(1-eta)) [-E, E],
 within sqrt(2) [-E, E], and its images a period P = m h apart miss the
 output window [-E, E] when P >= (1 + sqrt(2)) E, i.e. when
-m >= (1 + sqrt(2)) (n - 1) / 2.  A grid whose row n-1-a equals its row a
-transforms only its first ceil(n/2) rows along p and copies the rest, with
-the bits of a transform of every row.  A grid even in p as well, as every
-grid of a phase-invariant state is, has on the centred window a real
-spectrum, even in k_x and in k_p: its pass along p takes those rows two to
-a complex FFT row, as its real and imaginary parts, and its pass along x
-takes two columns to an FFT row and computes only k_x <= 0, a real quarter
-lattice.  When both inputs are doubly even, so is the output, and the way
+m >= (1 + sqrt(2)) (n - 1) / 2.  A grid even in x and in p, as every grid
+of a phase-invariant state is, has on the centred window a real spectrum,
+even in k_x and in k_p: its pass along p transforms its first ceil(n/2)
+rows two to a complex FFT row, as its real and imaginary parts, and copies
+the rest; its pass along x takes two columns to an FFT row and computes
+only k_x <= 0, a real quarter lattice.  Every other grid takes the half
+lattice on all its rows.  When both inputs are doubly even, so is the output, and the way
 back computes only its first ceil(n/2) columns in x.  At 128**2 to 512**2
 such outputs lie within 7.1e-15 of the exact ones, Fock-basis or Gaussian,
 and within 1.6e-14 of the general path's.  Every pass splits its rows into
@@ -64,7 +63,7 @@ import numpy as np
 from .exceptions import GridMismatchError
 from .fock import check_photon_number
 from .gaussian import GaussianState, gaussian_wigner
-from .mixtures import PhotonMixture
+from .mixtures import PhotonMixture, _holds_bool
 from .positivity import radial_wigner
 from .quadrature import EVAL_CHUNK
 
@@ -114,7 +113,7 @@ class WignerGrid:
     ``linspace(-extent, extent, resolution)`` with its upper half mirrored
     from the lower one, so the axis is exactly symmetric.  ``resolution`` is
     the side of the square ``values``.  The Riemann sum of the values must
-    equal 1 within ``mass_tol``.
+    equal 1 within ``mass_tol``.  Values must be real numbers, not booleans.
     """
 
     values: np.ndarray
@@ -122,7 +121,12 @@ class WignerGrid:
     resolution: int
 
     def __init__(self, values, extent, mass_tol=GRID_MASS_TOL):
-        arr = np.array(values, dtype=float)
+        arr = np.array(values)
+        # an ndarray's dtype kind shows its booleans: only other input is walked
+        if arr.dtype.kind not in "iuf" or (not isinstance(values, np.ndarray)
+                                           and _holds_bool(values)):
+            raise ValueError(f"grid values must be real numbers, not booleans, got {arr.dtype}")
+        arr = arr.astype(float, copy=False)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise GridMismatchError(f"expected square 2-D values, got shape {arr.shape}")
         resolution = arr.shape[0]
@@ -146,8 +150,9 @@ class WignerGrid:
 
 
 def _check_grid(extent: float, resolution: int) -> None:
-    if not (math.isfinite(extent) and extent > 0) or resolution < 2:
-        raise ValueError("extent must be positive and resolution at least 2")
+    bad_extent = isinstance(extent, (bool, np.bool_)) or not (math.isfinite(extent) and extent > 0)
+    if bad_extent or resolution < 2:
+        raise ValueError(f"extent must be positive and resolution at least 2, got {extent!r}")
 
 
 def _axis(extent: float, resolution: int) -> np.ndarray:
@@ -270,7 +275,8 @@ def _lattice_dft(x: np.ndarray, x0: float, h: float, k0: float, dk: float,
     given ``out``, they are written into it.  With ``pairs``, x is real and
     so is every row's sum: rows 2q and 2q + 1 enter one FFT row as its real
     and imaginary parts, and by linearity the real and imaginary parts of
-    that row's sum are their sums; out is real.
+    that row's sum are their sums; out is real.  At DEBUG each call logs its
+    FFT rows, FFT length and blocks.
     """
     n = x.shape[-1]
     size = _fast_len(n + m - 1)
@@ -314,21 +320,12 @@ def _lattice_dft(x: np.ndarray, x0: float, h: float, k0: float, dk: float,
         else:
             flat[s:e] *= spectrum * post
 
-    _for_blocks(block, -(-rows.shape[0] // 2) if pairs else rows.shape[0])
+    count = -(-rows.shape[0] // 2) if pairs else rows.shape[0]
+    if _log.isEnabledFor(logging.DEBUG):
+        _log.debug("Bluestein pass: %d FFT rows of length %d in %d blocks",
+                   count, size, len(_spans(count)))
+    _for_blocks(block, count)
     return out
-
-
-def _rows_along_p(x: np.ndarray) -> int:
-    """Rows of x the pass along p transforms: the first ceil(n/2) when
-    x[a] == x[n-1-a] for every row a, as in every grid of a phase-invariant
-    state (a signed zero matches either sign, which moves no sum), else n.
-    The central pair of rows is compared first: most other grids fail there,
-    without reading the whole grid."""
-    n = x.shape[0]
-    mid = n // 2 - 1
-    if np.array_equal(x[mid], x[n - 1 - mid]) and np.array_equal(x[: n // 2], x[::-1][: n // 2]):
-        return n - n // 2
-    return n
 
 
 def _half_lattice_dft(x: np.ndarray, x0: float, h: float, k0: float,
@@ -336,33 +333,24 @@ def _half_lattice_dft(x: np.ndarray, x0: float, h: float, k0: float,
     """sum_g x[g] exp(-i (x0 + g h) . k) at k_j = k0 + j dk, out[j_p, j_x].
 
     j_x < m and j_p <= m/2 for an even m: for a real array and k0 = -(m/2) dk,
-    the rows j_p > m/2 are conjugates, as k_{m-j} = -k_j.  The pass along p
-    transforms the _rows_along_p(x) first rows, and each row a it skips is a
-    copy of row n-1-a: the same numpy call would give the same bits.  The
-    pass along x reads the columns of the pass along p by blocks.  Given
-    ``into``, out is multiplied into it.
-    """
-    n = x.shape[0]
-    rows = _rows_along_p(x)
-    t = np.empty((n, m // 2 + 1), dtype=complex)
-    _lattice_dft(x[:rows], x0, h, k0, dk, m // 2 + 1, out=t[:rows])
-    t[rows:] = t[: n - rows][::-1]
+    the rows j_p > m/2 are conjugates, as k_{m-j} = -k_j.  The pass along x
+    reads the columns of the pass along p by blocks.  Given ``into``, out is
+    multiplied into it."""
+    t = _lattice_dft(x, x0, h, k0, dk, m // 2 + 1)
     return _lattice_dft(t.T, x0, h, k0, dk, m, into)
 
 
-def _path(x: np.ndarray) -> str:
-    """How convolve_beamsplitter transforms x: "doubly even" when x is even
-    in both axes, x[a] == x[n-1-a] and x[a, b] == x[a, n-1-b], as every grid
-    of a phase-invariant state is; else "mirrored rows" or "all rows", by
-    _rows_along_p.  Past the mirrored rows, only the left half of the first
-    ceil(n/2) rows is compared with their mirrored columns."""
+def _doubly_even(x: np.ndarray) -> bool:
+    """Whether x[a] == x[n-1-a] and x[a, b] == x[a, n-1-b], as in every grid of a
+    phase-invariant state (a signed zero matches either sign, which moves no
+    sum).  Compared in turn: the central pair of rows, where most other grids
+    fail, the lower half of the rows, then the left half of the first
+    ceil(n/2) rows against their mirrored columns."""
     n = x.shape[0]
-    rows = _rows_along_p(x)
-    if rows == n:
-        return "all rows"
-    if np.array_equal(x[:rows, : n // 2], x[:rows, ::-1][:, : n // 2]):
-        return "doubly even"
-    return "mirrored rows"
+    mid, rows = n // 2 - 1, n - n // 2
+    return (np.array_equal(x[mid], x[n - 1 - mid])
+            and np.array_equal(x[: n // 2], x[::-1][: n // 2])
+            and np.array_equal(x[:rows, : n // 2], x[:rows, ::-1][:, : n // 2]))
 
 
 def _quarter_lattice_dft(x: np.ndarray, x0: float, h: float, k0: float,
@@ -392,9 +380,9 @@ def convolve_beamsplitter(wa: WignerGrid, wb: WignerGrid, eta: float) -> WignerG
     The product of the rescaled characteristic functions
     chi_A(sqrt(eta) k) chi_B(sqrt(1-eta) k) is formed on half of an m x m
     frequency lattice over the band |k| <= pi / h, a doubly even input's
-    factor on a real quarter of it (see _path), and transformed back to the
-    input grid by one real inverse 2-D FFT.  The real-space period m h must
-    hold the output window and one image of the output's support
+    factor on a real quarter of it (see _doubly_even), and transformed back
+    to the input grid by one real inverse 2-D FFT.  The real-space period
+    m h must hold the output window and one image of the output's support
     (sqrt(eta) + sqrt(1-eta) <= sqrt(2) times the window) without overlap:
     m >= (1 + sqrt(2)) (n - 1) / 2, taken even and 5-smooth.  Output mass is
     validated within 1e-5, which holds the mass the window cuts off an
@@ -422,12 +410,11 @@ def convolve_beamsplitter(wa: WignerGrid, wb: WignerGrid, eta: float) -> WignerG
     # else a half lattice.  A second one of a kind is multiplied into the first
     # block by block, and half lattices go first, so that no lattice is held
     # while a half lattice's larger pass along p runs
-    paths = [_path(w.values) for w in (wa, wb)]
+    even = [_doubly_even(w.values) for w in (wa, wb)]
     product = quarter = None
-    inputs = zip(paths, (wa, wb), (sa, sb))
-    for path, w, scale in sorted(inputs, key=lambda i: i[0] == "doubly even"):
+    for doubly_even, w, scale in sorted(zip(even, (wa, wb), (sa, sb)), key=lambda i: i[0]):
         args = (w.values, -wa.extent, h, -scale * k_nyquist, scale * dk, m)
-        if path == "doubly even":
+        if doubly_even:
             quarter = _quarter_lattice_dft(*args, quarter)
         else:
             product = _half_lattice_dft(*args, product)
@@ -473,18 +460,10 @@ def convolve_beamsplitter(wa: WignerGrid, wb: WignerGrid, eta: float) -> WignerG
     values[:, columns:] = values[:, : n - columns][:, ::-1]
     values = values.T
     if _log.isEnabledFor(logging.DEBUG):
-        passes = []
-        for name, path, w in zip("AB", paths, (wa, wb)):
-            even = path == "doubly even"
-            lengths = (_fast_len(n + m // 2), _fast_len(n + (m // 2 if even else m - 1)))
-            rows = ((-(-(n - n // 2) // 2), -(-half // 2)) if even
-                    else (_rows_along_p(w.values), half))
-            passes.append("%s %s: FFT lengths %d and %d, %d rows along p and %d along x "
-                          "in %d and %d blocks" % (name, path, *lengths, *rows,
-                                                   *(len(_spans(r)) for r in rows)))
-        _log.debug("convolved %dx%d grid at eta %.6g: lattice %d, %d workers; %s; %s; "
+        _log.debug("convolved %dx%d grid at eta %.6g: lattice %d, %d workers; A %s, B %s; "
                    "%d rows back along x in %d blocks, %d columns back in %d blocks, "
-                   "mass %.15g, min W %.6e", n, n, eta, m, _WORKERS, *passes,
+                   "mass %.15g, min W %.6e", n, n, eta, m, _WORKERS,
+                   *("doubly even" if e else "general" for e in even),
                    half, len(_spans(half)), columns, len(_spans(columns)),
                    float(values.sum()) * h * h, float(values.min()))
     return WignerGrid(values, wa.extent, mass_tol=1e-5)

@@ -15,11 +15,11 @@ from wigentropy import beamsplitter
 from wigentropy.beamsplitter import (
     GRID_MASS_TOL,
     WignerGrid,
+    _doubly_even,
     _fast_len,
     _half_lattice_dft,
     _lattice_dft,
     _lattice_size,
-    _path,
     _quarter_lattice_dft,
     convolve_beamsplitter,
     fock_oracle_sigma,
@@ -36,6 +36,7 @@ from wigentropy.mixtures import PhotonMixture, sigma_coefficients, thermal_mixtu
 from wigentropy.positivity import radial_wigner
 
 VACUUM = PhotonMixture([1.0])
+UNIFORM = np.full((8, 8), 49 / 256)  # a grid of mass 1 at extent 1
 WEHRL_FOCK_1 = math.log(math.pi) + 1.0 + np.euler_gamma  # frozen oracle 2.7219455508
 
 
@@ -112,6 +113,25 @@ class TestWignerGrid:
             with pytest.raises(GridMismatchError):
                 WignerGrid(np.zeros(shape), extent=8.0)
 
+    def test_rejects_complex_values(self):
+        # numpy would drop the imaginary part with only a ComplexWarning
+        with pytest.raises(ValueError, match="real numbers"):
+            WignerGrid(UNIFORM + 0.5j, 1.0)
+
+    def test_rejects_strings_and_booleans_among_values(self):
+        cells = UNIFORM.tolist()
+        assert np.array_equal(WignerGrid(cells, 1.0).values, UNIFORM)
+        cells[0][0] = True
+        for bad in (UNIFORM.astype(str), UNIFORM.astype(str).tolist(), cells, UNIFORM > 0):
+            with pytest.raises(ValueError, match="real numbers"):
+                WignerGrid(bad, 1.0)
+
+    def test_numeric_arrays_skip_the_boolean_walk(self, monkeypatch):
+        # the walk reads every element as a Python object: 48 ms at 512**2
+        monkeypatch.setattr(beamsplitter, "_holds_bool", lambda values: pytest.fail("walked"))
+        assert WignerGrid(UNIFORM, 1.0).values.dtype == float
+        assert (WignerGrid(np.ones((8, 8), dtype=int), 7 / 16).values == 1.0).all()  # step 1/8
+
     def test_rejects_nan_cell(self):
         # a NaN mass fails no |mass - 1| comparison, so it needs its own check
         values = grid_from_mixture(VACUUM, 8.0, 64).values.copy()
@@ -134,7 +154,7 @@ class TestWignerGrid:
 
     @pytest.mark.parametrize("extent, resolution", [
         (8.0, 1), (8.0, 0), (8.0, -4), (0.0, 64), (-8.0, 64),
-        (math.nan, 64), (math.inf, 64), (-math.inf, 64),
+        (math.nan, 64), (math.inf, 64), (-math.inf, 64), (True, 64), (np.True_, 64),
     ])
     def test_builders_reject_bad_grid_first(self, monkeypatch, extent, resolution):
         def never(*args):
@@ -233,15 +253,18 @@ class TestLatticeDFT:
         assert np.max(np.abs(out - direct)) <= 1e-12 * np.max(np.abs(direct))
 
     @pytest.mark.parametrize("n", [7, 12])
-    def test_half_lattice_matches_direct_sum(self, rng, n):
-        # m = 2n, the convolution's lattice (8 and 16) and 2n - 4 (10 and 20)
+    def test_half_lattice_matches_direct_sum(self, rng, dft_rows, n):
+        # m = 2n, the convolution's lattice (8 and 16) and 2n - 4 (10 and 20);
+        # a grid even in x only takes every row too
         x0, h = -1.3, 0.21
-        x = rng.normal(size=(n, n))
-        for m in (2 * n, _lattice_size(n), 2 * n - 4):
-            direct, k0, dk = half_lattice_direct(x, x0, h, m)
-            out = _half_lattice_dft(x, x0, h, k0, dk, m)
-            assert out.shape == (m // 2 + 1, m)
-            assert np.max(np.abs(out - direct)) <= 1e-12 * np.max(np.abs(direct))
+        for x in (rng.normal(size=(n, n)), mirrored(rng.normal(size=(n, n)))):
+            for m in (2 * n, _lattice_size(n), 2 * n - 4):
+                dft_rows.clear()
+                direct, k0, dk = half_lattice_direct(x, x0, h, m)
+                out = _half_lattice_dft(x, x0, h, k0, dk, m)
+                assert dft_rows == [n, m // 2 + 1]
+                assert out.shape == (m // 2 + 1, m)
+                assert np.max(np.abs(out - direct)) <= 1e-12 * np.max(np.abs(direct))
 
     @pytest.mark.parametrize("n", [2, 3, 7, 8, 12])
     def test_quarter_lattice_matches_direct_sum(self, rng, dft_rows, n):
@@ -259,34 +282,13 @@ class TestLatticeDFT:
             mirror = np.r_[: m // 2 + 1, m // 2 - 1 : 0 : -1]
             assert np.max(np.abs(out[:, mirror] - direct)) <= 1e-12 * np.max(np.abs(direct))
 
-    @pytest.mark.parametrize("n", [2, 3, 64, 65, 256])
-    def test_mirrored_rows_match_all_rows(self, rng, dft_rows, n):
-        x0, h, m = -1.3, 0.21, _lattice_size(n)
-        dk = 2.0 * math.pi / (m * h)
-        k0 = -(m // 2) * dk
-        x = mirrored(rng.normal(size=(n, n)))
-        out = _half_lattice_dft(x, x0, h, k0, dk, m)
-        assert dft_rows == [n - n // 2, m // 2 + 1]
-        all_rows = _lattice_dft(_lattice_dft(x, x0, h, k0, dk, m // 2 + 1).T, x0, h, k0, dk, m)
-        assert np.array_equal(out, all_rows)
-
-    @pytest.mark.parametrize("n", [7, 12])
-    def test_one_cell_off_the_mirror_takes_all_rows(self, rng, dft_rows, n):
-        x0, h = -1.3, 0.21
-        x = mirrored(rng.normal(size=(n, n)))
-        x[n - 1, 1] = np.nextafter(x[n - 1, 1], np.inf)
-        m = _lattice_size(n)
-        direct, k0, dk = half_lattice_direct(x, x0, h, m)
-        out = _half_lattice_dft(x, x0, h, k0, dk, m)
-        assert dft_rows == [n, m // 2 + 1]
-        assert np.max(np.abs(out - direct)) <= 1e-12 * np.max(np.abs(direct))
-
     @pytest.mark.parametrize("n", [64, 65])
     def test_phase_invariant_and_centred_grids_take_half_the_rows(self, rng, dft_rows, n):
         # doubly even, after the other input: half the rows, two to an FFT
         # row, then half the frequencies along x, two columns to an FFT row
         m = _lattice_size(n)
-        skewed = grid_from_gaussian(displaced_squeezed_gaussian(rng), 8.0, n)
+        other = displaced_squeezed_gaussian(rng)
+        skewed = grid_from_gaussian(other, 8.0, n)
         centred = GaussianState([0.0, 0.0], np.diag([0.3, 1.2]))
         for grid in (grid_from_mixture(VACUUM, 8.0, n), grid_from_mixture(fock_mixture(3), 8.0, n),
                      grid_from_mixture(thermal_mixture(1.0), 8.0, n),
@@ -294,11 +296,17 @@ class TestLatticeDFT:
             dft_rows.clear()
             convolve_beamsplitter(grid, skewed, 0.5)
             assert dft_rows == [n, m // 2 + 1, -(-(n - n // 2) // 2), -(-(m // 2 + 1) // 2)]
-        # even in x only: the mirrored rows along p, every frequency along x
+        # even in x only: the general path, every row and every frequency
+        # along x.  Measured 2.6e-12 to 2.9e-12 from the analytic output at
+        # 64**2 and 65**2, near p = 5: the window cuts the input's tail at
+        # p = 8, 6e-11 high (2.4e-13 to 6.9e-13 at extent 10)
         dft_rows.clear()
-        convolve_beamsplitter(grid_from_gaussian(GaussianState([0.0, 0.7], np.diag([0.3, 1.2])),
-                                                 8.0, n), skewed, 0.5)
-        assert dft_rows == [n - n // 2, m // 2 + 1, n, m // 2 + 1]
+        even_in_x = GaussianState([0.0, 0.7], np.diag([0.3, 1.2]))
+        out = convolve_beamsplitter(grid_from_gaussian(even_in_x, 8.0, n), skewed, 0.5)
+        assert dft_rows == [n, m // 2 + 1, n, m // 2 + 1]
+        mixed = GaussianState(math.sqrt(0.5) * (even_in_x.mean + other.mean),
+                              0.5 * (even_in_x.cov + other.cov))
+        assert np.max(np.abs(out.values - grid_from_gaussian(mixed, 8.0, n).values)) <= 5e-12
 
     @pytest.mark.parametrize("n", [65, 128])
     @pytest.mark.parametrize("mirror_row", [True, False], ids=["p-ulp", "x-ulp"])
@@ -313,12 +321,10 @@ class TestLatticeDFT:
         for a in (1, n - 2) if mirror_row else (1,):
             values[a, n - 1] = np.nextafter(values[a, n - 1], np.inf)
         broken = WignerGrid(values, 8.0)
-        assert [_path(grid.values), _path(values)] == [
-            "doubly even", "mirrored rows" if mirror_row else "all rows"]
+        assert [_doubly_even(grid.values), _doubly_even(values)] == [True, False]
         m = _lattice_size(n)
         out = convolve_beamsplitter(broken, grid, 0.5)
-        rows = n - n // 2 if mirror_row else n
-        assert dft_rows == [rows, m // 2 + 1, -(-(n - n // 2) // 2), -(-(m // 2 + 1) // 2)]
+        assert dft_rows == [n, m // 2 + 1, -(-(n - n // 2) // 2), -(-(m // 2 + 1) // 2)]
         expected = convolve_beamsplitter(grid, grid, 0.5).values
         assert np.max(np.abs(out.values - expected)) <= 5e-15
 
@@ -456,8 +462,8 @@ class TestConvolution:
     @pytest.mark.parametrize("n", [128, 256, 512])
     def test_doubly_even_pairs_match_the_general_path_and_exact_outputs(self, rng, monkeypatch, n):
         # measured over 8 Fock and 8 centred Gaussian pairs per size: at most
-        # 7.1e-15 from the exact output grids (the mirrored-rows path 1.8e-14)
-        # and 1.6e-14 from the mirrored-rows path
+        # 7.1e-15 from the exact output grids (the general path 1.8e-14)
+        # and 1.6e-14 from the general path
         pairs = [(fock_mixture(7), fock_mixture(7)), (fock_mixture(3), VACUUM),
                  tuple(PhotonMixture(rng.dirichlet(np.ones(k))) for k in rng.integers(1, 9, 2))]
         inputs, exact = [], []
@@ -469,9 +475,9 @@ class TestConvolution:
         inputs.append((grid_from_gaussian(centred[0], 8.0, n),
                        grid_from_gaussian(centred[1], 8.0, n), 0.3))
         exact.append(grid_from_gaussian(centred[2], 8.0, n).values)
-        assert all(_path(g.values) == "doubly even" for ga, gb, _ in inputs for g in (ga, gb))
+        assert all(_doubly_even(g.values) for ga, gb, _ in inputs for g in (ga, gb))
         even = [convolve_beamsplitter(*args).values for args in inputs]
-        monkeypatch.setattr(beamsplitter, "_path", lambda x: "mirrored rows")
+        monkeypatch.setattr(beamsplitter, "_doubly_even", lambda x: False)
         general = [convolve_beamsplitter(*args).values for args in inputs]
         for got, other, want in zip(even, general, exact):
             assert np.array_equal(got, got[::-1])
@@ -518,14 +524,14 @@ class TestBlockedPasses:
     @pytest.mark.parametrize("n", [2, 3, 63, 64, 65, 127, 129, 256, 512])
     def test_bits_independent_of_blocks_and_workers(self, rng, monkeypatch, n):
         h = 2.0 * 8.0 / (n - 1)
-        shapes = {"mirrored rows": mirrored, "all rows": np.asarray,
-                  "doubly even": doubly_mirrored}
-        # each path on its own and a doubly even input against either other
-        paths = [("mirrored rows", "all rows"), ("doubly even", "doubly even"),
-                 ("all rows", "doubly even")]
+        # a general pair (one of them even in x only), a doubly even pair and
+        # a doubly even input against a general one
+        shapes = [(mirrored, np.asarray), (doubly_mirrored, doubly_mirrored),
+                  (np.asarray, doubly_mirrored)]
         pairs = [[WignerGrid(r / (r.sum() * h * h), 8.0) for r in
-                  (shapes[path](rng.random((n, n))) for path in pair)] for pair in paths]
-        assert [[_path(g.values) for g in pair] for pair in pairs] == [list(p) for p in paths]
+                  (shape(rng.random((n, n))) for shape in pair)] for pair in shapes]
+        assert [[_doubly_even(g.values) for g in pair] for pair in pairs] == [
+            [False, False], [True, True], [False, True]]
         # compare the bare output values: random grids miss the output mass check
         monkeypatch.setattr(beamsplitter, "WignerGrid", lambda values, *args, **kwargs: values)
         calls = [(*pairs[0], eta) for eta in (0.25, 0.5, 0.75)]
@@ -605,20 +611,22 @@ class TestBlockedPasses:
 
 class TestLogging:
     def test_debug_record_per_call(self, caplog):
+        # per call: one record per Bluestein pass, then the convolution's
         grid = grid_from_mixture(VACUUM, 8.0, 64)
         with caplog.at_level(logging.DEBUG, logger="wigentropy.beamsplitter"):
             convolve_beamsplitter(grid, grid, 0.3)
             convolve_beamsplitter(grid, grid, 0.5)
-        assert len(caplog.records) == 2
-        record = caplog.records[0]
-        assert record.levelno == logging.DEBUG
-        message = record.getMessage()
+        assert {record.levelno for record in caplog.records} == {logging.DEBUG}
+        messages = [record.getMessage() for record in caplog.records]
+        passes = ["Bluestein pass: 16 FFT rows of length 108 in 1 blocks",
+                  "Bluestein pass: 21 FFT rows of length 108 in 1 blocks"] * 2
+        assert messages[:4] == messages[5:9] == passes
+        assert len(messages) == 10
         for word in ("64x64", "eta 0.3", "lattice 80", "mass", "min W",
-                     f"{beamsplitter._WORKERS} workers",
-                     "A doubly even: FFT lengths 108 and 108, 16 rows along p and 21 along x",
-                     "B doubly even: FFT lengths 108 and 108", "41 rows back along x",
-                     "32 columns back"):
-            assert word in message
+                     f"{beamsplitter._WORKERS} workers", "A doubly even, B doubly even",
+                     "41 rows back along x", "32 columns back"):
+            assert word in messages[4]
+        assert messages[9].startswith("convolved 64x64 grid at eta 0.5")
 
     def test_debug_record_counts_rows_and_blocks(self, caplog, rng, monkeypatch):
         monkeypatch.setattr(beamsplitter, "_WORKERS", 2)
@@ -630,20 +638,22 @@ class TestLogging:
             convolve_beamsplitter(even_in_x, vacuum, 0.5)
             convolve_beamsplitter(vacuum, vacuum, 0.5)
         messages = [record.getMessage() for record in caplog.records]
-        even = ("doubly even: FFT lengths 432 and 432, 64 rows along p and 81 along x "
-                "in 1 and 2 blocks")
+        # the passes along p and x; a general input goes first
+        even = ["Bluestein pass: 64 FFT rows of length 432 in 1 blocks",
+                "Bluestein pass: 81 FFT rows of length 432 in 2 blocks"]
+        general = ["Bluestein pass: 256 FFT rows of length 432 in 4 blocks",
+                   "Bluestein pass: 161 FFT rows of length 576 in 4 blocks"]
         expected = [
-            ("A " + even, "B all rows: FFT lengths 432 and 576, 256 rows along p and 161 along x "
-             "in 4 and 4 blocks", "256 columns back in 4 blocks"),
-            ("A mirrored rows: FFT lengths 432 and 576, 128 rows along p and 161 along x in 2 and "
-             "4 blocks", "B " + even, "256 columns back in 4 blocks"),
-            ("A " + even, "B " + even, "128 columns back in 2 blocks"),
+            (general + even, "A doubly even, B general", "256 columns back in 4 blocks"),
+            (general + even, "A general, B doubly even", "256 columns back in 4 blocks"),
+            (even + even, "A doubly even, B doubly even", "128 columns back in 2 blocks"),
         ]
-        assert len(messages) == len(expected)
-        for message, words in zip(messages, expected):
-            for word in words + ("2 workers", "161 rows back along x in 4 blocks"):
+        assert len(messages) == 5 * len(expected)
+        for k, (passes, *words) in enumerate(expected):
+            assert messages[5 * k:5 * k + 4] == passes
+            message = messages[5 * k + 4]
+            for word in words + ["2 workers", "161 rows back along x in 4 blocks"]:
                 assert word in message
-            assert "blocks of" not in message
 
     def test_quiet_by_default(self, caplog):
         grid = grid_from_mixture(VACUUM, 8.0, 64)
