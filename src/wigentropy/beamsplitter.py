@@ -28,8 +28,10 @@ even in k_x and in k_p: its pass along p transforms its first ceil(n/2)
 rows two to a complex FFT row, as its real and imaginary parts, and copies
 the rest; its pass along x takes two columns to an FFT row and computes
 only k_x <= 0, a real quarter lattice.  Every other grid takes the half
-lattice on all its rows.  When both inputs are doubly even, so is the output, and the way
-back computes only its first ceil(n/2) columns in x.  At 128**2 to 512**2
+lattice on all its rows.  Each input is transformed in port order to a
+lattice of its own, and the product is formed block by block on the way
+back.  When both inputs are doubly even, so is the output, and the way back
+computes only its first ceil(n/2) columns in x.  At 128**2 to 512**2
 such outputs lie within 7.1e-15 of the exact ones, Fock-basis or Gaussian,
 and within 1.6e-14 of the general path's.  Every pass splits its rows into
 near-equal blocks of at most _BLOCK_ROWS, as many as a multiple of the
@@ -63,7 +65,7 @@ import numpy as np
 from .exceptions import GridMismatchError
 from .fock import check_photon_number
 from .gaussian import GaussianState, gaussian_wigner
-from .mixtures import PhotonMixture, _holds_bool
+from .mixtures import PhotonMixture, _real_array
 from .positivity import radial_wigner
 from .quadrature import EVAL_CHUNK
 
@@ -121,12 +123,7 @@ class WignerGrid:
     resolution: int
 
     def __init__(self, values, extent, mass_tol=GRID_MASS_TOL):
-        arr = np.array(values)
-        # an ndarray's dtype kind shows its booleans: only other input is walked
-        if arr.dtype.kind not in "iuf" or (not isinstance(values, np.ndarray)
-                                           and _holds_bool(values)):
-            raise ValueError(f"grid values must be real numbers, not booleans, got {arr.dtype}")
-        arr = arr.astype(float, copy=False)
+        arr = _real_array(values, "grid values")
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise GridMismatchError(f"expected square 2-D values, got shape {arr.shape}")
         resolution = arr.shape[0]
@@ -136,7 +133,6 @@ class WignerGrid:
             raise ValueError("grid values must be finite")
         if abs(mass - 1.0) > mass_tol:
             raise ValueError(f"grid mass {mass!r} deviates from 1 beyond {mass_tol}")
-        arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
         object.__setattr__(self, "extent", float(extent))
         object.__setattr__(self, "resolution", resolution)
@@ -262,21 +258,18 @@ def _for_blocks(fn, rows: int) -> None:
 
 
 def _lattice_dft(x: np.ndarray, x0: float, h: float, k0: float, dk: float,
-                 m: int, into: np.ndarray | None = None,
-                 out: np.ndarray | None = None, pairs: bool = False) -> np.ndarray:
+                 m: int, pairs: bool = False) -> np.ndarray:
     """out[..., j] = sum_g x[..., g] exp(-i (x0 + g h)(k0 + j dk)), j < m.
 
     Bluestein's algorithm along the last axis: g j = (g**2 + j**2 - (j-g)**2) / 2
     turns the sum into a linear convolution with the chirp
     exp(i h dk t**2 / 2), done by FFT at a 5-smooth length; every
     other phase is folded into the chirps applied before and after.  x may be
-    a strided view: each block's pre-chirp product is made C-ordered.  Given
-    ``into``, the rows of out are multiplied into it, which is returned;
-    given ``out``, they are written into it.  With ``pairs``, x is real and
-    so is every row's sum: rows 2q and 2q + 1 enter one FFT row as its real
-    and imaginary parts, and by linearity the real and imaginary parts of
-    that row's sum are their sums; out is real.  At DEBUG each call logs its
-    FFT rows, FFT length and blocks.
+    a strided view: each block's pre-chirp product is made C-ordered.  With
+    ``pairs``, x is real and so is every row's sum: rows 2q and 2q + 1 enter
+    one FFT row as its real and imaginary parts, and by linearity the real
+    and imaginary parts of that row's sum are their sums; out is real.  At
+    DEBUG each call logs its FFT rows, FFT length and blocks.
     """
     n = x.shape[-1]
     size = _fast_len(n + m - 1)
@@ -289,9 +282,7 @@ def _lattice_dft(x: np.ndarray, x0: float, h: float, k0: float, dk: float,
     lags = np.concatenate([j, np.zeros(size - m - n + 1), np.arange(n - 1, 0, -1)])
     kernel = np.fft.fft(np.exp(1j * half * lags * lags))
     rows = x.reshape(-1, n)
-    if out is None:
-        out = (np.empty(x.shape[:-1] + (m,), dtype=float if pairs else complex)
-               if into is None else into)
+    out = np.empty(x.shape[:-1] + (m,), dtype=float if pairs else complex)
     flat = out.reshape(-1, m)
 
     def block(s, e):
@@ -309,16 +300,10 @@ def _lattice_dft(x: np.ndarray, x0: float, h: float, k0: float, dk: float,
         spectrum = np.fft.ifft(spectrum, out=spectrum)[:, :m]
         if pairs:
             spectrum *= post
-            for dest, part in ((flat[2 * s:2 * e:2], spectrum.real),
-                               (flat[2 * s + 1:2 * e:2], spectrum.imag[:len(odd)])):
-                if into is None:
-                    dest[...] = part
-                else:
-                    dest *= part
-        elif into is None:
-            np.multiply(spectrum, post, out=flat[s:e])
+            flat[2 * s:2 * e:2] = spectrum.real
+            flat[2 * s + 1:2 * e:2] = spectrum.imag[:len(odd)]
         else:
-            flat[s:e] *= spectrum * post
+            np.multiply(spectrum, post, out=flat[s:e])
 
     count = -(-rows.shape[0] // 2) if pairs else rows.shape[0]
     if _log.isEnabledFor(logging.DEBUG):
@@ -329,15 +314,14 @@ def _lattice_dft(x: np.ndarray, x0: float, h: float, k0: float, dk: float,
 
 
 def _half_lattice_dft(x: np.ndarray, x0: float, h: float, k0: float,
-                      dk: float, m: int, into: np.ndarray | None = None) -> np.ndarray:
+                      dk: float, m: int) -> np.ndarray:
     """sum_g x[g] exp(-i (x0 + g h) . k) at k_j = k0 + j dk, out[j_p, j_x].
 
     j_x < m and j_p <= m/2 for an even m: for a real array and k0 = -(m/2) dk,
     the rows j_p > m/2 are conjugates, as k_{m-j} = -k_j.  The pass along x
-    reads the columns of the pass along p by blocks.  Given ``into``, out is
-    multiplied into it."""
+    reads the columns of the pass along p by blocks."""
     t = _lattice_dft(x, x0, h, k0, dk, m // 2 + 1)
-    return _lattice_dft(t.T, x0, h, k0, dk, m, into)
+    return _lattice_dft(t.T, x0, h, k0, dk, m)
 
 
 def _doubly_even(x: np.ndarray) -> bool:
@@ -354,7 +338,7 @@ def _doubly_even(x: np.ndarray) -> bool:
 
 
 def _quarter_lattice_dft(x: np.ndarray, x0: float, h: float, k0: float,
-                         dk: float, m: int, into: np.ndarray | None = None) -> np.ndarray:
+                         dk: float, m: int) -> np.ndarray:
     """sum_g x[g] exp(-i (x0 + g h) . k) at k_j = k0 + j dk, out[j_p, j_x],
     for j_p, j_x <= m/2, of a doubly even x on a centred window and lattice.
 
@@ -363,15 +347,13 @@ def _quarter_lattice_dft(x: np.ndarray, x0: float, h: float, k0: float,
     lattice is column m - j_x.  The pass along p transforms the first
     ceil(n/2) rows two to an FFT row and copies the rest; the pass along x
     takes the columns two to an FFT row and computes only j_x <= m/2, at
-    FFT length _fast_len(n + m//2).  Given ``into``, out is multiplied into it.
+    FFT length _fast_len(n + m//2).
     """
     n = x.shape[0]
     half = m // 2 + 1
-    rows = n - n // 2
-    t = np.empty((n, half))
-    _lattice_dft(x[:rows], x0, h, k0, dk, half, out=t[:rows], pairs=True)
-    t[rows:] = t[: n - rows][::-1]
-    return _lattice_dft(t.T, x0, h, k0, dk, half, into, pairs=True)
+    t = _lattice_dft(x[: n - n // 2], x0, h, k0, dk, half, pairs=True)
+    t = np.concatenate([t, t[: n // 2][::-1]])
+    return _lattice_dft(t.T, x0, h, k0, dk, half, pairs=True)
 
 
 def convolve_beamsplitter(wa: WignerGrid, wb: WignerGrid, eta: float) -> WignerGrid:
@@ -405,23 +387,24 @@ def convolve_beamsplitter(wa: WignerGrid, wb: WignerGrid, eta: float) -> WignerG
     dk = 2.0 * k_nyquist / m
     sa, sb = math.sqrt(eta), math.sqrt(1.0 - eta)
 
-    # sum over the grid of values * exp(-i scale k . xi), k_j = -k_nyquist + j dk:
-    # a real quarter lattice for a doubly even input, as the window is centred,
-    # else a half lattice.  A second one of a kind is multiplied into the first
-    # block by block, and half lattices go first, so that no lattice is held
-    # while a half lattice's larger pass along p runs
+    # sum over the grid of values * exp(-i scale k . xi), k_j = -k_nyquist + j dk,
+    # in port order: a real quarter lattice for a doubly even input, as the
+    # window is centred, else a half lattice.  A second quarter lattice is
+    # multiplied into the first; a second half lattice is multiplied into the
+    # first by blocks on the way back
     even = [_doubly_even(w.values) for w in (wa, wb)]
-    product = quarter = None
-    for doubly_even, w, scale in sorted(zip(even, (wa, wb), (sa, sb)), key=lambda i: i[0]):
+    halves, quarter = [], None
+    for doubly_even, w, scale in zip(even, (wa, wb), (sa, sb)):
         args = (w.values, -wa.extent, h, -scale * k_nyquist, scale * dk, m)
-        if doubly_even:
-            quarter = _quarter_lattice_dft(*args, quarter)
+        if not doubly_even:
+            halves.append(_half_lattice_dft(*args))
+        elif quarter is None:
+            quarter = _quarter_lattice_dft(*args)
         else:
-            product = _half_lattice_dft(*args, product)
+            quarter *= _quarter_lattice_dft(*args)
     half = m // 2 + 1
-    held = product is not None  # a half lattice holds the product so far
-    if not held:
-        product = np.empty((half, m), dtype=complex)
+    # the product is formed in the first half lattice, if there is one
+    product = halves[0] if halves else np.empty((half, m), dtype=complex)
     # column j_x > m/2 of a quarter lattice is its column m - j_x
     mirror = np.r_[:half, m // 2 - 1:0:-1]
     # back to [x, p]: as dk h = 2 pi / m, exp(i k_j x_a) = exp(-i k_j extent)
@@ -433,18 +416,16 @@ def convolve_beamsplitter(wa: WignerGrid, wb: WignerGrid, eta: float) -> WignerG
     # h**2 per forward sum, (dk / 2 pi)**2 back, and the m**2 the inverse divides by
     sign = (m * h * h * dk / (2.0 * math.pi)) * (-1.0) ** np.arange(n)
 
-    def factor(s, e, out=None):
-        rows = np.multiply(phase[s:e, None], phase, out=out)
-        if quarter is not None:
-            rows *= quarter[s:e, mirror]
-        return rows
-
     def inverse_rows(s, e):
         rows = product[s:e]
-        if held:
-            rows *= factor(s, e)
-        else:
-            factor(s, e, out=rows)
+        for other in halves[1:]:
+            rows *= other[s:e]
+        # with no half lattice, the phases and the quarter lattice are the product
+        factor = np.multiply(phase[s:e, None], phase, out=None if halves else rows)
+        if quarter is not None:
+            factor *= quarter[s:e, mirror]
+        if halves:
+            rows *= factor
         np.fft.ifft(rows, axis=1, out=rows)
 
     def inverse_columns(s, e):
@@ -452,9 +433,11 @@ def convolve_beamsplitter(wa: WignerGrid, wb: WignerGrid, eta: float) -> WignerG
                     sign[:, None] * sign[s:e], out=values[:, s:e])
 
     # the output of two doubly even inputs is even in x: column n-1-a is column a
-    columns = n if held else n - n // 2
+    columns = n - n // 2 if all(even) else n
     _for_blocks(inverse_rows, half)
-    quarter = None  # its last use: not held beside the output
+    # their last use: a lattice still held when the output is made slows the
+    # way back, 1.8 ms where it takes 0.85 ms for a 512**2 Fock grid with the vacuum
+    halves = quarter = None
     values = np.empty((n, n))
     _for_blocks(inverse_columns, columns)
     values[:, columns:] = values[:, : n - columns][:, ::-1]

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import NonSymplecticError
-from .mixtures import _holds_bool
+from .mixtures import _real_array
 
 __all__ = [
     "GaussianState",
@@ -40,13 +40,10 @@ MAX_SQUEEZE = 2.0
 MAX_DISPLACEMENT = 2.0
 
 
-def _frozen_array(values, shape) -> np.ndarray:
-    arr = np.array(values)
-    if arr.shape != shape or arr.dtype.kind not in "iuf" or _holds_bool(values):
-        raise ValueError(f"expected real numbers, not booleans, in shape {shape}, "
-                         f"got {arr.dtype} {arr.shape}")
-    arr = arr.astype(float)
-    arr.flags.writeable = False
+def _frozen_array(values, shape, what: str) -> np.ndarray:
+    arr = _real_array(values, what)
+    if arr.shape != shape:
+        raise ValueError(f"{what} must have shape {shape}, got {arr.shape}")
     return arr
 
 
@@ -58,8 +55,8 @@ class GaussianState:
     cov: np.ndarray
 
     def __init__(self, mean, cov):
-        object.__setattr__(self, "mean", _frozen_array(mean, (2,)))
-        object.__setattr__(self, "cov", _frozen_array(cov, (2, 2)))
+        object.__setattr__(self, "mean", _frozen_array(mean, (2,), "mean"))
+        object.__setattr__(self, "cov", _frozen_array(cov, (2, 2), "covariance"))
         if not (np.all(np.isfinite(self.mean)) and np.all(np.isfinite(self.cov))):
             raise ValueError("mean and covariance must be finite")
         g = self.cov
@@ -91,7 +88,7 @@ class SymplecticMap:
     displacement: np.ndarray
 
     def __init__(self, matrix, displacement=(0.0, 0.0)):
-        m = _frozen_array(matrix, (2, 2))
+        m = _frozen_array(matrix, (2, 2), "symplectic matrix")
         with np.errstate(invalid="ignore"):
             residual = float(np.max(np.abs(m @ OMEGA @ m.T - OMEGA)))
         # written so that a NaN residual, from a non-finite matrix, fails too
@@ -99,7 +96,7 @@ class SymplecticMap:
             raise NonSymplecticError(
                 f"matrix deviates from the symplectic group by {residual:.3e}"
             )
-        d = _frozen_array(displacement, (2,))
+        d = _frozen_array(displacement, (2,), "displacement")
         if not np.all(np.isfinite(d)):
             raise ValueError("displacement must be finite")
         object.__setattr__(self, "matrix", m)

@@ -46,15 +46,26 @@ def _holds_bool(values) -> bool:
     return any(isinstance(x, (bool, np.bool_)) for x in np.array(values, dtype=object).flat)
 
 
+def _real_array(values, what: str) -> np.ndarray:
+    """A read-only float copy of values, which must be real numbers: not
+    booleans, strings, complex numbers or objects.  An ndarray's dtype kind
+    shows its booleans, so only other input is walked element by element."""
+    arr = np.array(values)
+    if arr.dtype.kind not in "iuf" or (not isinstance(values, np.ndarray)
+                                       and _holds_bool(values)):
+        raise ValueError(f"{what} must be real numbers, not booleans, got {arr.dtype} {arr.shape}")
+    arr = arr.astype(float, copy=False)
+    arr.flags.writeable = False
+    return arr
+
+
 def _distribution(values, what: str) -> np.ndarray:
     """A read-only float copy of a probability vector: a non-empty 1-D array of
     finite, non-negative real numbers summing to 1 within NORMALIZATION_TOL.
     Bools, strings and nesting are refused."""
-    arr = np.array(values)
-    if arr.ndim != 1 or arr.dtype.kind not in "iuf" or _holds_bool(values):
-        raise ValueError(f"{what} must be a flat sequence of real numbers, not booleans, "
-                         f"got {arr.dtype} {arr.shape}")
-    arr = arr.astype(float)
+    arr = _real_array(values, what)
+    if arr.ndim != 1:
+        raise ValueError(f"{what} must be a flat sequence, got shape {arr.shape}")
     if arr.size == 0:
         raise ValueError(f"{what} must not be empty")
     if not np.all(np.isfinite(arr)):
@@ -64,7 +75,6 @@ def _distribution(values, what: str) -> np.ndarray:
     total = math.fsum(arr.tolist())
     if abs(total - 1.0) > NORMALIZATION_TOL:
         raise ValueError(f"{what} sum to {total!r}, more than {NORMALIZATION_TOL} away from 1")
-    arr.flags.writeable = False
     return arr
 
 

@@ -16,7 +16,6 @@ import pytest
 from click.testing import CliRunner
 
 from conftest import exact_sigma_probs, fock_mixture
-from wigentropy import beamsplitter
 from wigentropy.beamsplitter import fock_oracle_sigma, grid_from_gaussian
 from wigentropy.cli import main
 from wigentropy.entropy import (
@@ -122,12 +121,11 @@ def test_05_sigma_oracle():
     announce(5, "sigma coefficients oracle")
 
 
-def test_06_sigma_table(tmp_path, monkeypatch):
+def test_06_sigma_table(tmp_path):
     """sigma-table --max 10: under 5 minutes, all 121 entries above the
     bound minus 1e-7, vacuum entry on the bound within 1e-9, monotonicity
     as warnings only."""
     out = tmp_path / "table.csv"
-    monkeypatch.setattr(beamsplitter, "_WORKERS", 1)  # cells in-process
     start = time.perf_counter()
     result = CliRunner().invoke(
         main, ["sigma-table", "--max", "10", "--out", str(out)]

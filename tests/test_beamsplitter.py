@@ -11,7 +11,7 @@ import pytest
 from scipy.signal import fftconvolve
 
 from conftest import exact_split_probs, fock_mixture, reference_split_probabilities
-from wigentropy import beamsplitter
+from wigentropy import beamsplitter, mixtures
 from wigentropy.beamsplitter import (
     GRID_MASS_TOL,
     WignerGrid,
@@ -128,9 +128,12 @@ class TestWignerGrid:
 
     def test_numeric_arrays_skip_the_boolean_walk(self, monkeypatch):
         # the walk reads every element as a Python object: 48 ms at 512**2
-        monkeypatch.setattr(beamsplitter, "_holds_bool", lambda values: pytest.fail("walked"))
+        monkeypatch.setattr(mixtures, "_holds_bool", lambda values: pytest.fail("walked"))
         assert WignerGrid(UNIFORM, 1.0).values.dtype == float
         assert (WignerGrid(np.ones((8, 8), dtype=int), 7 / 16).values == 1.0).all()  # step 1/8
+        assert PhotonMixture(np.array([0, 1])).probs.dtype == float
+        state = GaussianState(np.zeros(2, dtype=int), 0.5 * np.eye(2))
+        assert state.mean.dtype == state.cov.dtype == float
 
     def test_rejects_nan_cell(self):
         # a NaN mass fails no |mass - 1| comparison, so it needs its own check
@@ -284,18 +287,20 @@ class TestLatticeDFT:
 
     @pytest.mark.parametrize("n", [64, 65])
     def test_phase_invariant_and_centred_grids_take_half_the_rows(self, rng, dft_rows, n):
-        # doubly even, after the other input: half the rows, two to an FFT
-        # row, then half the frequencies along x, two columns to an FFT row
+        # doubly even: half the rows, two to an FFT row, then half the
+        # frequencies along x, two columns to an FFT row; inputs in port order
         m = _lattice_size(n)
         other = displaced_squeezed_gaussian(rng)
         skewed = grid_from_gaussian(other, 8.0, n)
         centred = GaussianState([0.0, 0.0], np.diag([0.3, 1.2]))
+        even, general = [-(-(n - n // 2) // 2), -(-(m // 2 + 1) // 2)], [n, m // 2 + 1]
         for grid in (grid_from_mixture(VACUUM, 8.0, n), grid_from_mixture(fock_mixture(3), 8.0, n),
                      grid_from_mixture(thermal_mixture(1.0), 8.0, n),
                      grid_from_gaussian(centred, 8.0, n)):
             dft_rows.clear()
             convolve_beamsplitter(grid, skewed, 0.5)
-            assert dft_rows == [n, m // 2 + 1, -(-(n - n // 2) // 2), -(-(m // 2 + 1) // 2)]
+            convolve_beamsplitter(skewed, grid, 0.5)
+            assert dft_rows == even + general + general + even
         # even in x only: the general path, every row and every frequency
         # along x.  Measured 2.6e-12 to 2.9e-12 from the analytic output at
         # 64**2 and 65**2, near p = 5: the window cuts the input's tail at
@@ -497,14 +502,19 @@ class TestConvolution:
         with pytest.raises(ValueError):
             convolve_beamsplitter(ga, ga, 1.0)
 
-    def test_transient_memory(self, monkeypatch):
-        # one held spectrum, one pass-1 output, one block's workspace: measured
-        # 8.1 MB on one worker at 512**2 on the alias-free 640-point lattice,
-        # 15.6 MB on the 2n lattice, where both spectra, a transposed copy and
-        # the full phase product took 27.4 MB
+    @pytest.mark.parametrize("pair", ["fock", "gaussian"])
+    def test_transient_memory(self, monkeypatch, rng, pair):
+        # each input's lattice, one pass-1 output, one block's workspace and
+        # the output: measured on one worker at 512**2, 7.5 MB for the Fock
+        # pair (two real quarter lattices) and 10.7 MB for the general
+        # Gaussian pair (two half lattices)
         monkeypatch.setattr(beamsplitter, "_WORKERS", 1)
-        ga = grid_from_mixture(PhotonMixture([0.2, 0.5, 0.3]), 8.0, 512)
-        gb = grid_from_mixture(VACUUM, 8.0, 512)
+        if pair == "fock":
+            ga = grid_from_mixture(PhotonMixture([0.2, 0.5, 0.3]), 8.0, 512)
+            gb = grid_from_mixture(VACUUM, 8.0, 512)
+        else:
+            ga, gb = (grid_from_gaussian(displaced_squeezed_gaussian(rng), 8.0, 512) for _ in "ab")
+            assert not (_doubly_even(ga.values) or _doubly_even(gb.values))  # the general path
         convolve_beamsplitter(ga, gb, 0.5)
         tracemalloc.start()
         try:
@@ -638,13 +648,13 @@ class TestLogging:
             convolve_beamsplitter(even_in_x, vacuum, 0.5)
             convolve_beamsplitter(vacuum, vacuum, 0.5)
         messages = [record.getMessage() for record in caplog.records]
-        # the passes along p and x; a general input goes first
+        # the passes along p and x, A's then B's
         even = ["Bluestein pass: 64 FFT rows of length 432 in 1 blocks",
                 "Bluestein pass: 81 FFT rows of length 432 in 2 blocks"]
         general = ["Bluestein pass: 256 FFT rows of length 432 in 4 blocks",
                    "Bluestein pass: 161 FFT rows of length 576 in 4 blocks"]
         expected = [
-            (general + even, "A doubly even, B general", "256 columns back in 4 blocks"),
+            (even + general, "A doubly even, B general", "256 columns back in 4 blocks"),
             (general + even, "A general, B doubly even", "256 columns back in 4 blocks"),
             (even + even, "A doubly even, B doubly even", "128 columns back in 2 blocks"),
         ]
