@@ -459,8 +459,8 @@ def husimi_phase_invariant(p: PhotonMixture, r):
     photon-count statistics applied to the diagonal mixture.
     """
     r = np.asarray(r, dtype=float)
-    if not (r >= 0).all():
-        raise ValueError("radius must be non-negative")
+    if not ((r >= 0) & (r < math.inf)).all():
+        raise ValueError("radius must be finite and non-negative")
     scalar = r.ndim == 0
     u = np.atleast_1d(r * r).ravel()
     ks = np.nonzero(p.probs > 0)[0]

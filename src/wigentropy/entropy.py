@@ -138,6 +138,14 @@ def wigner_renyi(p: PhotonMixture | SigmaState, alpha: float,
     one made for the same probabilities, and raises NotWignerPositiveError
     when W < 0.  Orders up to 1 split the integrals at the touches, where
     W ln W and W**alpha are singular.
+
+    Orders below 1 integrate up to radial_cutoff/alpha, but the generic
+    route's damped table exp(-u) L_k(2u) is subnormal past u ~ 708 and 0
+    past u ~ 745, so W reads 0 there whatever its size: W of
+    extremal_passive(256) reads 2.6e-45 at u = 745 and 0 at 750, its order
+    0.05 raises QuadratureConvergenceError and order 0.1 returns 7.461326,
+    about 3e-6 short in h.  The sigma route, damped by exp(-u/2) before
+    squaring, reaches u ~ 1490.
     """
     if not alpha > 0:
         raise ValueError("Renyi order must be positive (order 0 diverges)")
@@ -146,11 +154,6 @@ def wigner_renyi(p: PhotonMixture | SigmaState, alpha: float,
         _log.debug("order %g: sigma(m, n), positive by construction", alpha)
         wigner, touches = _sigma_profile(sigma)
     else:
-        signed = _signed_coeffs(p)
-
-        def wigner(u):  # u >= 0: every abscissa lies inside [0, u_max]
-            return _radial_values(signed, np.sqrt(u))
-
         if math.isfinite(alpha) and is_passive(p):
             _log.debug("order %g: passive, positive by construction", alpha)
             touches = None
@@ -166,6 +169,10 @@ def wigner_renyi(p: PhotonMixture | SigmaState, alpha: float,
             if math.isinf(alpha):
                 return -math.log(report.max_value)
             touches = report.touches
+        signed = _signed_coeffs(p)
+
+        def wigner(u):  # u >= 0: every abscissa lies inside [0, u_max]
+            return _radial_values(signed, np.sqrt(u))
     points = touches if alpha <= 1.0 else None
     u_max = radial_cutoff(p) * max(1.0, 1.0 / alpha)
     if alpha == 1.0:

@@ -57,6 +57,12 @@ _log = logging.getLogger(__name__)
 _SIGNS = (-1.0) ** np.arange(N_MAX + 1)
 _SIGNS.flags.writeable = False
 
+#: diagonal 2k + 1 and off-diagonal -k of the Laguerre comrade matrix, k <
+#: N_MAX, the largest degree of a mixture's Q
+_COMRADE_DIAG = 2.0 * np.arange(N_MAX) + 1.0
+_COMRADE_OFF = -np.arange(float(N_MAX))
+_COMRADE_DIAG.flags.writeable = _COMRADE_OFF.flags.writeable = False
+
 #: top coefficients this small are dropped before root finding: the comrade
 #: matrix divides by the leading one, and they cannot move W measurably
 _TRIM_TOL = 1e-300
@@ -129,9 +135,10 @@ def _laguerre_roots(c: np.ndarray) -> np.ndarray:
         return np.empty(0)
     if deg == 1:
         return np.array([1.0 + c[0] / c[1]])
-    mat = np.diag(2.0 * np.arange(deg) + 1.0)
+    mat = np.zeros((deg, deg))
     flat = mat.reshape(-1)
-    flat[1::deg + 1] = flat[deg::deg + 1] = -np.arange(1.0, deg)
+    flat[::deg + 1] = _COMRADE_DIAG[:deg]
+    flat[1::deg + 1] = flat[deg::deg + 1] = _COMRADE_OFF[1:deg]
     mat[:, -1] += (c[:deg] / c[deg]) * deg
     return np.sort(np.linalg.eigvals(mat[::-1, ::-1]).real)
 
@@ -140,18 +147,18 @@ def radial_wigner(p: PhotonMixture, r):
     """Wigner function of the mixture at radius r (scalar or array).
 
     Computed with Gaussian-damped Laguerre values, so it stays finite for
-    any mixture length and radius.
+    any mixture length and finite radius.
     """
     r = np.asarray(r, dtype=float)
-    if not (r >= 0).all():
-        raise ValueError("radius must be non-negative")
+    if not ((r >= 0) & (r < math.inf)).all():
+        raise ValueError("radius must be finite and non-negative")
     values = _radial_values(_signed_coeffs(p), r)
     return float(values) if values.ndim == 0 else values
 
 
 def _radial_values(signed: np.ndarray, r: np.ndarray) -> np.ndarray:
     """radial_wigner's array for the signed coefficients of a mixture, at an
-    array r >= 0 that the caller has checked."""
+    array of finite r >= 0 that the caller has checked or built."""
     n = signed.size
     scaled = laguerre_scaled_all(n - 1, 2.0 * r * r)
     return np.dot(signed[None, :], scaled.reshape(n, r.size)).reshape(r.shape) / math.pi
@@ -193,11 +200,12 @@ def positivity_report(p: PhotonMixture) -> PositivityReport:
     q[:-1] -= np.cumsum(signed[:0:-1])[::-1]
     ts = _laguerre_roots(q)
     ts = ts[(ts > 0.0) & (ts < 2.0 * u_max)]
-    # drop repeated roots: besides the wasted work, the column count of
-    # radial_wigner's dot product can change its last bit
-    ts = np.concatenate((ts[:1], ts[1:][ts[1:] != ts[:-1]]))
+    if ts.size > 1:
+        # drop repeated roots: besides the wasted work, the column count of
+        # the kernel's dot product can change its last bit
+        ts = np.concatenate((ts[:1], ts[1:][ts[1:] != ts[:-1]]))
     rs = np.concatenate(([0.0], np.sqrt(0.5 * ts), [math.sqrt(u_max)]))
-    ws = radial_wigner(p, rs)
+    ws = _radial_values(signed, rs)
     rs.flags.writeable = ws.flags.writeable = False
     report = PositivityReport((rs, ws))
     if _log.isEnabledFor(logging.DEBUG):
@@ -219,8 +227,8 @@ def curved_boundary_residual(p: PhotonMixture, t: float) -> tuple[float, float]:
     found there belongs to the flat facet of the region instead of the
     curved boundary.
     """
-    if not t >= 0:
-        raise ValueError("t must be non-negative")
+    if not 0 <= t < math.inf:
+        raise ValueError("t must be finite and non-negative")
     signed = _signed_coeffs(p)
     # the zero top coefficient keeps the vacuum's slope series non-empty
     slope = np.append(-np.cumsum(signed[:0:-1])[::-1], 0.0)
@@ -266,7 +274,7 @@ def extremal_arc_wigner(a: float, r: float) -> float:
     """
     if not 0.0 <= a <= 1.0:
         raise ValueError("arc parameter must lie in [0, 1]")
-    if not r >= 0:
-        raise ValueError("radius must be non-negative")
+    if not 0 <= r < math.inf:
+        raise ValueError("radius must be finite and non-negative")
     shift = math.sqrt((1.0 - a) / (1.0 + a))
     return math.exp(-r * r) * 0.5 * (a + 1.0) * (r * r - 1.0 + shift) ** 2 / math.pi

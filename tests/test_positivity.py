@@ -5,7 +5,7 @@ import threading
 
 import numpy as np
 import pytest
-from numpy.polynomial.laguerre import lagval
+from numpy.polynomial.laguerre import lagroots, lagtrim, lagval
 from scipy.special import eval_genlaguerre, eval_laguerre
 
 from conftest import (
@@ -257,14 +257,16 @@ class TestOnePass:
 
     def test_report_evaluates_wigner_once(self, monkeypatch):
         calls = []
+        kernel = positivity._radial_values
 
-        def counting(p, r):
+        def counting(signed, r):
             calls.append(r)
-            return radial_wigner(p, r)
+            return kernel(signed, r)
 
-        monkeypatch.setattr(positivity, "radial_wigner", counting)
-        positivity_report(sigma_coefficients(0, 40).coeffs)
+        monkeypatch.setattr(positivity, "_radial_values", counting)
+        report = positivity_report(sigma_coefficients(0, 40).coeffs)
         assert len(calls) == 1
+        assert np.array_equal(calls[0], report.candidates[0])
 
     def test_infinite_order_renyi_makes_one_report(self, monkeypatch):
         calls = []
@@ -336,6 +338,19 @@ class TestReportReuse:
 
 class TestBitwiseReference:
     """Same numbers as the numpy.polynomial formulation, to the last bit."""
+
+    def test_laguerre_roots_equal_lagroots(self):
+        # Q of a mixture of up to N_MAX = 256 photons has degree up to 256, which
+        # reads the comrade vectors to their ends
+        for deg in [*range(1, 13), 16, 32, 64, 128, 255, 256]:
+            c = np.random.default_rng(deg).standard_normal(deg + 1)
+            expected = np.sort(lagroots(lagtrim(c, 1e-300)).real)
+            assert np.array_equal(positivity._laguerre_roots(c), expected), deg
+
+    def test_comrade_vectors_refuse_writes(self):
+        for vector in (positivity._COMRADE_DIAG, positivity._COMRADE_OFF):
+            with pytest.raises(ValueError, match="read-only"):
+                vector[1] = 0.0
 
     def test_reports_equal_reference(self):
         mismatched = []
@@ -435,7 +450,7 @@ class TestCurvedBoundary:
     lambda r: curved_boundary_residual(SIGMA_C, r),
     lambda r: extremal_arc_wigner(0.5, r),
 ], ids=["radial", "radial-array", "husimi", "husimi-array", "curved", "arc"])
-@pytest.mark.parametrize("r", [-1.0, math.nan])
+@pytest.mark.parametrize("r", [-1.0, math.nan, math.inf])
 def test_negative_or_nan_radius_rejected(call, r):
     with pytest.raises(ValueError, match="non-negative"):
         call(r)
