@@ -63,7 +63,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import GridMismatchError
-from .fock import check_photon_number
+from .fock import N_MAX, check_photon_number
 from .gaussian import GaussianState, gaussian_wigner
 from .mixtures import PhotonMixture, _real_array
 from .positivity import radial_wigner
@@ -87,6 +87,10 @@ __all__ = [
 GRID_MASS_TOL = 1e-6
 
 _log = logging.getLogger(__name__)
+
+#: ln k! for every photon number k a mixture may hold
+_LOG_FACTORIALS = np.array([math.lgamma(k + 1) for k in range(N_MAX + 1)])
+_LOG_FACTORIALS.flags.writeable = False
 
 #: most rows in one block of the convolution's FFT passes
 _BLOCK_ROWS = 64
@@ -465,19 +469,21 @@ def husimi_phase_invariant(p: PhotonMixture, r):
     u = np.atleast_1d(r * r).ravel()
     ks = np.nonzero(p.probs > 0)[0]
     log_p = np.log(p.probs[ks])
-    log_fact = np.array([math.lgamma(k + 1) for k in ks])
-    with np.errstate(divide="ignore"):
-        log_u = np.where(u > 0.0, np.log(np.where(u > 0.0, u, 1.0)), -np.inf)
-    with np.errstate(invalid="ignore"):
-        exponents = (
-            log_p[:, None] - u[None, :] + ks[:, None] * log_u[None, :]
-            - log_fact[:, None]
-        )
-    terms = np.exp(exponents)
+    log_fact = _LOG_FACTORIALS[ks]
+    # ln p_k - u + k ln u - ln k!, summed in that order in one table
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_u = np.log(u)  # -inf at u = 0
+        terms = np.subtract.outer(log_p, u)
+        terms += np.multiply.outer(ks, log_u)
+        terms -= log_fact[:, None]
+    np.exp(terms, terms)
     if ks.size and ks[0] == 0:
         # k = 0 term is p_0 e^{-u} even at u = 0 where log u is -inf
-        terms[0] = p.probs[0] * np.exp(-u)
-    values = terms.sum(axis=0) / math.pi
+        row = np.negative(u, terms[0])
+        np.exp(row, row)
+        row *= p.probs[0]
+    values = terms.sum(axis=0)
+    values /= math.pi
     return float(values[0]) if scalar else values.reshape(r.shape)
 
 

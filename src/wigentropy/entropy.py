@@ -168,7 +168,7 @@ def wigner_renyi(p: PhotonMixture | SigmaState, alpha: float,
                 )
             if math.isinf(alpha):
                 return -math.log(report.max_value)
-            touches = report.touches
+            touches = report.touches if alpha <= 1.0 else None
         signed = _signed_coeffs(p)
 
         def wigner(u):  # u >= 0: every abscissa lies inside [0, u_max]
@@ -179,19 +179,25 @@ def wigner_renyi(p: PhotonMixture | SigmaState, alpha: float,
         return entropy_integral(wigner, 0.0, u_max, spec, weight=math.pi, points=points)
 
     def integrand(u):
-        return np.maximum(wigner(u), 0.0) ** alpha
+        w = wigner(u)  # a new array, clipped and raised in place
+        np.maximum(w, 0.0, out=w)
+        w **= alpha
+        return w
 
     norm = math.pi * integrate(integrand, 0.0, u_max, spec, points=points)
     return math.log(norm) / (1.0 - alpha)
 
 
-def wehrl_entropy(p: PhotonMixture,
+def wehrl_entropy(p: PhotonMixture | SigmaState,
                   spec: QuadratureSpec = DEFAULT_QUADRATURE) -> float:
     """Shannon entropy of the Husimi function of a Fock mixture.
 
     Defined for every physical state (the Husimi function is positive) and
-    bounded below by ln(pi) + 1, with coherent states as minimizers.
+    bounded below by ln(pi) + 1, with coherent states as minimizers.  A
+    SigmaState is taken as its coeffs.
     """
+    if isinstance(p, SigmaState):
+        p = p.coeffs
     u_max = radial_cutoff(p)
     return entropy_integral(
         lambda u: husimi_phase_invariant(p, np.sqrt(u)), 0.0, u_max, spec,
@@ -199,9 +205,12 @@ def wehrl_entropy(p: PhotonMixture,
     )
 
 
-def mixture_marginal_entropy(p: PhotonMixture,
+def mixture_marginal_entropy(p: PhotonMixture | SigmaState,
                              spec: QuadratureSpec = DEFAULT_QUADRATURE) -> float:
-    """Entropy of the position density sum_k p_k psi_k(x)**2 of the mixture."""
+    """Entropy of the position density sum_k p_k psi_k(x)**2 of the mixture
+    (of its coeffs for a SigmaState)."""
+    if isinstance(p, SigmaState):
+        p = p.coeffs
     return density_entropy(p.probs, spec)
 
 

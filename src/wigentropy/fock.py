@@ -44,6 +44,12 @@ __all__ = [
 #: larger n are handled in log space nowhere, so keep a hard guard)
 N_MAX = 256
 
+#: psi_0(0), and the Hermite-function recurrence's factors sqrt(2/k) and
+#: sqrt((k-1)/k) at k = 1..N_MAX (k = 0 unused)
+_PSI_0 = math.pi ** -0.25
+_RAISE = [0.0] + [math.sqrt(2.0 / k) for k in range(1, N_MAX + 1)]
+_LOWER = [0.0] + [math.sqrt((k - 1) / k) for k in range(1, N_MAX + 1)]
+
 
 def check_photon_number(n: int) -> None:
     """The one guard of the photon-number limit: ValueError below 0,
@@ -70,29 +76,66 @@ def laguerre_scaled_all(nmax: int, t, d: int = 0) -> np.ndarray:
     C(k + d, k) for t >= 0 (by 1 for the ordinary polynomials, d = 0),
     which keeps radial Wigner evaluations overflow-free at photon numbers
     where the raw polynomials would exceed double range.
+
+    Row k + 1 is ((2k + 1 + d - t) L_k - (k + d) L_{k-1}) / (k + 1), formed
+    in its own row with one work row for (k + d) L_{k-1}: every
+    operation rounds in the recurrence's order, so the table is bit for bit
+    that of one temporary array per operation, without the temporaries.
     """
     t = np.asarray(t, dtype=float)
-    envelope = np.exp(-0.5 * t)
-    out = np.empty((nmax + 1,) + t.shape)
-    out[0] = envelope
+    flat = t if t.ndim == 1 else t.reshape(-1)
+    out = np.empty((nmax + 1, flat.size))
+    prev = out[0]
+    np.multiply(flat, -0.5, prev)
+    np.exp(prev, prev)
     if nmax >= 1:
-        out[1] = (1.0 + d - t) * envelope
-    for k in range(1, nmax):
-        out[k + 1] = ((2 * k + 1 + d - t) * out[k] - (k + d) * out[k - 1]) / (k + 1)
-    return out
+        cur = out[1]
+        np.subtract(1.0 + d, flat, cur)
+        np.multiply(cur, prev, cur)
+        if nmax >= 2:
+            work = np.empty(flat.size)
+            for k in range(1, nmax):
+                row = out[k + 1]
+                np.subtract(2.0 * k + 1.0 + d, flat, row)
+                np.multiply(row, cur, row)
+                np.multiply(prev, float(k + d), work)
+                np.subtract(row, work, row)
+                np.divide(row, float(k + 1), row)
+                prev, cur = cur, row
+    return out if t.ndim == 1 else out.reshape((nmax + 1,) + t.shape)
 
 
 def wavefunction_table(nmax: int, x) -> np.ndarray:
-    """psi_0(x) ... psi_nmax(x) stacked along axis 0 for scalar or array x."""
+    """psi_0(x) ... psi_nmax(x) stacked along axis 0 for scalar or array x.
+
+    Row k is x sqrt(2/k) psi_{k-1} - sqrt((k-1)/k) psi_{k-2}, formed in its
+    own row with one work row for the second term: every operation
+    rounds in the recurrence's order, so the table is bit for bit that of
+    one temporary array per operation, without the temporaries.
+    """
     check_photon_number(nmax)
     x = np.asarray(x, dtype=float)
-    out = np.empty((nmax + 1,) + x.shape)
-    out[0] = math.pi ** -0.25 * np.exp(-0.5 * x * x)
+    flat = x if x.ndim == 1 else x.reshape(-1)
+    out = np.empty((nmax + 1, flat.size))
+    prev = out[0]
+    np.multiply(flat, -0.5, prev)
+    np.multiply(prev, flat, prev)
+    np.exp(prev, prev)
+    np.multiply(prev, _PSI_0, prev)
     if nmax >= 1:
-        out[1] = x * math.sqrt(2.0) * out[0]
-    for k in range(2, nmax + 1):
-        out[k] = x * math.sqrt(2.0 / k) * out[k - 1] - math.sqrt((k - 1) / k) * out[k - 2]
-    return out
+        cur = out[1]
+        np.multiply(flat, _RAISE[1], cur)
+        np.multiply(cur, prev, cur)
+        if nmax >= 2:
+            work = np.empty(flat.size)
+            for k in range(2, nmax + 1):
+                row = out[k]
+                np.multiply(flat, _RAISE[k], row)
+                np.multiply(row, cur, row)
+                np.multiply(prev, _LOWER[k], work)
+                np.subtract(row, work, row)
+                prev, cur = cur, row
+    return out if x.ndim == 1 else out.reshape((nmax + 1,) + x.shape)
 
 
 def wavefunction(n: int, x):
@@ -104,11 +147,14 @@ def wavefunction(n: int, x):
 def wigner_fock(n: int, x, p):
     """Wigner function W_n(x, p) of the n-th Fock state.
 
-    Rotation invariant: depends on x, p only through x**2 + p**2.
+    Rotation invariant: depends on x, p only through x**2 + p**2.  Raises
+    ValueError at a non-finite x or p.
     """
     check_photon_number(n)
     x = np.asarray(x, dtype=float)
     p = np.asarray(p, dtype=float)
+    if not (np.isfinite(x).all() and np.isfinite(p).all()):
+        raise ValueError("phase-space coordinates must be finite")
     t = 2.0 * (x * x + p * p)
     values = laguerre_scaled_all(n, t)[n]
     result = (-1.0) ** n * values / math.pi
@@ -138,7 +184,8 @@ def density_entropy(probs, spec: QuadratureSpec = DEFAULT_QUADRATURE) -> float:
 
     def density(x):
         psi = wavefunction_table(nmax, x)
-        return probs @ (psi * psi)
+        psi *= psi
+        return probs @ psi
 
     return entropy_integral(density, 0.0, cut, spec, weight=2.0, points=nodes[nodes >= 0.0])
 

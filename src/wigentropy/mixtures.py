@@ -135,7 +135,7 @@ class SigmaState:
 def is_passive(p: PhotonMixture) -> bool:
     """True when the probabilities never increase, p_k >= p_{k+1} exactly."""
     probs = p.probs
-    return bool(np.all(probs[:-1] >= probs[1:]))
+    return bool((probs[:-1] >= probs[1:]).all())
 
 
 def extremal_passive(n: int) -> PhotonMixture:

@@ -160,8 +160,12 @@ def _radial_values(signed: np.ndarray, r: np.ndarray) -> np.ndarray:
     """radial_wigner's array for the signed coefficients of a mixture, at an
     array of finite r >= 0 that the caller has checked or built."""
     n = signed.size
-    scaled = laguerre_scaled_all(n - 1, 2.0 * r * r)
-    return np.dot(signed[None, :], scaled.reshape(n, r.size)).reshape(r.shape) / math.pi
+    t = 2.0 * r
+    t *= r
+    scaled = laguerre_scaled_all(n - 1, t)
+    values = np.dot(signed[None, :], scaled.reshape(n, r.size)).reshape(r.shape)
+    values /= math.pi
+    return values
 
 
 def radial_cutoff(p: PhotonMixture) -> float:

@@ -56,6 +56,13 @@ _COARSE_NODES, _COARSE_WEIGHTS = np.polynomial.legendre.leggauss(16)
 _FINE_NODES, _FINE_WEIGHTS = np.polynomial.legendre.leggauss(32)
 _NODES = np.concatenate([_COARSE_NODES, _FINE_NODES])
 
+#: 2**-k for k = 1 ... POINT_DEPTH: the graded offsets around a caller's point,
+#: as fractions of its gap to the next edge
+_GRADED = np.exp2(-np.arange(1, POINT_DEPTH + 1))
+#: 2**-k for k = POINT_DEPTH ... 1: the cuts of a failing panel [a, a + w],
+#: as fractions of w
+_FIRST_CUTS = _GRADED[::-1].copy()
+
 _log = logging.getLogger(__name__)
 
 
@@ -83,15 +90,22 @@ def _distinct(x: np.ndarray) -> np.ndarray:
 def _panel_rules(func, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Fine Gauss-Legendre value and error estimate of every panel [lo_i, hi_i]."""
     half = 0.5 * (hi - lo)
-    x = 0.5 * (hi + lo)[:, None] + half[:, None] * _NODES
-    flat = x.ravel()
-    chunks = [np.asarray(func(flat[i:i + EVAL_CHUNK]), dtype=float)
-              for i in range(0, flat.size, EVAL_CHUNK)]
-    f = (chunks[0] if len(chunks) == 1 else np.concatenate(chunks)).reshape(x.shape)
+    x = np.multiply.outer(half, _NODES)
+    x += (0.5 * (hi + lo))[:, None]
+    flat = x.reshape(-1)
+    if flat.size <= EVAL_CHUNK:
+        f = np.asarray(func(flat), dtype=float)
+    else:
+        f = np.concatenate([np.asarray(func(flat[i:i + EVAL_CHUNK]), dtype=float)
+                            for i in range(0, flat.size, EVAL_CHUNK)])
+    f = f.reshape(x.shape)
+    fine_f = f[:, _COARSE_NODES.size:]
     coarse = half * (f[:, :_COARSE_NODES.size] @ _COARSE_WEIGHTS)
-    fine = half * (f[:, _COARSE_NODES.size:] @ _FINE_WEIGHTS)
-    roundoff = ROUNDOFF * half * (np.abs(f[:, _COARSE_NODES.size:]) @ _FINE_WEIGHTS)
-    return fine, np.maximum(np.abs(fine - coarse), roundoff)
+    fine = half * (fine_f @ _FINE_WEIGHTS)
+    roundoff = ROUNDOFF * half * (np.abs(fine_f) @ _FINE_WEIGHTS)
+    err = np.subtract(fine, coarse, coarse)
+    np.abs(err, err)
+    return fine, np.maximum(err, roundoff, out=err)
 
 
 def integrate(func, a: float, b: float, spec: QuadratureSpec = DEFAULT_QUADRATURE,
@@ -113,37 +127,44 @@ def integrate(func, a: float, b: float, spec: QuadratureSpec = DEFAULT_QUADRATUR
         raise ValueError(f"integration needs finite limits a < b, got [{a}, {b}]")
     levels = max(1, math.ceil(math.log2(b - a)))
     edges = np.array([a] + [a + (b - a) * 2.0 ** -k for k in range(levels, 0, -1)] + [b])
-    inner = np.ravel(points if points is not None else ())
-    inner = inner[(inner > a) & (inner < b)]
-    if inner.size:
-        edges = _distinct(np.concatenate([edges, inner]))
-        at = np.searchsorted(edges, inner)
-        gaps = np.stack([edges[at - 1], edges[at + 1]]) - inner
-        graded = inner[:, None] + gaps[..., None] * np.exp2(-np.arange(1, POINT_DEPTH + 1))
-        edges = _distinct(np.concatenate([edges, graded.ravel()]))
+    if points is not None:
+        inner = np.ravel(points)
+        inner = inner[(inner > a) & (inner < b)]
+        if inner.size:
+            edges = _distinct(np.concatenate([edges, inner]))
+            at = np.searchsorted(edges, inner)
+            gaps = np.stack([edges[at - 1], edges[at + 1]]) - inner
+            graded = inner[:, None] + gaps[..., None] * _GRADED
+            edges = _distinct(np.concatenate([edges, graded.ravel()]))
     lo, hi = edges[:-1], edges[1:]
     panels = lo.size
     rounds = evaluations = 0
     accepted: list[float] = []
+    debug = _log.isEnabledFor(logging.DEBUG)
     error = 0.0
-    while lo.size:
+    while True:
         fine, err = _panel_rules(func, lo, hi)
         rounds += 1
         evaluations += lo.size * _NODES.size
-        budget = spec.tol * max(1.0, abs(math.fsum(accepted + fine.tolist())))
-        share = 0.5 * budget * np.maximum((hi - lo) / (b - a), 1.0 / MAX_SUBDIVISIONS)
+        total = math.fsum(accepted + fine.tolist())
+        budget = spec.tol * max(1.0, abs(total))
+        share = hi - lo
+        share /= b - a
+        np.maximum(share, 1.0 / MAX_SUBDIVISIONS, out=share)
+        share *= 0.5 * budget
         done = err <= share
-        if done.all():  # nothing left to split
-            accepted.extend(fine.tolist())
-            error += float(np.sum(err))
+        if done.all():  # nothing left to split: the sum is the integral
+            if debug:
+                error += float(np.sum(err))
             break
         accepted.extend(fine[done].tolist())
-        error += float(np.sum(err[done]))
+        if debug:
+            error += float(np.sum(err[done]))
         lo, hi = lo[~done], hi[~done]
         failed = lo.size
         mid = 0.5 * (lo + hi)
-        if failed and lo[0] == a:  # the panel at a is always first
-            cuts = a + (hi[0] - a) * np.exp2(-np.arange(POINT_DEPTH, 0, -1))
+        if lo[0] == a:  # the panel at a is always first
+            cuts = a + (hi[0] - a) * _FIRST_CUTS
             lo = np.concatenate([[a], cuts, lo[1:], mid[1:]])
             hi = np.concatenate([cuts, hi[:1], mid[1:], hi[1:]])
         else:
@@ -154,10 +175,10 @@ def integrate(func, a: float, b: float, spec: QuadratureSpec = DEFAULT_QUADRATUR
                 f"tolerance {spec.tol!r} (error budget {budget:.3e}) needs more than "
                 f"{MAX_SUBDIVISIONS} panels"
             )
-    if _log.isEnabledFor(logging.DEBUG):
+    if debug:
         _log.debug("integral over [%g, %g]: %d rounds, %d panels, %d evaluations, "
                    "error estimate %.3e", a, b, rounds, panels, evaluations, error)
-    return math.fsum(accepted)
+    return total
 
 
 def entropy_integral(
@@ -179,6 +200,10 @@ def entropy_integral(
 
     def integrand(x):
         rho = density(x)
-        return np.where(rho <= 0.0, 0.0, rho * np.log(np.maximum(rho, TINY)))
+        out = np.maximum(rho, TINY)
+        np.log(out, out)
+        out *= rho
+        out[rho <= 0.0] = 0.0
+        return out
 
     return -weight * integrate(integrand, a, b, spec, points=points)

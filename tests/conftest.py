@@ -114,6 +114,33 @@ def reference_signed_coeffs(p: PhotonMixture) -> np.ndarray:
     return p.probs * ((-1.0) ** np.arange(len(p)))
 
 
+def reference_laguerre_scaled_all(nmax: int, t, d: int = 0) -> np.ndarray:
+    """The damped Laguerre table by the allocating recurrence, one
+    temporary per operation: fock.laguerre_scaled_all must equal it bit for bit."""
+    t = np.asarray(t, dtype=float)
+    envelope = np.exp(-0.5 * t)
+    out = np.empty((nmax + 1,) + t.shape)
+    out[0] = envelope
+    if nmax >= 1:
+        out[1] = (1.0 + d - t) * envelope
+    for k in range(1, nmax):
+        out[k + 1] = ((2 * k + 1 + d - t) * out[k] - (k + d) * out[k - 1]) / (k + 1)
+    return out
+
+
+def reference_wavefunction_table(nmax: int, x) -> np.ndarray:
+    """psi_0(x) ... psi_nmax(x) by the allocating recurrence, one temporary
+    per operation: fock.wavefunction_table must equal it bit for bit."""
+    x = np.asarray(x, dtype=float)
+    out = np.empty((nmax + 1,) + x.shape)
+    out[0] = math.pi ** -0.25 * np.exp(-0.5 * x * x)
+    if nmax >= 1:
+        out[1] = x * math.sqrt(2.0) * out[0]
+    for k in range(2, nmax + 1):
+        out[k] = x * math.sqrt(2.0 / k) * out[k - 1] - math.sqrt((k - 1) / k) * out[k - 2]
+    return out
+
+
 def reference_radial_wigner(p: PhotonMixture, r):
     """radial_wigner as a tensordot of the signed coefficients with the damped table."""
     r = np.asarray(r, dtype=float)

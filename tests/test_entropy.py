@@ -1,3 +1,4 @@
+import hashlib
 import json
 import logging
 import math
@@ -384,6 +385,38 @@ class TestSigmaRoute:
     ])
     def test_low_order_matches_mpmath(self, m, n, alpha, expected):
         assert abs(wigner_renyi(sigma_coefficients(m, n), alpha) - expected) <= 1e-12
+
+    @pytest.mark.parametrize("m, n", [(0, 0), (2, 3), (0, 4), (5, 7)])
+    def test_wehrl_and_marginal_take_a_sigma_state(self, m, n):
+        state = sigma_coefficients(m, n)
+        assert wehrl_entropy(state) == wehrl_entropy(state.coeffs)
+        assert mixture_marginal_entropy(state) == mixture_marginal_entropy(state.coeffs)
+
+
+def entropy_corpus() -> list[PhotonMixture]:
+    """sigma(m, n) for m <= n <= 6 as coeffs, thermal, extremal passive and
+    arc states, and seeded rejection-sampled positive mixtures."""
+    states = [sigma_coefficients(m, n).coeffs for n in range(7) for m in range(n + 1)]
+    states += [thermal_mixture(mean) for mean in (0.1, 0.5, 1.0, 2.0, 8.0)]
+    states += [extremal_passive(n) for n in (1, 2, 5, 10, 40)]
+    states += [two_photon_mixture(*extremal_arc_point(a)) for a in (0.0, 0.25, 0.5, 0.75, 1.0)]
+    states += _random_wigner_positive(np.random.default_rng(41), 6, 6)
+    return states
+
+
+#: sha256 of the float64 bytes of wigner_renyi at orders 0.5, 1, 2 and 3,
+#: wehrl_entropy and mixture_marginal_entropy, state by state over
+#: entropy_corpus(): 294 values of the four quadrature integrands
+ENTROPY_CORPUS_SHA256 = "11a8f8b7b133d4e26a70c01e8319578950e5b713cbee04349b8f325db5b6bb96"
+
+
+def test_entropy_corpus_bitwise():
+    values = []
+    for p in entropy_corpus():
+        values += [wigner_renyi(p, alpha) for alpha in (0.5, 1.0, 2.0, 3.0)]
+        values += [wehrl_entropy(p), mixture_marginal_entropy(p)]
+    digest = hashlib.sha256(np.array(values, dtype=np.float64).tobytes()).hexdigest()
+    assert digest == ENTROPY_CORPUS_SHA256
 
 
 def exactly_passive_strata() -> list[list[PhotonMixture]]:

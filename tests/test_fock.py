@@ -1,4 +1,5 @@
 import math
+import warnings
 from functools import partial
 
 import numpy as np
@@ -6,12 +7,14 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import eval_hermite
 
+from conftest import reference_laguerre_scaled_all, reference_wavefunction_table
 from wigentropy.beamsplitter import fock_oracle_sigma, mix_through_beamsplitter
 from wigentropy.exceptions import TruncationError
 from wigentropy.fock import (
     N_MAX,
     check_photon_number,
     density_entropy,
+    laguerre_scaled_all,
     marginal_density,
     marginal_entropy,
     tail_cutoff,
@@ -145,6 +148,56 @@ class TestWignerFock:
         for n in range(0, 30, 3):
             values = wigner_fock(n, xs, ps)
             assert np.max(np.abs(values)) <= 1.0 / math.pi + 1e-12
+
+    @pytest.mark.parametrize("x, p", [(math.inf, 0.0), (0.0, -math.inf), (math.nan, 0.0),
+                                      (0.0, math.nan), ([0.5, math.inf], 1.0),
+                                      (np.zeros((2, 2)), np.full((2, 2), math.nan))])
+    def test_refuses_non_finite_coordinates(self, x, p):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="must be finite"):
+                wigner_fock(3, x, p)
+
+
+#: inputs of every shape the kernels take: 0-d, 1-D with the origin and far
+#: tails, and 2-D
+KERNEL_INPUTS = {
+    "0-d": np.float64(1.7),
+    "0-d-origin": 0.0,
+    "1-D": np.concatenate(([0.0], np.linspace(1e-3, 60.0, 97), [800.0])),
+    "2-D": np.linspace(0.0, 30.0, 24).reshape(4, 6),
+}
+
+
+class TestKernelsBitwise:
+    """The buffered recurrences do the allocating ones' operations in the same order."""
+
+    @pytest.mark.parametrize("nmax", [0, 1, 2, 40, 256])
+    @pytest.mark.parametrize("d", [0, 3])
+    @pytest.mark.parametrize("shape", KERNEL_INPUTS)
+    def test_laguerre_table(self, nmax, d, shape):
+        t = KERNEL_INPUTS[shape]
+        got = laguerre_scaled_all(nmax, t, d)
+        want = reference_laguerre_scaled_all(nmax, t, d)
+        assert got.shape == want.shape == (nmax + 1,) + np.shape(t)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("nmax", [0, 1, 2, 40, 256])
+    @pytest.mark.parametrize("shape", KERNEL_INPUTS)
+    def test_wavefunction_table(self, nmax, shape):
+        x = KERNEL_INPUTS[shape]
+        x = -x if shape == "2-D" else x  # odd functions of x: negative abscissae too
+        got = wavefunction_table(nmax, x)
+        want = reference_wavefunction_table(nmax, x)
+        assert got.shape == want.shape == (nmax + 1,) + np.shape(x)
+        assert got.tobytes() == want.tobytes()
+
+    def test_strided_input(self):
+        t = np.linspace(0.0, 40.0, 64)[::3]
+        x = np.linspace(-8.0, 8.0, 64)[::3]
+        assert laguerre_scaled_all(40, t, 3).tobytes() == \
+            reference_laguerre_scaled_all(40, t, 3).tobytes()
+        assert wavefunction_table(40, x).tobytes() == reference_wavefunction_table(40, x).tobytes()
 
 
 class TestMarginalEntropy:
