@@ -28,18 +28,37 @@ even in k_x and in k_p: its pass along p transforms its first ceil(n/2)
 rows two to a complex FFT row, as its real and imaginary parts, and copies
 the rest; its pass along x takes two columns to an FFT row and computes
 only k_x <= 0, a real quarter lattice.  Every other grid takes the half
-lattice on all its rows.  Each input is transformed in port order to a
-lattice of its own, and the product is formed block by block on the way
-back.  When both inputs are doubly even, so is the output, and the way back
-computes only its first ceil(n/2) columns in x.  At 128**2 to 512**2
-such outputs lie within 7.1e-15 of the exact ones, Fock-basis or Gaussian,
-and within 1.6e-14 of the general path's.  Every pass splits its rows into
-near-equal blocks of at most _BLOCK_ROWS, as many as a multiple of the
-workers, and runs them on a thread pool sized by the usable cores and made
-on first use; each FFT row meets the same numpy call in any block, so the
-output bits do not depend on the worker count.  For the smooth,
-Gaussian-damped fields a Wigner grid holds, the discretization error is far
-below the grid normalization tolerance.
+lattice on all its rows.  Both inputs take their pass along p, in port
+order, then their pass along x, each to a lattice of its own, and the
+product is formed block by block on the way back.  When both inputs are
+doubly even, so is the output, and the way back computes only its first
+ceil(n/2) columns in x.  At 128**2 to 512**2 such outputs lie within
+7.1e-15 of the exact ones, Fock-basis or Gaussian, and within 1.6e-14 of
+the general path's.  Every pass splits its rows into near-equal blocks of
+at most _BLOCK_ROWS, as many as a multiple of the workers, and runs them
+on a thread pool sized by the usable cores and made on first use; each FFT
+row meets the same numpy call in any block, so the output bits do not
+depend on the worker count or the blocks.  For the smooth, Gaussian-damped
+fields a Wigner grid holds, the discretization error is far below the grid
+normalization tolerance.
+
+The band is cut where no output value can move.  The characteristic
+functions are Gaussian-damped, but the lattice spans the whole band, so
+most product rows hold only roundoff.  After the pass along p, t[a, j_p],
+each entry of row j_p of the lattice is a sum over a of t[a, j_p] times
+unit phases, so b[j_p] = sum_a |t[a, j_p]| bounds it.  An output value is
+(h**2 dk / 2 pi)**2 times a sum of the product over the m x m lattice times
+unit phases, in which row j_p and its conjugate row m - j_p hold 2 m
+entries: they move it by at most
+reach[j_p] = 2 m (h**2 dk / 2 pi)**2 b_A[j_p] b_B[j_p].  lo is the largest
+row index with reach[0] + ... + reach[lo - 1] <= BAND_TOL = 2**-60, and
+row m/2 (k_p = 0) is always kept.  Only rows lo..m/2 take the pass along x
+and the first step of the way back; the rows below lo enter the second
+step as exact zeros.  lo is fixed before any block of the pass along x
+runs, so the bits still do not depend on the blocks.  A grid-convolve
+benchmark op keeps 32 to 66 of the 161 rows at 256**2 and 30 to 64 of the
+321 at 512**2 (seeds 201 to 203); a grid with content up to k_nyq keeps
+every row.
 
 Fock-diagonal inputs cross the splitter exactly in the Fock basis: on the
 N-photon subspace it is a spin-N/2 rotation, so each output photon
@@ -91,6 +110,10 @@ _log = logging.getLogger(__name__)
 #: ln k! for every photon number k a mixture may hold
 _LOG_FACTORIALS = np.array([math.lgamma(k + 1) for k in range(N_MAX + 1)])
 _LOG_FACTORIALS.flags.writeable = False
+
+#: most that the product rows a convolution skips may move any of its output
+#: values, summed over the rows (see convolve_beamsplitter)
+BAND_TOL = 2.0 ** -60
 
 #: most rows in one block of the convolution's FFT passes
 _BLOCK_ROWS = 64
@@ -317,17 +340,6 @@ def _lattice_dft(x: np.ndarray, x0: float, h: float, k0: float, dk: float,
     return out
 
 
-def _half_lattice_dft(x: np.ndarray, x0: float, h: float, k0: float,
-                      dk: float, m: int) -> np.ndarray:
-    """sum_g x[g] exp(-i (x0 + g h) . k) at k_j = k0 + j dk, out[j_p, j_x].
-
-    j_x < m and j_p <= m/2 for an even m: for a real array and k0 = -(m/2) dk,
-    the rows j_p > m/2 are conjugates, as k_{m-j} = -k_j.  The pass along x
-    reads the columns of the pass along p by blocks."""
-    t = _lattice_dft(x, x0, h, k0, dk, m // 2 + 1)
-    return _lattice_dft(t.T, x0, h, k0, dk, m)
-
-
 def _doubly_even(x: np.ndarray) -> bool:
     """Whether x[a] == x[n-1-a] and x[a, b] == x[a, n-1-b], as in every grid of a
     phase-invariant state (a signed zero matches either sign, which moves no
@@ -341,23 +353,36 @@ def _doubly_even(x: np.ndarray) -> bool:
             and np.array_equal(x[:rows, : n // 2], x[:rows, ::-1][:, : n // 2]))
 
 
-def _quarter_lattice_dft(x: np.ndarray, x0: float, h: float, k0: float,
-                         dk: float, m: int) -> np.ndarray:
-    """sum_g x[g] exp(-i (x0 + g h) . k) at k_j = k0 + j dk, out[j_p, j_x],
-    for j_p, j_x <= m/2, of a doubly even x on a centred window and lattice.
+def _pass_along_p(x: np.ndarray, even: bool, x0: float, h: float, k0: float,
+                  dk: float, m: int) -> np.ndarray:
+    """t[a, j_p] = sum_b x[a, b] exp(-i (x0 + b h) k_{j_p}), k_j = k0 + j dk,
+    for j_p <= m/2: for a real x, an even m and k0 = -(m/2) dk, the rows
+    j_p > m/2 of the half lattice are conjugates, as k_{m-j} = -k_j.
 
-    With x0 = -(n-1) h / 2 and k0 = -(m/2) dk, each sum is real and even in
-    each k, as k_{m-j} = -k_j: out is real, and column j_x > m/2 of the half
-    lattice is column m - j_x.  The pass along p transforms the first
-    ceil(n/2) rows two to an FFT row and copies the rest; the pass along x
-    takes the columns two to an FFT row and computes only j_x <= m/2, at
-    FFT length _fast_len(n + m//2).
+    With ``even``, x is doubly even (see _doubly_even) on a centred window,
+    x0 = -(n-1) h / 2: each sum is real and row n-1-a of t is row a, so the
+    first ceil(n/2) rows are transformed two to an FFT row and the rest are
+    copied.
     """
+    if not even:
+        return _lattice_dft(x, x0, h, k0, dk, m // 2 + 1)
     n = x.shape[0]
-    half = m // 2 + 1
-    t = _lattice_dft(x[: n - n // 2], x0, h, k0, dk, half, pairs=True)
-    t = np.concatenate([t, t[: n // 2][::-1]])
-    return _lattice_dft(t.T, x0, h, k0, dk, half, pairs=True)
+    t = _lattice_dft(x[: n - n // 2], x0, h, k0, dk, m // 2 + 1, pairs=True)
+    return np.concatenate([t, t[: n // 2][::-1]])
+
+
+def _pass_along_x(t: np.ndarray, lo: int, x0: float, h: float, k0: float,
+                  dk: float, m: int) -> np.ndarray:
+    """out[j_p - lo, j_x] = sum_a t[a, j_p] exp(-i (x0 + a h) k_{j_x}) for
+    lo <= j_p <= m/2: the half lattice from row lo, j_x < m, of a complex t.
+
+    A real t, from a doubly even x, is even in k_x too: its columns go two to
+    an FFT row and only j_x <= m/2 is computed, at FFT length
+    _fast_len(n + m//2), a real quarter lattice whose column j_x > m/2 is
+    column m - j_x.  The pass reads the columns of t by blocks.
+    """
+    pairs = t.dtype == float
+    return _lattice_dft(t.T[lo:], x0, h, k0, dk, m // 2 + 1 if pairs else m, pairs=pairs)
 
 
 def convolve_beamsplitter(wa: WignerGrid, wb: WignerGrid, eta: float) -> WignerGrid:
@@ -376,6 +401,8 @@ def convolve_beamsplitter(wa: WignerGrid, wb: WignerGrid, eta: float) -> WignerG
     tests' convolutions (an output centred at x = 6 of the extent 8) and
     1.9e-12 over the grid-convolve benchmark's outputs at seed 201.  Grids
     too coarse for the state, such as 33**2 at extent 8, can fail it.
+    Product rows whose summed bound on any output value stays within
+    BAND_TOL are skipped (module docstring).
     """
     if not 0.0 < eta < 1.0:
         raise ValueError("beam-splitter transmittance must lie strictly between 0 and 1")
@@ -391,46 +418,57 @@ def convolve_beamsplitter(wa: WignerGrid, wb: WignerGrid, eta: float) -> WignerG
     dk = 2.0 * k_nyquist / m
     sa, sb = math.sqrt(eta), math.sqrt(1.0 - eta)
 
-    # sum over the grid of values * exp(-i scale k . xi), k_j = -k_nyquist + j dk,
-    # in port order: a real quarter lattice for a doubly even input, as the
-    # window is centred, else a half lattice.  A second quarter lattice is
-    # multiplied into the first; a second half lattice is multiplied into the
-    # first by blocks on the way back
+    # sum over the grid of values * exp(-i scale k . xi), k_j = -k_nyquist + j dk:
+    # both passes along p in port order, then, from the band's first kept row
+    # lo, both passes along x: a real quarter lattice for a doubly even input,
+    # as the window is centred, else a half lattice.  A second quarter lattice
+    # is multiplied into the first; a second half lattice is multiplied into
+    # the first by blocks on the way back
     even = [_doubly_even(w.values) for w in (wa, wb)]
+    scales = (sa, sb)
+    firsts = [_pass_along_p(w.values, e, -wa.extent, h, -s * k_nyquist, s * dk, m)
+              for w, e, s in zip((wa, wb), even, scales)]
+    # sum_a |t[a, j_p]| bounds every entry of lattice row j_p, so product row
+    # j_p and its conjugate move an output value by at most reach[j_p]
+    bound_a, bound_b = (np.abs(t).sum(axis=0) for t in firsts)
+    reach = (2 * m * (h * h * dk / (2.0 * math.pi)) ** 2) * bound_a * bound_b
+    dropped = np.cumsum(reach)
+    lo = min(int(np.searchsorted(dropped, BAND_TOL, side="right")), m // 2)
     halves, quarter = [], None
-    for doubly_even, w, scale in zip(even, (wa, wb), (sa, sb)):
-        args = (w.values, -wa.extent, h, -scale * k_nyquist, scale * dk, m)
+    for doubly_even, scale in zip(even, scales):
+        # each pass along p is dropped once its pass along x is made
+        lattice = _pass_along_x(firsts.pop(0), lo, -wa.extent, h, -scale * k_nyquist, scale * dk, m)
         if not doubly_even:
-            halves.append(_half_lattice_dft(*args))
+            halves.append(lattice)
         elif quarter is None:
-            quarter = _quarter_lattice_dft(*args)
+            quarter = lattice
         else:
-            quarter *= _quarter_lattice_dft(*args)
+            quarter *= lattice
     half = m // 2 + 1
-    # the product is formed in the first half lattice, if there is one
-    product = halves[0] if halves else np.empty((half, m), dtype=complex)
     # column j_x > m/2 of a quarter lattice is its column m - j_x
     mirror = np.r_[:half, m // 2 - 1:0:-1]
     # back to [x, p]: as dk h = 2 pi / m, exp(i k_j x_a) = exp(-i k_j extent)
     # (-1)**a exp(2 pi i j a / m), a length-m inverse DFT of a Hermitian array
     phase = np.exp(-1j * wa.extent * (-k_nyquist + dk * np.arange(m)))
     # irfft2(product, s=(m, m), axes=(1, 0))[:n, :n] as its two steps: ifft
-    # along j_x, then irfft along j_p of only the n columns the crop keeps
-    kept = product[:, :n]
+    # along j_x of the kept rows, then irfft along j_p of only the n columns
+    # the crop keeps, where the rows below lo are exact zeros
+    kept = np.zeros((half, n), dtype=complex)
     # h**2 per forward sum, (dk / 2 pi)**2 back, and the m**2 the inverse divides by
     sign = (m * h * h * dk / (2.0 * math.pi)) * (-1.0) ** np.arange(n)
 
     def inverse_rows(s, e):
-        rows = product[s:e]
+        # rows lo + s .. lo + e - 1 of the product, formed in the first half
+        # lattice if there is one; else the phases and the quarter lattice are it
+        rows = halves[0][s:e] if halves else np.empty((e - s, m), dtype=complex)
         for other in halves[1:]:
             rows *= other[s:e]
-        # with no half lattice, the phases and the quarter lattice are the product
-        factor = np.multiply(phase[s:e, None], phase, out=None if halves else rows)
+        factor = np.multiply(phase[lo + s:lo + e, None], phase, out=None if halves else rows)
         if quarter is not None:
             factor *= quarter[s:e, mirror]
         if halves:
             rows *= factor
-        np.fft.ifft(rows, axis=1, out=rows)
+        kept[lo + s:lo + e] = np.fft.ifft(rows, axis=1, out=rows)[:, :n]
 
     def inverse_columns(s, e):
         np.multiply(np.fft.irfft(kept[:, s:e], m, axis=0)[:n],
@@ -438,7 +476,7 @@ def convolve_beamsplitter(wa: WignerGrid, wb: WignerGrid, eta: float) -> WignerG
 
     # the output of two doubly even inputs is even in x: column n-1-a is column a
     columns = n - n // 2 if all(even) else n
-    _for_blocks(inverse_rows, half)
+    _for_blocks(inverse_rows, half - lo)
     # their last use: a lattice still held when the output is made slows the
     # way back, 1.8 ms where it takes 0.85 ms for a 512**2 Fock grid with the vacuum
     halves = quarter = None
@@ -448,10 +486,12 @@ def convolve_beamsplitter(wa: WignerGrid, wb: WignerGrid, eta: float) -> WignerG
     values = values.T
     if _log.isEnabledFor(logging.DEBUG):
         _log.debug("convolved %dx%d grid at eta %.6g: lattice %d, %d workers; A %s, B %s; "
+                   "band from row %d, %d of %d rows kept, dropped rows bound %.3e; "
                    "%d rows back along x in %d blocks, %d columns back in %d blocks, "
                    "mass %.15g, min W %.6e", n, n, eta, m, _WORKERS,
                    *("doubly even" if e else "general" for e in even),
-                   half, len(_spans(half)), columns, len(_spans(columns)),
+                   lo, half - lo, half, dropped[lo - 1] if lo else 0.0,
+                   half - lo, len(_spans(half - lo)), columns, len(_spans(columns)),
                    float(values.sum()) * h * h, float(values.min()))
     return WignerGrid(values, wa.extent, mass_tol=1e-5)
 
@@ -466,12 +506,15 @@ def husimi_phase_invariant(p: PhotonMixture, r):
     if not ((r >= 0) & (r < math.inf)).all():
         raise ValueError("radius must be finite and non-negative")
     scalar = r.ndim == 0
-    u = np.atleast_1d(r * r).ravel()
     ks = np.nonzero(p.probs > 0)[0]
     log_p = np.log(p.probs[ks])
     log_fact = _LOG_FACTORIALS[ks]
     # ln p_k - u + k ln u - ln k!, summed in that order in one table
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        u = np.atleast_1d(r * r).ravel()
+        # past r = 1.34e154, r**2 overflows: Q has long since underflowed to 0,
+        # and reads 0 at the largest double too
+        np.minimum(u, 1.7976931348623157e308, out=u)
         log_u = np.log(u)  # -inf at u = 0
         terms = np.subtract.outer(log_p, u)
         terms += np.multiply.outer(ks, log_u)

@@ -99,14 +99,13 @@ def wigner_entropy_grid(grid: WignerGrid) -> float:
     return float(-np.sum(positive * np.log(positive)) * cell)
 
 
-def _sigma_profile(s: SigmaState):
-    """W(u) of sigma(m, n) in factored form, u = r**2, and its touches.
+def _sigma_wigner(s: SigmaState):
+    """W(u) of sigma(m, n) in factored form, u = r**2.
 
     pi W is the square of L_lo^(d)(u) exp(-u/2) times sqrt(u / (lo + j)),
     j = 1..d: each factor rounds on its own, where ln(lo!/hi!) + d ln u
     would cancel terms of size d ln u, and the product starts from the
-    damped polynomial, so it never overflows.  The touches are the roots of
-    L_lo^(d), eigenvalues of its Jacobi matrix (Golub & Welsch 1969).
+    damped polynomial, so it never overflows.
     """
     lo, d = min(s.m, s.n), abs(s.m - s.n)
 
@@ -116,10 +115,17 @@ def _sigma_profile(s: SigmaState):
             root *= np.sqrt(u / j)
         return root * root / math.pi
 
+    return wigner
+
+
+def _sigma_touches(s: SigmaState) -> np.ndarray:
+    """The touches of sigma(m, n) in u = r**2: the roots of L_lo^(d),
+    eigenvalues of its Jacobi matrix (Golub & Welsch 1969)."""
+    lo, d = min(s.m, s.n), abs(s.m - s.n)
     k = np.arange(lo)
     jacobi = np.diag(2.0 * k + 1.0 + d)
     jacobi[k[1:], k[:-1]] = -np.sqrt(k[1:] * (k[1:] + d))
-    return wigner, np.linalg.eigvalsh(jacobi)
+    return np.linalg.eigvalsh(jacobi)
 
 
 def wigner_renyi(p: PhotonMixture | SigmaState, alpha: float,
@@ -152,7 +158,9 @@ def wigner_renyi(p: PhotonMixture | SigmaState, alpha: float,
     sigma, p = (p, p.coeffs) if isinstance(p, SigmaState) else (None, p)
     if sigma and math.isfinite(alpha):
         _log.debug("order %g: sigma(m, n), positive by construction", alpha)
-        wigner, touches = _sigma_profile(sigma)
+        wigner = _sigma_wigner(sigma)
+        # only orders up to 1 split at the touches
+        touches = _sigma_touches(sigma) if alpha <= 1.0 else None
     else:
         if math.isfinite(alpha) and is_passive(p):
             _log.debug("order %g: passive, positive by construction", alpha)

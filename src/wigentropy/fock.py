@@ -155,9 +155,12 @@ def wigner_fock(n: int, x, p):
     p = np.asarray(p, dtype=float)
     if not (np.isfinite(x).all() and np.isfinite(p).all()):
         raise ValueError("phase-space coordinates must be finite")
-    t = 2.0 * (x * x + p * p)
-    values = laguerre_scaled_all(n, t)[n]
-    result = (-1.0) ** n * values / math.pi
+    # where t overflows (x**2 + p**2 > 8.99e307) W has long since underflowed to 0
+    with np.errstate(over="ignore"):
+        t = 2.0 * (x * x + p * p)
+    far = t == math.inf
+    values = laguerre_scaled_all(n, np.where(far, 0.0, t))[n]
+    result = np.where(far, 0.0, (-1.0) ** n * values / math.pi)
     return float(result) if result.ndim == 0 else result
 
 

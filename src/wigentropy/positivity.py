@@ -152,7 +152,11 @@ def radial_wigner(p: PhotonMixture, r):
     r = np.asarray(r, dtype=float)
     if not ((r >= 0) & (r < math.inf)).all():
         raise ValueError("radius must be finite and non-negative")
-    values = _radial_values(_signed_coeffs(p), r)
+    # where 2 r**2 overflows (r > 9.48e153) W has long since underflowed to 0
+    with np.errstate(over="ignore"):
+        far = 2.0 * r * r == math.inf
+    values = _radial_values(_signed_coeffs(p), np.where(far, 0.0, r))
+    values[far] = 0.0
     return float(values) if values.ndim == 0 else values
 
 

@@ -4,6 +4,7 @@ import multiprocessing
 import sys
 import threading
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -17,10 +18,8 @@ from wigentropy.beamsplitter import (
     WignerGrid,
     _doubly_even,
     _fast_len,
-    _half_lattice_dft,
     _lattice_dft,
     _lattice_size,
-    _quarter_lattice_dft,
     convolve_beamsplitter,
     fock_oracle_sigma,
     grid_from_gaussian,
@@ -67,7 +66,7 @@ def doubly_mirrored(x):
 
 
 def half_lattice_direct(x, x0, h, m):
-    """(direct, k0, dk): the half-lattice sum _half_lattice_dft evaluates, summed
+    """(direct, k0, dk): the half-lattice sum the two passes evaluate, summed
     directly on the convolution's k grid for m points per axis."""
     n = x.shape[0]
     xi = x0 + np.arange(n) * h
@@ -82,17 +81,38 @@ def half_lattice_direct(x, x0, h, m):
 
 @pytest.fixture
 def dft_rows(monkeypatch):
-    """FFT rows of each _lattice_dft call the module makes, in call order:
-    one per row of x, or one per two with ``pairs``."""
-    rows = []
+    """(pass, FFT rows) of each _lattice_dft call the module makes, in call
+    order: "p" or "x" for the pass that makes it, then one FFT row per row of
+    x, or one per two with ``pairs``."""
+    rows, passes = [], []
     real = beamsplitter._lattice_dft
 
     def counting(x, *args, **kwargs):
-        rows.append(-(-x.shape[0] // 2) if kwargs.get("pairs") else x.shape[0])
+        rows.append((passes[-1], -(-x.shape[0] // 2) if kwargs.get("pairs") else x.shape[0]))
         return real(x, *args, **kwargs)
 
+    for axis in "px":
+        def tagged(*args, real_pass=getattr(beamsplitter, f"_pass_along_{axis}"), axis=axis):
+            passes.append(axis)
+            return real_pass(*args)
+
+        monkeypatch.setattr(beamsplitter, f"_pass_along_{axis}", tagged)
     monkeypatch.setattr(beamsplitter, "_lattice_dft", counting)
     return rows
+
+
+def band_start(wa, wb, eta):
+    """lo, the first product row convolve_beamsplitter keeps for this pair
+    (the output is not checked)."""
+    lo = []
+    real = beamsplitter._pass_along_x
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(beamsplitter, "_pass_along_x",
+                      lambda t, first, *args: lo.append(first) or real(t, first, *args))
+        patch.setattr(beamsplitter, "WignerGrid", lambda values, *args, **kwargs: values)
+        convolve_beamsplitter(wa, wb, eta)
+    assert lo[0] == lo[1]
+    return lo[0]
 
 
 def displaced_squeezed_gaussian(rng):
@@ -258,16 +278,19 @@ class TestLatticeDFT:
     @pytest.mark.parametrize("n", [7, 12])
     def test_half_lattice_matches_direct_sum(self, rng, dft_rows, n):
         # m = 2n, the convolution's lattice (8 and 16) and 2n - 4 (10 and 20);
-        # a grid even in x only takes every row too
+        # a grid even in x only takes every row too; the pass along x makes
+        # the rows from any first row lo to m/2
         x0, h = -1.3, 0.21
         for x in (rng.normal(size=(n, n)), mirrored(rng.normal(size=(n, n)))):
             for m in (2 * n, _lattice_size(n), 2 * n - 4):
-                dft_rows.clear()
                 direct, k0, dk = half_lattice_direct(x, x0, h, m)
-                out = _half_lattice_dft(x, x0, h, k0, dk, m)
-                assert dft_rows == [n, m // 2 + 1]
-                assert out.shape == (m // 2 + 1, m)
-                assert np.max(np.abs(out - direct)) <= 1e-12 * np.max(np.abs(direct))
+                for lo in (0, 1, m // 2):
+                    dft_rows.clear()
+                    t = beamsplitter._pass_along_p(x, False, x0, h, k0, dk, m)
+                    out = beamsplitter._pass_along_x(t, lo, x0, h, k0, dk, m)
+                    assert dft_rows == [("p", n), ("x", m // 2 + 1 - lo)]
+                    assert out.shape == (m // 2 + 1 - lo, m)
+                    assert np.max(np.abs(out - direct[lo:])) <= 1e-12 * np.max(np.abs(direct))
 
     @pytest.mark.parametrize("n", [2, 3, 7, 8, 12])
     def test_quarter_lattice_matches_direct_sum(self, rng, dft_rows, n):
@@ -277,30 +300,38 @@ class TestLatticeDFT:
         x0 = -(n - 1) * h / 2
         x = doubly_mirrored(rng.normal(size=(n, n)))
         for m in (2 * n, _lattice_size(n), max(2, 2 * n - 4)):
-            dft_rows.clear()
             direct, k0, dk = half_lattice_direct(x, x0, h, m)
-            out = _quarter_lattice_dft(x, x0, h, k0, dk, m)
-            assert dft_rows == [-(-(n - n // 2) // 2), -(-(m // 2 + 1) // 2)]
-            assert out.dtype == float and out.shape == (m // 2 + 1, m // 2 + 1)
             mirror = np.r_[: m // 2 + 1, m // 2 - 1 : 0 : -1]
-            assert np.max(np.abs(out[:, mirror] - direct)) <= 1e-12 * np.max(np.abs(direct))
+            for lo in (0, 1, m // 2):
+                dft_rows.clear()
+                t = beamsplitter._pass_along_p(x, True, x0, h, k0, dk, m)
+                out = beamsplitter._pass_along_x(t, lo, x0, h, k0, dk, m)
+                assert dft_rows == [("p", -(-(n - n // 2) // 2)), ("x", -(-(m // 2 + 1 - lo) // 2))]
+                assert out.dtype == float and out.shape == (m // 2 + 1 - lo, m // 2 + 1)
+                assert np.max(np.abs(out[:, mirror] - direct[lo:])) <= 1e-12 * np.max(np.abs(direct))
 
     @pytest.mark.parametrize("n", [64, 65])
     def test_phase_invariant_and_centred_grids_take_half_the_rows(self, rng, dft_rows, n):
         # doubly even: half the rows, two to an FFT row, then half the
-        # frequencies along x, two columns to an FFT row; inputs in port order
+        # frequencies along x, two columns to an FFT row; the passes along p
+        # in port order, then those along x over the kept rows.  The band
+        # reaches k_nyq at 64**2 and 65**2 (41 rows kept of 41) but for the
+        # centred Gaussian, narrow in x (37)
         m = _lattice_size(n)
         other = displaced_squeezed_gaussian(rng)
         skewed = grid_from_gaussian(other, 8.0, n)
         centred = GaussianState([0.0, 0.0], np.diag([0.3, 1.2]))
-        even, general = [-(-(n - n // 2) // 2), -(-(m // 2 + 1) // 2)], [n, m // 2 + 1]
-        for grid in (grid_from_mixture(VACUUM, 8.0, n), grid_from_mixture(fock_mixture(3), 8.0, n),
-                     grid_from_mixture(thermal_mixture(1.0), 8.0, n),
-                     grid_from_gaussian(centred, 8.0, n)):
+        even_p, general_p = ("p", -(-(n - n // 2) // 2)), ("p", n)
+        for grid, kept in ((grid_from_mixture(VACUUM, 8.0, n), 41),
+                           (grid_from_mixture(fock_mixture(3), 8.0, n), 41),
+                           (grid_from_mixture(thermal_mixture(1.0), 8.0, n), 41),
+                           (grid_from_gaussian(centred, 8.0, n), 37)):
+            even_x, general_x = ("x", -(-kept // 2)), ("x", kept)
             dft_rows.clear()
             convolve_beamsplitter(grid, skewed, 0.5)
             convolve_beamsplitter(skewed, grid, 0.5)
-            assert dft_rows == even + general + general + even
+            assert dft_rows == [even_p, general_p, even_x, general_x,
+                                general_p, even_p, general_x, even_x]
         # even in x only: the general path, every row and every frequency
         # along x.  Measured 2.6e-12 to 2.9e-12 from the analytic output at
         # 64**2 and 65**2, near p = 5: the window cuts the input's tail at
@@ -308,7 +339,7 @@ class TestLatticeDFT:
         dft_rows.clear()
         even_in_x = GaussianState([0.0, 0.7], np.diag([0.3, 1.2]))
         out = convolve_beamsplitter(grid_from_gaussian(even_in_x, 8.0, n), skewed, 0.5)
-        assert dft_rows == [n, m // 2 + 1, n, m // 2 + 1]
+        assert dft_rows == [("p", n), ("p", n), ("x", m // 2 + 1), ("x", m // 2 + 1)]
         mixed = GaussianState(math.sqrt(0.5) * (even_in_x.mean + other.mean),
                               0.5 * (even_in_x.cov + other.cov))
         assert np.max(np.abs(out.values - grid_from_gaussian(mixed, 8.0, n).values)) <= 5e-12
@@ -320,16 +351,17 @@ class TestLatticeDFT:
         # n-2, but not in p; without it, not in x either.  Measured 1.1e-15
         # at 65**2 and 2.5e-15 at 128**2 from the doubly even pair; at 64**2
         # the general path keeps an odd part in x of 4.7e-11, from the
-        # unpaired k = -k_nyq column, which the doubly even path drops
+        # unpaired k = -k_nyq column, which the doubly even path drops.  The
+        # band keeps 41 rows of 41 at 65**2 and 51 of 65 at 128**2
         grid = grid_from_mixture(fock_mixture(3), 8.0, n)
         values = grid.values.copy()
         for a in (1, n - 2) if mirror_row else (1,):
             values[a, n - 1] = np.nextafter(values[a, n - 1], np.inf)
         broken = WignerGrid(values, 8.0)
         assert [_doubly_even(grid.values), _doubly_even(values)] == [True, False]
-        m = _lattice_size(n)
+        kept = {65: 41, 128: 51}[n]
         out = convolve_beamsplitter(broken, grid, 0.5)
-        assert dft_rows == [n, m // 2 + 1, -(-(n - n // 2) // 2), -(-(m // 2 + 1) // 2)]
+        assert dft_rows == [("p", n), ("p", -(-(n - n // 2) // 2)), ("x", kept), ("x", -(-kept // 2))]
         expected = convolve_beamsplitter(grid, grid, 0.5).values
         assert np.max(np.abs(out.values - expected)) <= 5e-15
 
@@ -504,10 +536,11 @@ class TestConvolution:
 
     @pytest.mark.parametrize("pair", ["fock", "gaussian"])
     def test_transient_memory(self, monkeypatch, rng, pair):
-        # each input's lattice, one pass-1 output, one block's workspace and
-        # the output: measured on one worker at 512**2, 7.5 MB for the Fock
-        # pair (two real quarter lattices) and 10.7 MB for the general
-        # Gaussian pair (two half lattices)
+        # both passes along p, held until the band is read, each input's
+        # kept rows, one block's workspace, the rows of the way back and the
+        # output: measured on one worker at 512**2, 7.0 MB for the Fock pair
+        # (two real quarter lattices) and 7.4 MB for the general Gaussian
+        # pair (two half lattices), where every row took 7.5 and 10.7 MB
         monkeypatch.setattr(beamsplitter, "_WORKERS", 1)
         if pair == "fock":
             ga = grid_from_mixture(PhotonMixture([0.2, 0.5, 0.3]), 8.0, 512)
@@ -525,6 +558,78 @@ class TestConvolution:
         assert peak <= 18e6
 
 
+def full_lattice(grid, scale, m):
+    """An input's half lattice on every row, rescaled by scale, through the
+    convolution's own passes; a quarter lattice is widened by its mirror."""
+    n, h = grid.resolution, grid.step
+    dk = 2.0 * math.pi / (m * h)
+    even = _doubly_even(grid.values)
+    args = (-grid.extent, h, -scale * (m // 2) * dk, scale * dk, m)
+    t = beamsplitter._pass_along_p(grid.values, even, *args)
+    lattice = beamsplitter._pass_along_x(t, 0, *args)
+    return t, lattice[:, np.r_[: m // 2 + 1, m // 2 - 1 : 0 : -1]] if even else lattice
+
+
+def way_back(product, grid, m):
+    """Output values of a product half lattice through one irfft2, the
+    transform convolve_beamsplitter takes in two steps."""
+    n, h = grid.resolution, grid.step
+    dk = 2.0 * math.pi / (m * h)
+    phase = np.exp(-1j * grid.extent * dk * (np.arange(m) - m // 2))
+    spectrum = product * phase[: m // 2 + 1, None] * phase
+    sign = (m * h * h * dk / (2.0 * math.pi)) * (-1.0) ** np.arange(n)
+    return (np.fft.irfft2(spectrum, s=(m, m), axes=(1, 0))[:n, :n] * np.outer(sign, sign)).T
+
+
+class TestBand:
+    @pytest.mark.parametrize("n", [256, 512])
+    def test_dropped_rows_stay_under_the_bound(self, rng, monkeypatch, n):
+        # the benchmark's sizes at extent 8: a Fock pair, a mixture with the
+        # vacuum, a Gaussian pair and a Gaussian with the vacuum.  The rows
+        # below lo, pushed through the way back on their own, move no output
+        # value by more than their summed bound, at most 2**-60.  Measured:
+        # moves of 1.3e-21 to 1.2e-20 under bounds of 1.9e-19 to 7.5e-19,
+        # with 45 to 69 of 161 rows kept at 256**2 and 46 to 71 of 321 at 512**2
+        m, h = _lattice_size(n), 16.0 / (n - 1)
+        vacuum = grid_from_mixture(VACUUM, 8.0, n)
+        mixture = PhotonMixture(rng.dirichlet(np.ones(8)))
+        pairs = [(grid_from_mixture(fock_mixture(7), 8.0, n), grid_from_mixture(fock_mixture(7), 8.0, n)),
+                 (grid_from_mixture(mixture, 8.0, n), vacuum),
+                 tuple(grid_from_gaussian(displaced_squeezed_gaussian(rng), 8.0, n) for _ in "ab"),
+                 (grid_from_gaussian(displaced_squeezed_gaussian(rng), 8.0, n), vacuum)]
+        for (wa, wb), eta in zip(pairs, (0.25, 0.5, 0.75, 0.5)):
+            lo = band_start(wa, wb, eta)
+            (ta, la), (tb, lb) = (full_lattice(g, s, m) for g, s in
+                                  ((wa, math.sqrt(eta)), (wb, math.sqrt(1.0 - eta))))
+            # 2 m (h**2 dk / 2 pi)**2 = 2 h**2 / m, as dk h = 2 pi / m
+            reach = 2 * h * h / m * np.abs(ta).sum(axis=0) * np.abs(tb).sum(axis=0)
+            product = la * lb
+            # the one-step way back is the convolution's, uncut
+            monkeypatch.setattr(beamsplitter, "BAND_TOL", 0.0)
+            assert np.max(np.abs(way_back(product, wa, m) - convolve_beamsplitter(wa, wb, eta).values)) <= 1e-14
+            monkeypatch.undo()
+            product[lo:] = 0.0
+            moved = np.max(np.abs(way_back(product, wa, m)))
+            assert moved <= reach[:lo].sum() <= 2.0 ** -60
+            # and the cut takes every row it may
+            assert 0 < lo < m // 2 and reach[: lo + 1].sum() > 2.0 ** -60
+
+    def test_band_reaching_k_nyq_keeps_every_row(self, rng, monkeypatch):
+        # random grids, and a Fock grid at 64**2, hold content up to the
+        # Nyquist row: no row is dropped, and the output is the uncut one
+        h = 16.0 / 255
+        noise = [WignerGrid(r / (r.sum() * h * h), 8.0) for r in (rng.random((256, 256)) for _ in "ab")]
+        skewed = grid_from_gaussian(displaced_squeezed_gaussian(rng), 8.0, 64)
+        pairs = [(*noise, 0.5), (grid_from_mixture(fock_mixture(3), 8.0, 64), skewed, 0.25)]
+        # compare the bare output values: random grids miss the output mass check
+        monkeypatch.setattr(beamsplitter, "WignerGrid", lambda values, *args, **kwargs: values)
+        assert [band_start(*pair) for pair in pairs] == [0, 0]
+        cut = [convolve_beamsplitter(*pair) for pair in pairs]
+        monkeypatch.setattr(beamsplitter, "BAND_TOL", 0.0)
+        for pair, values in zip(pairs, cut):
+            assert np.array_equal(convolve_beamsplitter(*pair), values)
+
+
 def _convolve_in_child(queue, grid):
     queue.put(convolve_beamsplitter(grid, grid, 0.5).values)
 
@@ -535,17 +640,26 @@ class TestBlockedPasses:
     def test_bits_independent_of_blocks_and_workers(self, rng, monkeypatch, n):
         h = 2.0 * 8.0 / (n - 1)
         # a general pair (one of them even in x only), a doubly even pair and
-        # a doubly even input against a general one
+        # a doubly even input against a general one; their random grids keep
+        # every row
         shapes = [(mirrored, np.asarray), (doubly_mirrored, doubly_mirrored),
                   (np.asarray, doubly_mirrored)]
         pairs = [[WignerGrid(r / (r.sum() * h * h), 8.0) for r in
                   (shape(rng.random((n, n))) for shape in pair)] for pair in shapes]
         assert [[_doubly_even(g.values) for g in pair] for pair in pairs] == [
             [False, False], [True, True], [False, True]]
-        # compare the bare output values: random grids miss the output mass check
-        monkeypatch.setattr(beamsplitter, "WignerGrid", lambda values, *args, **kwargs: values)
         calls = [(*pairs[0], eta) for eta in (0.25, 0.5, 0.75)]
         calls += [(*pairs[1], 0.25), (*pairs[2], 0.75)]
+        if 63 <= n <= 256:
+            # band-limited pairs, a Fock grid with the vacuum and a skewed
+            # Gaussian pair, whose passes along x and way back run on the
+            # kept rows only from 127**2 up; left out at 512**2, where they
+            # took the test from 3.6 s to 4.3 s (2 cores)
+            calls += [(grid_from_mixture(fock_mixture(3), 8.0, n), grid_from_mixture(VACUUM, 8.0, n), 0.5),
+                      (*(grid_from_gaussian(displaced_squeezed_gaussian(rng), 8.0, n) for _ in "ab"), 0.25)]
+            assert [band_start(*call) > 0 for call in calls[5:]] == [n >= 127] * 2
+        # compare the bare output values: random grids miss the output mass check
+        monkeypatch.setattr(beamsplitter, "WignerGrid", lambda values, *args, **kwargs: values)
         pooled = [convolve_beamsplitter(*call) for call in calls]
         for workers in (1, 2, 3):
             monkeypatch.setattr(beamsplitter, "_WORKERS", workers)
@@ -621,19 +735,21 @@ class TestBlockedPasses:
 
 class TestLogging:
     def test_debug_record_per_call(self, caplog):
-        # per call: one record per Bluestein pass, then the convolution's
+        # per call: one record per Bluestein pass, then the convolution's; at
+        # 64**2 the vacuum's band reaches k_nyq, so every row is kept
         grid = grid_from_mixture(VACUUM, 8.0, 64)
         with caplog.at_level(logging.DEBUG, logger="wigentropy.beamsplitter"):
             convolve_beamsplitter(grid, grid, 0.3)
             convolve_beamsplitter(grid, grid, 0.5)
         assert {record.levelno for record in caplog.records} == {logging.DEBUG}
         messages = [record.getMessage() for record in caplog.records]
-        passes = ["Bluestein pass: 16 FFT rows of length 108 in 1 blocks",
-                  "Bluestein pass: 21 FFT rows of length 108 in 1 blocks"] * 2
+        passes = ["Bluestein pass: 16 FFT rows of length 108 in 1 blocks"] * 2 + [
+            "Bluestein pass: 21 FFT rows of length 108 in 1 blocks"] * 2
         assert messages[:4] == messages[5:9] == passes
         assert len(messages) == 10
         for word in ("64x64", "eta 0.3", "lattice 80", "mass", "min W",
                      f"{beamsplitter._WORKERS} workers", "A doubly even, B doubly even",
+                     "band from row 0, 41 of 41 rows kept, dropped rows bound 0.000e+00",
                      "41 rows back along x", "32 columns back"):
             assert word in messages[4]
         assert messages[9].startswith("convolved 64x64 grid at eta 0.5")
@@ -648,21 +764,32 @@ class TestLogging:
             convolve_beamsplitter(even_in_x, vacuum, 0.5)
             convolve_beamsplitter(vacuum, vacuum, 0.5)
         messages = [record.getMessage() for record in caplog.records]
-        # the passes along p and x, A's then B's
-        even = ["Bluestein pass: 64 FFT rows of length 432 in 1 blocks",
-                "Bluestein pass: 81 FFT rows of length 432 in 2 blocks"]
-        general = ["Bluestein pass: 256 FFT rows of length 432 in 4 blocks",
-                   "Bluestein pass: 161 FFT rows of length 576 in 4 blocks"]
+        # the passes along p, A's then B's, then those along x over the kept
+        # rows: 46, 38 and 42 of 161, each pass along x in one block
+        even_p = "Bluestein pass: 64 FFT rows of length 432 in 1 blocks"
+        general_p = "Bluestein pass: 256 FFT rows of length 432 in 4 blocks"
+
+        def along_x(kept, even):
+            rows, size = (-(-kept // 2), 432) if even else (kept, 576)
+            return f"Bluestein pass: {rows} FFT rows of length {size} in 1 blocks"
+
         expected = [
-            (even + general, "A doubly even, B general", "256 columns back in 4 blocks"),
-            (general + even, "A general, B doubly even", "256 columns back in 4 blocks"),
-            (even + even, "A doubly even, B doubly even", "128 columns back in 2 blocks"),
+            ([even_p, general_p, along_x(46, True), along_x(46, False)], 115,
+             "A doubly even, B general", "256 columns back in 4 blocks"),
+            ([general_p, even_p, along_x(38, False), along_x(38, True)], 123,
+             "A general, B doubly even", "256 columns back in 4 blocks"),
+            ([even_p, even_p, along_x(42, True), along_x(42, True)], 119,
+             "A doubly even, B doubly even", "128 columns back in 2 blocks"),
         ]
         assert len(messages) == 5 * len(expected)
-        for k, (passes, *words) in enumerate(expected):
+        for k, (passes, lo, *words) in enumerate(expected):
             assert messages[5 * k:5 * k + 4] == passes
             message = messages[5 * k + 4]
-            for word in words + ["2 workers", "161 rows back along x in 4 blocks"]:
+            kept = 161 - lo
+            bound = float(message.split("dropped rows bound ")[1].split(";")[0])
+            assert 0.0 < bound <= beamsplitter.BAND_TOL
+            for word in words + ["2 workers", f"band from row {lo}, {kept} of 161 rows kept",
+                                 f"{kept} rows back along x in 1 blocks"]:
                 assert word in message
 
     def test_quiet_by_default(self, caplog):
@@ -714,6 +841,19 @@ class TestHusimi:
         for _ in range(10):
             p = PhotonMixture(rng.dirichlet(np.ones(8)))
             assert np.all(husimi_phase_invariant(p, rs) >= 0.0)
+
+    @pytest.mark.parametrize("r", [1e154, 1.35e154, 1e200])
+    def test_radius_whose_square_overflows_reads_zero(self, r):
+        # r**2 overflows past r = 1.34e154, where Q has long since underflowed
+        # to 0; it once read NaN with an overflow warning there (at 1e154,
+        # r**2 = 1e308 is finite).  Radii below keep their values bit for bit
+        p = PhotonMixture([0.2, 0.5, 0.3])
+        near = [0.0, 0.7, 3.0, 40.0, 1e150]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert husimi_phase_invariant(p, r) == husimi_phase_invariant(VACUUM, r) == 0.0
+            got = husimi_phase_invariant(p, np.array(near + [r]))
+        assert got[-1] == 0.0 and list(got[:-1]) == [husimi_phase_invariant(p, x) for x in near]
 
 
 class TestFockOracle:

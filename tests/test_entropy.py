@@ -174,7 +174,7 @@ class TestZeroBreakpoints:
             touches = positivity_report(state.coeffs).touches
             roots = roots_genlaguerre(lo, d)[0] if lo else np.empty(0)
             # the factored route's Jacobi eigenvalues: measured 7.7e-15
-            assert np.all(np.abs(entropy._sigma_profile(state)[1] / roots - 1.0) <= 1e-13)
+            assert np.all(np.abs(entropy._sigma_touches(state) / roots - 1.0) <= 1e-13)
             assert touches.size == lo, (state.m, state.n, touches)
             assert np.all(np.abs(touches / roots - 1.0) <= 1e-12), (state.m, state.n)
 
@@ -187,7 +187,7 @@ class TestZeroBreakpoints:
             touches = positivity_report(state.coeffs).touches
             assert touches.size == m
             assert np.max(np.abs(touches / roots_genlaguerre(m, 0)[0] - 1.0)) <= 2e-11, m
-            assert np.max(np.abs(touches / entropy._sigma_profile(state)[1] - 1.0)) <= 2e-11, m
+            assert np.max(np.abs(touches / entropy._sigma_touches(state) - 1.0)) <= 2e-11, m
 
     @pytest.mark.parametrize("a", [1e-3, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0])
     def test_arc_touch(self, a):
@@ -364,6 +364,18 @@ class TestRenyi:
 class TestSigmaRoute:
     """A SigmaState takes W in factored form, positive by construction."""
 
+    def test_touches_solved_only_for_orders_that_split_there(self, monkeypatch):
+        # the Jacobi eigenproblem of the touches took 18.5 us of a 164 us
+        # order-2 call on sigma(10, 10), whose integral never reads them
+        calls = []
+        real = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or real(a))
+        state = sigma_coefficients(10, 10)
+        wigner_renyi(state, 2.0)
+        assert calls == []
+        wigner_renyi(state, 1.0)
+        assert calls == [(10, 10)]
+
     def test_factored_matches_generic_wigner(self):
         # measured worst 7.1e-16 where |W| >= 1e-9, over 2001 radii each
         for total in range(41):
@@ -371,7 +383,7 @@ class TestSigmaRoute:
                 state = sigma_coefficients(m, total - m)
                 u = np.linspace(0.0, radial_cutoff(state.coeffs), 2001)
                 generic = radial_wigner(state.coeffs, np.sqrt(u))
-                factored = entropy._sigma_profile(state)[0](u)
+                factored = entropy._sigma_wigner(state)(u)
                 held = np.abs(generic) >= 1e-9
                 assert np.max(np.abs(factored - generic)[held]) <= 1.5e-15, (m, total - m)
 

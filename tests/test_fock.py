@@ -158,6 +158,20 @@ class TestWignerFock:
             with pytest.raises(ValueError, match="must be finite"):
                 wigner_fock(3, x, p)
 
+    @pytest.mark.parametrize("r", [1e154, 1e200])
+    def test_radius_whose_square_overflows_reads_zero(self, r):
+        # 2 (x**2 + p**2) overflows past r = 9.48e153, where W has long since
+        # underflowed to 0; it once read NaN with an overflow warning.  Points
+        # below keep their values bit for bit
+        xs = np.array([0.0, 0.7, 3.0, 40.0, 1e150, r])
+        below = np.array([laguerre_scaled_all(3, 2.0 * (x * x + 0.25))[3] * -1.0 / math.pi
+                          for x in xs[:-1]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert wigner_fock(3, r, 0.0) == wigner_fock(3, 0.0, r) == wigner_fock(0, r, r) == 0.0
+            got = wigner_fock(3, xs, 0.5)
+        assert got[-1] == 0.0 and np.array_equal(got[:-1], below)
+
 
 #: inputs of every shape the kernels take: 0-d, 1-D with the origin and far
 #: tails, and 2-D

@@ -2,6 +2,7 @@ import logging
 import math
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -454,6 +455,21 @@ class TestCurvedBoundary:
 def test_negative_or_nan_radius_rejected(call, r):
     with pytest.raises(ValueError, match="non-negative"):
         call(r)
+
+
+@pytest.mark.parametrize("r", [1e154, 1e200])
+def test_radius_whose_square_overflows_reads_zero(r):
+    # 2 r**2 overflows past r = 9.48e153, where W has long since underflowed
+    # to 0; it once read NaN with an overflow warning.  Radii below keep
+    # their values bit for bit
+    p = PhotonMixture([0.2, 0.5, 0.3])
+    near = np.array([0.0, 0.7, 3.0, 40.0, 1e150])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert radial_wigner(p, r) == 0.0
+        got = radial_wigner(p, np.append(near, r))
+    assert got[-1] == 0.0 and np.array_equal(got[:-1], positivity._radial_values(
+        positivity._signed_coeffs(p), near))
 
 
 class TestTwoPhotonRegion:
