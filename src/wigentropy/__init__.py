@@ -42,7 +42,7 @@ from .exceptions import (
     TruncationError,
     WigentropyError,
 )
-from .fock import marginal_density, marginal_entropy, wavefunction, wigner_fock
+from .fock import marginal_entropy
 from .gaussian import (
     GaussianState,
     SymplecticMap,
@@ -58,7 +58,6 @@ from .mixtures import (
     PassiveDecomposition,
     PhotonMixture,
     SigmaState,
-    compose_passive,
     extremal_passive,
     extremal_passive_from_sigmas,
     is_passive,
@@ -68,9 +67,7 @@ from .mixtures import (
 )
 from .positivity import (
     PositivityReport,
-    curved_boundary_residual,
     extremal_arc_point,
-    extremal_arc_wigner,
     positivity_report,
     radial_wigner,
     two_photon_mixture,

@@ -11,8 +11,8 @@ and its Wigner function is
 Wave functions are evaluated through the normalized Hermite-function
 recurrence psi_k = x sqrt(2/k) psi_{k-1} - sqrt((k-1)/k) psi_{k-2}, which
 is algebraically identical to the formula above but never leaves the
-bounded range of the functions themselves.  Wigner functions, of single
-Fock states and (in :mod:`positivity`) of their mixtures, come from the
+bounded range of the functions themselves.  Wigner functions of Fock
+states and their mixtures (:func:`positivity.radial_wigner`) come from the
 damped Laguerre table L_k(t) exp(-t/2), built by the Laguerre recurrence
 with the envelope folded into its first two rows.
 """
@@ -31,10 +31,7 @@ __all__ = [
     "N_MAX",
     "check_photon_number",
     "laguerre_scaled_all",
-    "wavefunction",
     "wavefunction_table",
-    "wigner_fock",
-    "marginal_density",
     "marginal_entropy",
     "density_entropy",
     "tail_cutoff",
@@ -52,8 +49,11 @@ _LOWER = [0.0] + [math.sqrt((k - 1) / k) for k in range(1, N_MAX + 1)]
 
 
 def check_photon_number(n: int) -> None:
-    """The one guard of the photon-number limit: ValueError below 0,
+    """The one guard of the photon-number limit: ValueError for anything but
+    a Python or numpy integer (booleans included) and below 0,
     TruncationError above N_MAX."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        raise ValueError(f"photon number {n!r} must be an integer, not {type(n).__name__}")
     if n < 0:
         raise ValueError(f"photon number {n} must be non-negative")
     if n > N_MAX:
@@ -138,38 +138,6 @@ def wavefunction_table(nmax: int, x) -> np.ndarray:
     return out if x.ndim == 1 else out.reshape((nmax + 1,) + x.shape)
 
 
-def wavefunction(n: int, x):
-    """Wave function psi_n(x) of the n-th Fock state."""
-    values = wavefunction_table(n, x)[n]
-    return float(values) if np.isscalar(x) or np.asarray(x).ndim == 0 else values
-
-
-def wigner_fock(n: int, x, p):
-    """Wigner function W_n(x, p) of the n-th Fock state.
-
-    Rotation invariant: depends on x, p only through x**2 + p**2.  Raises
-    ValueError at a non-finite x or p.
-    """
-    check_photon_number(n)
-    x = np.asarray(x, dtype=float)
-    p = np.asarray(p, dtype=float)
-    if not (np.isfinite(x).all() and np.isfinite(p).all()):
-        raise ValueError("phase-space coordinates must be finite")
-    # where t overflows (x**2 + p**2 > 8.99e307) W has long since underflowed to 0
-    with np.errstate(over="ignore"):
-        t = 2.0 * (x * x + p * p)
-    far = t == math.inf
-    values = laguerre_scaled_all(n, np.where(far, 0.0, t))[n]
-    result = np.where(far, 0.0, (-1.0) ** n * values / math.pi)
-    return float(result) if result.ndim == 0 else result
-
-
-def marginal_density(n: int, x):
-    """Position density rho_n(x) = psi_n(x)**2."""
-    psi = wavefunction(n, x)
-    return psi * psi
-
-
 def density_entropy(probs, spec: QuadratureSpec = DEFAULT_QUADRATURE) -> float:
     """Entropy of the position density sum_k probs[k] psi_k(x)**2.
 
@@ -193,7 +161,8 @@ def density_entropy(probs, spec: QuadratureSpec = DEFAULT_QUADRATURE) -> float:
     return entropy_integral(density, 0.0, cut, spec, weight=2.0, points=nodes[nodes >= 0.0])
 
 
-@lru_cache(maxsize=None)
+# typed, so a float or bool never hits an equal numpy integer's entry past the guard
+@lru_cache(maxsize=None, typed=True)
 def marginal_entropy(n: int, spec: QuadratureSpec = DEFAULT_QUADRATURE) -> float:
     """Shannon differential entropy of the n-th Fock state's position density.
 

@@ -109,8 +109,8 @@ def vacuum() -> GaussianState:
 
 def thermal(mean_photons: float) -> GaussianState:
     """Thermal state with the given mean photon number (isotropic covariance)."""
-    if mean_photons < 0:
-        raise ValueError("mean photon number must be non-negative")
+    if not 0 <= mean_photons < math.inf:
+        raise ValueError(f"mean photon number {mean_photons!r} must be finite and non-negative")
     return GaussianState((0.0, 0.0), (mean_photons + 0.5) * np.eye(2))
 
 

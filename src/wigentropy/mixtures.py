@@ -25,7 +25,6 @@ __all__ = [
     "is_passive",
     "extremal_passive",
     "passive_decompose",
-    "compose_passive",
     "sigma_coefficients",
     "extremal_passive_from_sigmas",
     "thermal_mixture",
@@ -147,23 +146,14 @@ def extremal_passive(n: int) -> PhotonMixture:
 def passive_decompose(p: PhotonMixture) -> PassiveDecomposition:
     """Weights e_k = (k+1)(p_k - p_{k+1}) over the equiprobable mixtures.
 
-    Exact inverse of :func:`compose_passive`; raises NotPassiveError when
-    any probability increases.
+    Recomposing sum_k e_k (equiprobable mixture of 0..k) gives p back;
+    raises NotPassiveError when any probability increases.
     """
     if not is_passive(p):
         raise NotPassiveError("probabilities increase somewhere; state is not passive")
     probs = np.append(p.probs, 0.0)
     ks = np.arange(len(p), dtype=float)
     return PassiveDecomposition((ks + 1.0) * (probs[:-1] - probs[1:]))
-
-
-def compose_passive(d: PassiveDecomposition) -> PhotonMixture:
-    """Mixture sum_k e_k * (equiprobable mixture of 0..k)."""
-    n = len(d)
-    probs = np.zeros(n)
-    for k, e in enumerate(d.weights):
-        probs[: k + 1] += e / (k + 1)
-    return PhotonMixture(probs)
 
 
 def _sigma_numerator(m: int, n: int, z: int) -> int:
@@ -189,8 +179,12 @@ def sigma_coefficients(m: int, n: int) -> SigmaState:
     the vector is correctly rounded at any m+n up to fock.N_MAX.  Symmetric
     in (m, n) by construction.
     """
-    for k in (m, n, m + n):
-        check_photon_number(k)
+    check_photon_number(m)
+    check_photon_number(n)
+    # Python ints, so numpy integers neither wrap in the total nor meet the
+    # factorials' unbounded ints in a shift
+    m, n = int(m), int(n)
+    check_photon_number(m + n)
     lo, hi = (m, n) if m <= n else (n, m)
     den = math.factorial(m) * math.factorial(n) << (m + n)
     coeffs = np.array([_sigma_numerator(lo, hi, z) / den for z in range(m + n + 1)])

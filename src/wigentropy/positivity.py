@@ -29,7 +29,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial.laguerre import lagval
 
 from .fock import N_MAX, laguerre_scaled_all
 from .mixtures import PhotonMixture
@@ -40,11 +39,9 @@ __all__ = [
     "radial_wigner",
     "radial_cutoff",
     "positivity_report",
-    "curved_boundary_residual",
     "two_photon_mixture",
     "two_photon_region_contains",
     "extremal_arc_point",
-    "extremal_arc_wigner",
 ]
 
 #: absolute tolerance on Wigner values (scale 1/pi) separating "negative"
@@ -224,25 +221,6 @@ def positivity_report(p: PhotonMixture) -> PositivityReport:
     return report
 
 
-def curved_boundary_residual(p: PhotonMixture, t: float) -> tuple[float, float]:
-    """Value and t-derivative of the alternating Laguerre sum at t = 2 r**2.
-
-    A mixture sits on the curved part of the positivity boundary when both
-    components vanish for some t >= 0 (the radial Wigner function and its
-    derivative share a root there).  The derivative's Laguerre coefficients
-    are the suffix sums -(s_{k+1} + ... + s_n) that positivity_report
-    builds Q from, so at t = 0 the slope is -sum_k k s_k; a double root
-    found there belongs to the flat facet of the region instead of the
-    curved boundary.
-    """
-    if not 0 <= t < math.inf:
-        raise ValueError("t must be finite and non-negative")
-    signed = _signed_coeffs(p)
-    # the zero top coefficient keeps the vacuum's slope series non-empty
-    slope = np.append(-np.cumsum(signed[:0:-1])[::-1], 0.0)
-    return float(lagval(t, signed)), float(lagval(t, slope))
-
-
 def two_photon_mixture(p1: float, p2: float) -> PhotonMixture:
     """Mixture (1-p1-p2, p1, p2) of the first three Fock states."""
     if not (p1 >= 0 and p2 >= 0 and p1 + p2 <= 1):
@@ -272,17 +250,3 @@ def extremal_arc_point(a: float) -> tuple[float, float]:
     if not 0.0 <= a <= 1.0:
         raise ValueError("arc parameter must lie in [0, 1]")
     return 0.5 * math.sqrt(1.0 - a * a), 0.25 * (a + 1.0)
-
-
-def extremal_arc_wigner(a: float, r: float) -> float:
-    """Closed-form radial Wigner function of the arc state with parameter a.
-
-    W_a(r) = (1/pi) exp(-r**2) (a+1)/2 (r**2 - 1 + sqrt((1-a)/(1+a)))**2,
-    a perfect square: non-negative with a double root where it touches zero.
-    """
-    if not 0.0 <= a <= 1.0:
-        raise ValueError("arc parameter must lie in [0, 1]")
-    if not 0 <= r < math.inf:
-        raise ValueError("radius must be finite and non-negative")
-    shift = math.sqrt((1.0 - a) / (1.0 + a))
-    return math.exp(-r * r) * 0.5 * (a + 1.0) * (r * r - 1.0 + shift) ** 2 / math.pi

@@ -13,11 +13,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from numpy.polynomial.laguerre import lagder, lagroots, lagsub, lagtrim
+from numpy.polynomial.laguerre import lagder, lagroots, lagsub, lagtrim, lagval
 
 from wigentropy import positivity
 from wigentropy.fock import N_MAX, laguerre_scaled_all
 from wigentropy.mixtures import (
+    PassiveDecomposition,
     PhotonMixture,
     extremal_passive,
     sigma_coefficients,
@@ -112,6 +113,35 @@ def fock_mixture(n: int) -> PhotonMixture:
 
 def reference_signed_coeffs(p: PhotonMixture) -> np.ndarray:
     return p.probs * ((-1.0) ** np.arange(len(p)))
+
+
+def curved_boundary_residual(p: PhotonMixture, t: float) -> tuple[float, float]:
+    """Value and t-derivative of the alternating Laguerre sum at t = 2 r**2, by
+    lagval: both vanish where W has a double root, on the curved boundary.
+    The derivative's coefficients are the suffix sums -(s_{k+1} + ... + s_n)."""
+    if not 0 <= t < math.inf:
+        raise ValueError("t must be finite and non-negative")
+    signed = reference_signed_coeffs(p)
+    # the zero top coefficient keeps the vacuum's slope series non-empty
+    slope = np.append(-np.cumsum(signed[:0:-1])[::-1], 0.0)
+    return float(lagval(t, signed)), float(lagval(t, slope))
+
+
+def extremal_arc_wigner(a: float, r: float) -> float:
+    """W(r) of the arc state extremal_arc_point(a) in closed form, a perfect square:
+    (1/pi) exp(-r**2) (a+1)/2 (r**2 - 1 + sqrt((1-a)/(1+a)))**2."""
+    if not 0 <= r < math.inf:
+        raise ValueError("radius must be finite and non-negative")
+    shift = math.sqrt((1.0 - a) / (1.0 + a))
+    return math.exp(-r * r) * 0.5 * (a + 1.0) * (r * r - 1.0 + shift) ** 2 / math.pi
+
+
+def compose_passive(d: PassiveDecomposition) -> PhotonMixture:
+    """Mixture sum_k e_k * (equiprobable mixture of 0..k): passive_decompose's inverse."""
+    probs = np.zeros(len(d))
+    for k, e in enumerate(d.weights):
+        probs[: k + 1] += e / (k + 1)
+    return PhotonMixture(probs)
 
 
 def reference_laguerre_scaled_all(nmax: int, t, d: int = 0) -> np.ndarray:

@@ -191,7 +191,8 @@ class TestZeroBreakpoints:
 
     @pytest.mark.parametrize("a", [1e-3, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0])
     def test_arc_touch(self, a):
-        # extremal_arc_wigner's double root r**2 = 1 - sqrt((1 - a)/(1 + a))
+        # the arc state's closed form (conftest.extremal_arc_wigner) has its
+        # double root at r**2 = 1 - sqrt((1 - a)/(1 + a))
         (touch,) = positivity_report(two_photon_mixture(*extremal_arc_point(a))).touches
         assert touch == pytest.approx(1.0 - math.sqrt((1.0 - a) / (1.0 + a)), rel=1e-12)
 

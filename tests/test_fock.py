@@ -1,5 +1,4 @@
 import math
-import warnings
 from functools import partial
 
 import numpy as np
@@ -7,7 +6,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import eval_hermite
 
-from conftest import reference_laguerre_scaled_all, reference_wavefunction_table
+from conftest import fock_mixture, reference_laguerre_scaled_all, reference_wavefunction_table
 from wigentropy.beamsplitter import fock_oracle_sigma, mix_through_beamsplitter
 from wigentropy.exceptions import TruncationError
 from wigentropy.fock import (
@@ -15,12 +14,9 @@ from wigentropy.fock import (
     check_photon_number,
     density_entropy,
     laguerre_scaled_all,
-    marginal_density,
     marginal_entropy,
     tail_cutoff,
-    wavefunction,
     wavefunction_table,
-    wigner_fock,
 )
 from wigentropy.mixtures import (
     THERMAL_MAX_MEAN,
@@ -30,6 +26,7 @@ from wigentropy.mixtures import (
     sigma_coefficients,
     thermal_mixture,
 )
+from wigentropy.positivity import radial_wigner
 from wigentropy.quadrature import QuadratureSpec, integrate
 
 # independent values, frozen from analytic formulas cross-checked by
@@ -41,17 +38,27 @@ H_RHO_1 = math.log(2.0) + np.euler_gamma + 0.5 * math.log(math.pi) - 0.5
 TIGHT = QuadratureSpec(1e-12)
 
 
+def psi(n: int, x):
+    """psi_n(x): row n of the production table."""
+    return wavefunction_table(n, x)[n]
+
+
+def fock_wigner(n: int, x, p):
+    """W_n(x, p) on the production path: |n>'s radial Wigner function at hypot(x, p)."""
+    return radial_wigner(fock_mixture(n), np.hypot(x, p))
+
+
 class TestWavefunction:
     def test_vacuum_peak(self):
-        assert wavefunction(0, 0.0) == pytest.approx(math.pi**-0.25, rel=1e-14)
+        assert psi(0, 0.0) == pytest.approx(math.pi**-0.25, rel=1e-14)
 
     def test_first_state_node(self):
-        assert wavefunction(1, 0.0) == 0.0
+        assert psi(1, 0.0) == 0.0
 
     def test_second_state_value(self):
         # psi_2(1) = pi^(-1/4) * (1/2) * 2^(-1/2) * H_2(1) * e^(-1/2), H_2(1) = 2
         expected = math.pi**-0.25 * 0.5 * 2**-0.5 * 2.0 * math.exp(-0.5)
-        assert wavefunction(2, 1.0) == pytest.approx(expected, rel=1e-13)
+        assert psi(2, 1.0) == pytest.approx(expected, rel=1e-13)
         assert expected == pytest.approx(0.3221441825567378, rel=1e-12)
 
     @pytest.mark.parametrize("n", range(9))
@@ -64,62 +71,65 @@ class TestWavefunction:
                 * eval_hermite(n, x)
                 * math.exp(-0.5 * x * x)
             )
-            assert wavefunction(n, x) == pytest.approx(direct, rel=1e-11, abs=1e-13)
+            assert psi(n, x) == pytest.approx(direct, rel=1e-11, abs=1e-13)
 
     @pytest.mark.parametrize("n", [0, 1, 5, 10, 40])
     def test_normalization(self, n):
         cut = tail_cutoff(n)
-        value, _ = quad(lambda x: marginal_density(n, x), -cut, cut, limit=400)
+        value, _ = quad(lambda x: psi(n, x) ** 2, -cut, cut, limit=400)
         assert value == pytest.approx(1.0, abs=1e-9)
 
     def test_table_matches_scalar(self):
+        # an array's table is, point by point, the table of each 0-d input
         xs = np.linspace(-3, 3, 7)
         table = wavefunction_table(6, xs)
-        for n in range(7):
-            for j, x in enumerate(xs):
-                assert table[n, j] == wavefunction(n, float(x))
+        for j, x in enumerate(xs):
+            assert np.array_equal(table[:, j], wavefunction_table(6, float(x)))
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
-            wavefunction(-1, 0.0)
+            wavefunction_table(-1, 0.0)
         with pytest.raises(ValueError):
-            wavefunction(N_MAX + 1, 0.0)
+            wavefunction_table(N_MAX + 1, 0.0)
 
 
 class TestWignerFock:
     def test_vacuum_origin(self):
-        assert wigner_fock(0, 0.0, 0.0) == pytest.approx(1.0 / math.pi, rel=1e-14)
+        assert fock_wigner(0, 0.0, 0.0) == pytest.approx(1.0 / math.pi, rel=1e-14)
 
     def test_one_photon_origin(self):
-        assert wigner_fock(1, 0.0, 0.0) == pytest.approx(-1.0 / math.pi, rel=1e-14)
+        assert fock_wigner(1, 0.0, 0.0) == pytest.approx(-1.0 / math.pi, rel=1e-14)
 
     def test_two_photon_value(self):
         # L_2(2) = 2 - 4 + 1 = -1
         expected = -math.exp(-1.0) / math.pi
-        assert wigner_fock(2, 1.0, 0.0) == pytest.approx(expected, rel=1e-13)
+        assert fock_wigner(2, 1.0, 0.0) == pytest.approx(expected, rel=1e-13)
 
     def test_rotation_invariance(self):
         for n in range(6):
-            a = wigner_fock(n, 0.6, 0.8)
-            b = wigner_fock(n, 1.0, 0.0)
-            c = wigner_fock(n, 0.0, -1.0)
+            a = fock_wigner(n, 0.6, 0.8)
+            b = fock_wigner(n, 1.0, 0.0)
+            c = fock_wigner(n, 0.0, -1.0)
             assert a == pytest.approx(b, rel=1e-12)
             assert b == pytest.approx(c, rel=1e-12)
 
     @pytest.mark.parametrize("n", range(11))
     def test_marginal_consistency(self, n):
-        # integral over p of W_n(x, p) must recover |psi_n(x)|^2
+        # integral over p of W_n(x, p) must recover psi_n(x)**2: the Laguerre
+        # kernel against the Hermite one
+        state = fock_mixture(n)
         for x in [0.0, 0.5, 1.0, 2.0]:
             value, _ = quad(
-                lambda p: wigner_fock(n, x, p), -tail_cutoff(n), tail_cutoff(n),
+                lambda p: radial_wigner(state, math.hypot(x, p)), -tail_cutoff(n), tail_cutoff(n),
                 limit=400,
             )
-            assert value == pytest.approx(marginal_density(n, x), abs=1e-8)
+            assert value == pytest.approx(psi(n, x) ** 2, abs=1e-8)
 
     @pytest.mark.parametrize("n", range(11))
     def test_normalization(self, n):
+        state = fock_mixture(n)
         value, _ = quad(
-            lambda u: math.pi * wigner_fock(n, math.sqrt(u), 0.0),
+            lambda u: math.pi * radial_wigner(state, math.sqrt(u)),
             0.0,
             tail_cutoff(n) ** 2,
             limit=400,
@@ -128,13 +138,14 @@ class TestWignerFock:
 
     def test_overlap_orthonormality(self):
         # 2 pi * double integral of W_m W_n = delta_mn
+        states = [fock_mixture(n) for n in range(7)]
         for m in range(7):
             for n in range(m, 7):
                 value, _ = quad(
                     lambda u: 2.0
                     * math.pi**2
-                    * wigner_fock(m, math.sqrt(u), 0.0)
-                    * wigner_fock(n, math.sqrt(u), 0.0),
+                    * radial_wigner(states[m], math.sqrt(u))
+                    * radial_wigner(states[n], math.sqrt(u)),
                     0.0,
                     120.0,
                     limit=600,
@@ -146,31 +157,20 @@ class TestWignerFock:
         xs = rng.uniform(-6, 6, 200)
         ps = rng.uniform(-6, 6, 200)
         for n in range(0, 30, 3):
-            values = wigner_fock(n, xs, ps)
+            values = fock_wigner(n, xs, ps)
             assert np.max(np.abs(values)) <= 1.0 / math.pi + 1e-12
 
     @pytest.mark.parametrize("x, p", [(math.inf, 0.0), (0.0, -math.inf), (math.nan, 0.0),
                                       (0.0, math.nan), ([0.5, math.inf], 1.0),
                                       (np.zeros((2, 2)), np.full((2, 2), math.nan))])
     def test_refuses_non_finite_coordinates(self, x, p):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="must be finite"):
-                wigner_fock(3, x, p)
+        with pytest.raises(ValueError, match="must be finite"):
+            fock_wigner(3, x, p)
 
     @pytest.mark.parametrize("r", [1e154, 1e200])
     def test_radius_whose_square_overflows_reads_zero(self, r):
-        # 2 (x**2 + p**2) overflows past r = 9.48e153, where W has long since
-        # underflowed to 0; it once read NaN with an overflow warning.  Points
-        # below keep their values bit for bit
-        xs = np.array([0.0, 0.7, 3.0, 40.0, 1e150, r])
-        below = np.array([laguerre_scaled_all(3, 2.0 * (x * x + 0.25))[3] * -1.0 / math.pi
-                          for x in xs[:-1]])
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert wigner_fock(3, r, 0.0) == wigner_fock(3, 0.0, r) == wigner_fock(0, r, r) == 0.0
-            got = wigner_fock(3, xs, 0.5)
-        assert got[-1] == 0.0 and np.array_equal(got[:-1], below)
+        # 2 r**2 overflows past r = 9.48e153, where W has long since underflowed to 0
+        assert fock_wigner(3, r, 0.0) == fock_wigner(3, 0.0, r) == fock_wigner(0, r, r) == 0.0
 
 
 #: inputs of every shape the kernels take: 0-d, 1-D with the origin and far
@@ -271,9 +271,7 @@ PHOTON_NUMBER_ROUTES = {
     "sigma_coefficients-n": lambda n: sigma_coefficients(0, n),
     "fock_oracle_sigma-m": lambda n: fock_oracle_sigma(n, 0, 0.5),
     "fock_oracle_sigma-n": lambda n: fock_oracle_sigma(0, n, 0.5),
-    "wavefunction": lambda n: wavefunction(n, 0.0),
     "wavefunction_table": lambda n: wavefunction_table(n, 0.0),
-    "wigner_fock": lambda n: wigner_fock(n, 0.0, 0.0),
     "marginal_entropy": marginal_entropy,
 }
 
@@ -287,6 +285,13 @@ PAST_THE_LIMIT = {
         PhotonMixture(np.eye(1, N_MAX + 1, N_MAX)[0]), PhotonMixture([0.0, 1.0]), 0.5),
     "thermal_mixture": lambda: thermal_mixture(THERMAL_MAX_MEAN * (1.0 + 1e-9)),
 }
+
+
+# what the guard refuses besides negatives: booleans, which Python and numpy
+# would count as 0 and 1, and numbers that are not integers by type, which
+# would fail deep inside numpy or math with no photon number named
+NOT_PHOTON_NUMBERS = {"True": True, "False": False, "np.True_": np.bool_(True),
+                      "2.0": 2.0, "2.5": 2.5, "np.float64": np.float64(1.0)}
 
 
 class TestPhotonNumberLimit:
@@ -305,3 +310,27 @@ class TestPhotonNumberLimit:
         with pytest.raises(ValueError, match="non-negative") as info:
             PHOTON_NUMBER_ROUTES[name](-1)
         assert not isinstance(info.value, TruncationError)
+
+    @pytest.mark.parametrize("value", NOT_PHOTON_NUMBERS.values(), ids=list(NOT_PHOTON_NUMBERS))
+    @pytest.mark.parametrize("name", PHOTON_NUMBER_ROUTES)
+    def test_non_integer_raises_plain_value_error(self, name, value):
+        with pytest.raises(ValueError, match="must be an integer") as info:
+            PHOTON_NUMBER_ROUTES[name](value)
+        assert not isinstance(info.value, TruncationError)
+
+    @pytest.mark.parametrize("name", PHOTON_NUMBER_ROUTES)
+    def test_numpy_integers_accepted(self, name):
+        for n in (np.int64(2), np.uint8(2), np.int32(0)):
+            PHOTON_NUMBER_ROUTES[name](n)
+
+    def test_numpy_integers_act_as_python_integers(self):
+        # a numpy integer would overflow sigma's shift by m + n or wrap its
+        # total, and an equal float would hit its cache entry past the guard
+        got = sigma_coefficients(np.int64(200), np.uint8(56))
+        assert (got.m, got.n) == (200, 56)
+        assert np.array_equal(got.coeffs.probs, sigma_coefficients(200, 56).coeffs.probs)
+        with pytest.raises(TruncationError, match="N_MAX"):
+            sigma_coefficients(np.uint8(200), np.uint8(100))
+        marginal_entropy(np.int64(2))
+        with pytest.raises(ValueError, match="must be an integer"):
+            marginal_entropy(2.0)

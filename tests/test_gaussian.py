@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -19,6 +20,8 @@ from wigentropy.gaussian import (
     thermal,
     vacuum,
 )
+from wigentropy.mixtures import PhotonMixture
+from wigentropy.positivity import radial_wigner
 
 LN_PI_PLUS_1 = math.log(math.pi) + 1.0
 
@@ -40,6 +43,15 @@ class TestStateValidation:
     def test_rejects_non_finite(self, mean, cov):
         with pytest.raises(ValueError, match="finite"):
             GaussianState(mean, cov)
+
+    # inf * eye(2) would put inf * 0 = NaN off the diagonal, with a warning,
+    # before the state's own finiteness check
+    @pytest.mark.parametrize("mean", [math.inf, math.nan, -1.0, -math.inf])
+    def test_thermal_refuses_bad_mean_photon_number(self, mean):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="mean photon number"):
+                thermal(mean)
 
     def test_purity(self):
         assert vacuum().purity == pytest.approx(1.0, rel=1e-14)
@@ -132,11 +144,9 @@ class TestWignerFunction:
         )
 
     def test_matches_fock_vacuum(self):
-        from wigentropy.fock import wigner_fock
-
         for x in np.linspace(-2, 2, 9):
             assert gaussian_wigner(vacuum(), x, 0.3) == pytest.approx(
-                wigner_fock(0, x, 0.3), rel=1e-12
+                radial_wigner(PhotonMixture([1.0]), math.hypot(x, 0.3)), rel=1e-12
             )
 
     def test_grid_normalization(self):

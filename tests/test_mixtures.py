@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import exact_sigma_probs
+from conftest import compose_passive, exact_sigma_probs
 from wigentropy.beamsplitter import fock_oracle_sigma
 from wigentropy.exceptions import NotPassiveError, TruncationError
 from wigentropy.fock import N_MAX
@@ -13,7 +13,6 @@ from wigentropy.mixtures import (
     THERMAL_MAX_MEAN,
     PassiveDecomposition,
     PhotonMixture,
-    compose_passive,
     extremal_passive,
     extremal_passive_from_sigmas,
     is_passive,
